@@ -21,7 +21,7 @@ from repro.injection.campaign import (
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import generate_faults
 from repro.injection.journal import RecordBuffer
-from repro.injection.parallel import MachineImage, run_injection_plan
+from repro.injection.parallel import EngineOptions, MachineImage, run_injection_plan
 from repro.microarch.config import SCALED_A9_CONFIG
 from repro.workloads import get_workload
 
@@ -34,7 +34,10 @@ def _build_plan():
     workload = get_workload("StringSearch")
     golden = run_golden(workload, SCALED_A9_CONFIG)
     snapshots = record_golden_snapshots(workload, SCALED_A9_CONFIG, golden)
-    image = MachineImage.capture(workload, SCALED_A9_CONFIG, golden, snapshots)
+    image = MachineImage.capture(
+        workload, SCALED_A9_CONFIG, golden, snapshots,
+        engine=EngineOptions(lifetime_events=False),
+    )
     plan = {
         component: generate_faults(
             component,
@@ -65,8 +68,7 @@ def test_campaign_throughput_serial_vs_parallel(benchmark):
 
     speedup = serial_seconds / parallel_seconds
     benchmark.extra_info["injections"] = total
-    benchmark.extra_info["translate"] = image.translate
-    benchmark.extra_info["cow_images"] = image.cow
+    benchmark.extra_info["translate"] = image.engine.translate
     benchmark.extra_info["serial_inj_per_sec"] = round(total / serial_seconds, 2)
     benchmark.extra_info["parallel_jobs"] = cores
     benchmark.extra_info["parallel_inj_per_sec"] = round(
@@ -97,7 +99,7 @@ def test_lifetime_event_overhead(benchmark):
     """Fault-lifetime event collection must cost < 15% campaign throughput.
 
     Runs the same mini-campaign with and without
-    ``MachineImage.lifetime`` (everything else identical, early exit on
+    ``EngineOptions.lifetime_events`` (everything else identical, early exit on
     in both) and bounds the slowdown.  Effects must be byte-identical -
     events are pure observation.
 
@@ -126,7 +128,7 @@ def test_lifetime_event_overhead(benchmark):
     }
     image_off = MachineImage.capture(
         workload, SCALED_A9_CONFIG, golden, snapshots, digests=digests,
-        translate=False,
+        engine=EngineOptions(translate=False, lifetime_events=False),
     )
     image_on = MachineImage.capture(
         workload,
@@ -135,8 +137,7 @@ def test_lifetime_event_overhead(benchmark):
         snapshots,
         digests=digests,
         arch_digests=arch_digests,
-        lifetime=True,
-        translate=False,
+        engine=EngineOptions(translate=False, lifetime_events=True),
     )
 
     effects_on = benchmark.pedantic(
@@ -209,8 +210,7 @@ def test_lifetime_campaign_translation_speedup(benchmark):
             snapshots,
             digests=digests,
             arch_digests=arch_digests,
-            lifetime=True,
-            translate=translate,
+            engine=EngineOptions(translate=translate, lifetime_events=True),
         )
 
     image_translated = capture(True)

@@ -15,7 +15,7 @@ import time
 from repro.injection.campaign import record_golden_captures, run_golden
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import generate_faults
-from repro.injection.parallel import MachineImage, run_injection_plan
+from repro.injection.parallel import EngineOptions, MachineImage, run_injection_plan
 from repro.injection.telemetry import CampaignTelemetry
 from repro.microarch.config import SCALED_A9_CONFIG
 from repro.workloads import get_workload
@@ -33,10 +33,12 @@ def _build():
     )
     pruned = MachineImage.capture(
         workload, SCALED_A9_CONFIG, golden, snapshots,
-        digests=digests, early_exit=True,
+        digests=digests,
+        engine=EngineOptions(early_exit=True, lifetime_events=False),
     )
     full = MachineImage.capture(
-        workload, SCALED_A9_CONFIG, golden, snapshots, early_exit=False
+        workload, SCALED_A9_CONFIG, golden, snapshots,
+        engine=EngineOptions(early_exit=False, lifetime_events=False),
     )
     plan = {
         component: generate_faults(

@@ -20,7 +20,7 @@ from repro.injection.campaign import (
 )
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import generate_faults
-from repro.injection.parallel import MachineImage, run_injection_plan
+from repro.injection.parallel import EngineOptions, MachineImage, run_injection_plan
 from repro.microarch.config import SCALED_A9_CONFIG
 from repro.observability.tracing import Tracer
 from repro.workloads import get_workload
@@ -44,7 +44,8 @@ def test_tracing_overhead(benchmark):
     golden = run_golden(workload, SCALED_A9_CONFIG)
     snapshots = record_golden_snapshots(workload, SCALED_A9_CONFIG, golden)
     image = MachineImage.capture(
-        workload, SCALED_A9_CONFIG, golden, snapshots
+        workload, SCALED_A9_CONFIG, golden, snapshots,
+        engine=EngineOptions(lifetime_events=False),
     )
     plan = {
         component: generate_faults(

@@ -1,16 +1,16 @@
-"""Basic-block translation + COW images: accelerated vs interpreter-only.
+"""Basic-block translation + COW images: accelerated vs reference engine.
 
 Runs the same seed-deterministic fault plan twice at ``jobs=1`` - once
-with the basic-block trace translator and copy-on-write image restores
-enabled (the default) and once with both disabled (the pre-translation
-baseline) - on the int-heavy CRC32 workload, asserts the per-fault
-effect lists are byte-identical (translation and COW are result-neutral
-by construction), and requires the accelerated run to sustain at least
-8x the injections/sec of the baseline (the phase-1 straight-line
-translator measured ~7.7x on this box; chaining, loop superblocks and
-the double-word inline paths lifted that to ~12.7x).  Both sides keep
-early termination on, so the bar measures the translator/COW
-contribution on top of the existing pruning, not instead of it.
+on the default engine (basic-block trace translator with copy-on-write
+image restores) and once on the reference engine (interpreter with
+full-sweep restores, ``translate=False``) - on the int-heavy CRC32
+workload, asserts the per-fault effect lists are byte-identical
+(translation and COW are result-neutral by construction), and requires
+the accelerated run to sustain at least 8x the injections/sec of the
+reference.  The committed measurement is
+``results/BENCH_test_translation_speedup.json``.  Both sides keep early
+termination on, so the bar measures the translator/COW contribution on
+top of the existing pruning, not instead of it.
 
 ``test_taint_on_translator_equivalence`` is the companion smoke: the
 same workload with fault-lifetime events and crash traces armed, run
@@ -31,7 +31,7 @@ from repro.injection.campaign import (
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import generate_faults
 from repro.injection.journal import RecordBuffer
-from repro.injection.parallel import MachineImage, run_injection_plan
+from repro.injection.parallel import EngineOptions, MachineImage, run_injection_plan
 from repro.microarch.config import SCALED_A9_CONFIG
 from repro.observability.events import masking_mechanism
 from repro.workloads import get_workload
@@ -49,11 +49,13 @@ def _build():
     )
     accelerated = MachineImage.capture(
         workload, SCALED_A9_CONFIG, golden, snapshots,
-        digests=digests, early_exit=True, translate=True, cow=True,
+        digests=digests,
+        engine=EngineOptions(translate=True, lifetime_events=False),
     )
     baseline = MachineImage.capture(
         workload, SCALED_A9_CONFIG, golden, snapshots,
-        digests=digests, early_exit=True, translate=False, cow=False,
+        digests=digests,
+        engine=EngineOptions(translate=False, lifetime_events=False),
     )
     plan = {
         component: generate_faults(
@@ -139,9 +141,7 @@ def test_taint_on_translator_equivalence():
             snapshots,
             digests=digests,
             arch_digests=arch_digests,
-            lifetime=True,
-            trace_on_crash=16,
-            translate=translate,
+            engine=EngineOptions(translate=translate, trace_on_crash=16),
         )
         journal = RecordBuffer()
         effects = run_injection_plan(image, plan, jobs=1, journal=journal)

@@ -24,13 +24,12 @@ Commands
     the provably-sound early Masked terminations (golden-digest
     convergence and dead-cell short-circuits) - the effects are
     bit-identical either way, so the flag exists only for benchmarking
-    and auditing.  ``--no-translate`` and ``--no-cow`` likewise disable
-    the (result-neutral) basic-block translator and copy-on-write
-    restores (``docs/PERFORMANCE.md``); ``--heat-threshold``,
-    ``--no-chain`` and ``--no-superblocks`` tune the translator without
-    changing results, and ``--profile`` prints (and, with ``--metrics``,
-    exports) the execution profile.  ``--no-events`` disables
-    fault-lifetime event
+    and auditing.  ``--no-translate`` selects the reference engine - the
+    per-instruction interpreter with full-sweep restores instead of the
+    basic-block translator with copy-on-write restores
+    (``docs/PERFORMANCE.md``) - with bit-identical effects, and
+    ``--profile`` prints (and, with ``--metrics``, exports) the execution
+    profile.  ``--no-events`` disables fault-lifetime event
     recording; ``--trace-on-crash N`` attaches the last N instructions to
     Crash-classified journal records; ``--metrics PATH`` exports the
     telemetry summary as machine-readable JSON
@@ -212,10 +211,6 @@ def _cmd_inject(args) -> int:
         lifetime_events=not args.no_events,
         trace_on_crash=args.trace_on_crash,
         translate=not args.no_translate,
-        cow_images=not args.no_cow,
-        heat_threshold=args.heat_threshold,
-        chain=not args.no_chain,
-        superblocks=not args.no_superblocks,
         profile=args.profile,
         target_margin=args.target_margin,
         batch_size=args.batch_size,
@@ -379,20 +374,25 @@ def _log_hooks(log_json: bool):
 
 def _cmd_serve(args) -> int:
     from repro.fabric import serve_forever
+    from repro.fabric.protocol import FabricError
 
     progress, events = _log_hooks(args.log_json)
-    serve_forever(
-        args.store,
-        args.journal_dir,
-        host=args.host,
-        port=args.port,
-        lease_ttl=args.lease_ttl,
-        lease_size=args.lease_size,
-        worker_ttl=args.worker_ttl,
-        trace=args.trace_spans,
-        progress=progress,
-        events=events,
-    )
+    try:
+        serve_forever(
+            args.store,
+            args.journal_dir,
+            host=args.host,
+            port=args.port,
+            lease_ttl=args.lease_ttl,
+            lease_size=args.lease_size,
+            worker_ttl=args.worker_ttl,
+            trace=args.trace_spans,
+            progress=progress,
+            events=events,
+        )
+    except FabricError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -610,27 +610,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="evenly spaced golden-state digest probes "
                         "used for convergence detection (default 24)")
     inject.add_argument("--no-translate", action="store_true",
-                        help="run injections through the per-instruction "
-                        "interpreter instead of the basic-block translator; "
-                        "effects are bit-identical either way (the flag "
-                        "exists for benchmarking and equivalence audits)")
-    inject.add_argument("--no-cow", action="store_true",
-                        help="restore the full machine state between "
-                        "injections instead of only the pages the previous "
-                        "run dirtied; restores are bit-identical either way")
-    inject.add_argument("--heat-threshold", type=int, default=16,
-                        metavar="N",
-                        help="dispatches of a (pc, mode) before the "
-                        "translator compiles it (default 16; compile "
-                        "timing only, results identical)")
-    inject.add_argument("--no-chain", action="store_true",
-                        help="return to the run loop after every translated "
-                        "block instead of chaining into the successor "
-                        "block (scheduling only, results identical)")
-    inject.add_argument("--no-superblocks", action="store_true",
-                        help="translate straight-line regions only - no "
-                        "in-page branch following, no loop superblocks "
-                        "(region shape only, results identical)")
+                        help="run the reference engine: the per-instruction "
+                        "interpreter with full-sweep state restores instead "
+                        "of the basic-block translator with copy-on-write "
+                        "restores; effects are bit-identical either way (the "
+                        "flag exists for benchmarking and equivalence audits)")
     inject.add_argument("--profile", action="store_true",
                         help="collect and print the execution profile "
                         "(per-op interpreter dispatches + translator "

@@ -161,8 +161,14 @@ class Coordinator:
         #: :meth:`_collect_gauges` at scrape time.
         self.registry = MetricsRegistry()
         self.registry.register_collector(self._collect_gauges)
-        for spec_payload in self.store.campaigns().values():
-            self._activate(CampaignSpec.from_payload(spec_payload))
+        for campaign_id, spec_payload in self.store.campaigns().items():
+            try:
+                spec = CampaignSpec.from_payload(spec_payload)
+            except FabricError as exc:
+                raise FabricError(
+                    f"stored campaign {campaign_id}: {exc}"
+                ) from None
+            self._activate(spec)
 
     # -- campaign lifecycle --------------------------------------------------
 
@@ -763,11 +769,21 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        if not length:
+    def _body(self) -> bytes:
+        return self.rfile.read(int(self.headers.get("Content-Length", 0)))
+
+    @staticmethod
+    def _parse(raw: bytes) -> dict:
+        """A request body as a JSON object; anything else is a 400."""
+        if not raw:
             return {}
-        return json.loads(self.rfile.read(length).decode())
+        try:
+            body = json.loads(raw.decode())
+        except ValueError as exc:
+            raise FabricError(f"request body is not JSON: {exc}") from None
+        if not isinstance(body, dict):
+            raise FabricError("request body must be a JSON object")
+        return body
 
     def _dispatch(self, handler: Callable[[], dict]) -> None:
         try:
@@ -778,23 +794,23 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply({"error": f"{type(exc).__name__}: {exc}"}, code=500)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        """POST routes: /submit, /lease, /report."""
-        body = self._body()
+        """POST routes: /submit, /lease, /report, /heartbeat."""
+        raw = self._body()
         routes = {
-            "/submit": lambda: self.coordinator.submit(
-                body["spec"], body.get("trace")
+            "/submit": lambda body: self.coordinator.submit(
+                body.get("spec"), body.get("trace")
             ),
-            "/lease": lambda: self.coordinator.lease(
+            "/lease": lambda body: self.coordinator.lease(
                 body.get("worker", "?"), body.get("count")
             ),
-            "/report": lambda: self.coordinator.report(body),
-            "/heartbeat": lambda: self.coordinator.heartbeat(body),
+            "/report": self.coordinator.report,
+            "/heartbeat": self.coordinator.heartbeat,
         }
         handler = routes.get(self.path)
         if handler is None:
             self._reply({"error": f"no such endpoint {self.path}"}, code=404)
             return
-        self._dispatch(handler)
+        self._dispatch(lambda: handler(self._parse(raw)))
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         """GET routes: /ping, /status, /metrics, /campaign/<id>/{...}."""
@@ -846,18 +862,28 @@ def serve_forever(
     trace: bool = False,
     events: Callable[..., None] | None = None,
 ) -> None:
-    """Run a coordinator until interrupted (the ``repro serve`` command)."""
-    coordinator = Coordinator(
-        FaultStore(store_path),
-        Path(journal_dir),
-        lease_ttl=lease_ttl,
-        lease_size=lease_size,
-        telemetry=CampaignTelemetry(),
-        progress=progress,
-        worker_ttl=worker_ttl,
-        trace=trace,
-        events=events,
-    )
+    """Run a coordinator until interrupted (the ``repro serve`` command).
+
+    A store holding a campaign this side cannot parse (written by another
+    protocol version, or malformed) raises :class:`FabricError` before
+    the server binds.
+    """
+    store = FaultStore(store_path)
+    try:
+        coordinator = Coordinator(
+            store,
+            Path(journal_dir),
+            lease_ttl=lease_ttl,
+            lease_size=lease_size,
+            telemetry=CampaignTelemetry(),
+            progress=progress,
+            worker_ttl=worker_ttl,
+            trace=trace,
+            events=events,
+        )
+    except FabricError:
+        store.close()
+        raise
     server = create_server(coordinator, host, port)
     if progress is not None:
         progress(

@@ -32,10 +32,11 @@ from dataclasses import asdict, dataclass, field
 from repro.errors import ReproError
 from repro.injection.campaign import CampaignConfig
 from repro.injection.components import Component
+from repro.injection.parallel import EngineOptions
 from repro.microarch.config import MACHINE_CONFIGS, MachineConfig
 
 #: Bump when the wire format changes incompatibly.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 class FabricError(ReproError):
@@ -83,7 +84,8 @@ class CampaignSpec:
     A pure-JSON recipe: workload and machine are referenced by name (plus
     the machine's structural digest), and the execution knobs mirror the
     result-affecting and image-shaping fields of
-    :class:`~repro.injection.campaign.CampaignConfig`.  ``jobs``,
+    :class:`~repro.injection.campaign.CampaignConfig`, with its
+    result-neutral engine settings nested as ``engine``.  ``jobs``,
     timeouts and the disk-cache knobs deliberately do not travel - they
     are local execution policy, not campaign identity.
     """
@@ -99,15 +101,7 @@ class CampaignSpec:
     components: tuple[str, ...] = field(
         default_factory=lambda: tuple(c.name for c in Component)
     )
-    early_exit: bool = True
-    digest_probes: int = 24
-    lifetime_events: bool = True
-    trace_on_crash: int = 0
-    translate: bool = True
-    cow_images: bool = True
-    heat_threshold: int = 16
-    chain: bool = True
-    superblocks: bool = True
+    engine: EngineOptions = EngineOptions()
     use_checkpoints: bool = True
     checkpoint_count: int = 8
     #: Learned importance sampling (adaptive-only today; carried so a
@@ -142,15 +136,7 @@ class CampaignSpec:
             golden_cycles=golden_cycles,
             confidence=config.confidence,
             components=tuple(component.name for component in components),
-            early_exit=config.early_exit,
-            digest_probes=config.digest_probes,
-            lifetime_events=config.lifetime_events,
-            trace_on_crash=config.trace_on_crash,
-            translate=config.translate,
-            cow_images=config.cow_images,
-            heat_threshold=config.heat_threshold,
-            chain=config.chain,
-            superblocks=config.superblocks,
+            engine=config.engine,
             use_checkpoints=config.use_checkpoints,
             checkpoint_count=config.checkpoint_count,
             learned_sampling=config.learned_sampling,
@@ -171,15 +157,7 @@ class CampaignSpec:
             use_checkpoints=self.use_checkpoints,
             checkpoint_count=self.checkpoint_count,
             cluster_size=self.cluster_size,
-            early_exit=self.early_exit,
-            digest_probes=self.digest_probes,
-            lifetime_events=self.lifetime_events,
-            trace_on_crash=self.trace_on_crash,
-            translate=self.translate,
-            cow_images=self.cow_images,
-            heat_threshold=self.heat_threshold,
-            chain=self.chain,
-            superblocks=self.superblocks,
+            **asdict(self.engine),
             learned_sampling=self.learned_sampling,
         )
 
@@ -193,7 +171,16 @@ class CampaignSpec:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CampaignSpec":
-        """Parse a spec payload, rejecting incompatible protocol versions."""
+        """Parse a spec payload.
+
+        Incompatible protocol versions and malformed payloads (not an
+        object, unknown or missing fields) raise :class:`FabricError`.
+        """
+        if not isinstance(payload, dict):
+            raise FabricError(
+                f"campaign spec must be a JSON object, got "
+                f"{type(payload).__name__}"
+            )
         data = dict(payload)
         version = data.get("version", 0)
         if version != PROTOCOL_VERSION:
@@ -201,8 +188,12 @@ class CampaignSpec:
                 f"campaign spec speaks protocol v{version}, this side "
                 f"speaks v{PROTOCOL_VERSION}"
             )
-        data["components"] = tuple(data.get("components", ()))
-        return cls(**data)
+        try:
+            data["components"] = tuple(data.get("components", ()))
+            data["engine"] = EngineOptions(**data.get("engine", {}))
+            return cls(**data)
+        except TypeError as exc:
+            raise FabricError(f"malformed campaign spec: {exc}") from None
 
     @property
     def campaign_id(self) -> str:

@@ -39,6 +39,7 @@ from repro.injection.parallel import (
     ENDED_DIGEST,
     ENDED_FULL,
     EarlyMasked,
+    EngineOptions,
     ImageInjector,
     InjectionResult,
     MachineImage,
@@ -74,6 +75,7 @@ __all__ = [
     "ENDED_DIGEST",
     "ENDED_FULL",
     "EarlyMasked",
+    "EngineOptions",
     "ImageInjector",
     "InjectionResult",
     "MachineImage",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -40,6 +40,7 @@ from repro.injection.parallel import (
     DEFAULT_MAX_RETRIES,
     WATCHDOG_FACTOR,
     WATCHDOG_SLACK,
+    EngineOptions,
     ImageInjector,
     MachineImage,
     QuarantinedFault,
@@ -141,30 +142,13 @@ class CampaignConfig:
     #: it.  Observation-only, hence also excluded from the cache key.
     trace_on_crash: int = 0
     #: Execute injected runs through the basic-block translator
-    #: (:mod:`repro.microarch.translate`).  Bit-identical to the interpreter
-    #: by construction (enforced by the translator equivalence suite), so -
-    #: like ``early_exit`` - it is deliberately *not* part of the cache
-    #: key; ``--no-translate`` exists for debugging and audits.
+    #: (:mod:`repro.microarch.translate`) with copy-on-write restores
+    #: (:class:`~repro.microarch.snapshot.DeltaRestorer`).  Bit-identical
+    #: by construction to the reference engine, the interpreter with
+    #: full-sweep restores (enforced by the translator equivalence suite),
+    #: so like ``early_exit`` it is deliberately *not* part of the cache
+    #: key; ``--no-translate`` selects the reference for audits.
     translate: bool = True
-    #: Restore worker machine state copy-on-write between injections
-    #: (rewrite only dirtied/differing pages; see
-    #: :class:`~repro.microarch.snapshot.DeltaRestorer`).  Restores are
-    #: bit-identical either way, so also excluded from the cache key.
-    cow_images: bool = True
-    #: Dispatches of a (pc, mode) before the translator compiles it (see
-    #: :data:`repro.microarch.translate.HEAT_THRESHOLD`).  Compile-timing
-    #: only - blocks are bit-identical to the interpreter whenever they
-    #: run - so, like ``translate`` itself, it is excluded from the cache
-    #: key.
-    heat_threshold: int = 16
-    #: Let the translated dispatcher keep running successor blocks while
-    #: the cycle budget lasts instead of returning to the run loop after
-    #: every block.  Scheduling only; excluded from the cache key.
-    chain: bool = True
-    #: Translate across in-page branches (including taken backward
-    #: branches), turning hot loops into single compiled superblocks.
-    #: Region-shape only; excluded from the cache key.
-    superblocks: bool = True
     #: Compile per-superblock iteration counters into translated blocks and
     #: collect per-op dispatch + translator statistics for the
     #: ``repro-metrics/1`` envelope (see :mod:`repro.microarch.profile`).
@@ -196,6 +180,13 @@ class CampaignConfig:
     #: post-corrected estimator.  Changes which injections are tallied,
     #: so it *is* part of the adaptive cache key (``-L``).
     learned_sampling: bool = False
+
+    @property
+    def engine(self) -> EngineOptions:
+        """The result-neutral engine settings, bundled for the injector."""
+        return EngineOptions(
+            **{f.name: getattr(self, f.name) for f in fields(EngineOptions)}
+        )
 
     @property
     def planned_faults(self) -> int:
@@ -656,16 +647,8 @@ def prepare_image(
         snapshots,
         cluster_size=config.cluster_size,
         digests=digests,
-        early_exit=config.early_exit,
         arch_digests=arch_digests,
-        lifetime=config.lifetime_events,
-        trace_on_crash=config.trace_on_crash,
-        translate=config.translate,
-        cow=config.cow_images,
-        heat_threshold=config.heat_threshold,
-        chain=config.chain,
-        superblocks=config.superblocks,
-        profile=config.profile,
+        engine=config.engine,
         activity=activity,
     )
     return golden, image

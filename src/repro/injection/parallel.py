@@ -122,6 +122,37 @@ def resolve_jobs(jobs: int) -> int:
     return jobs
 
 
+@dataclass(frozen=True)
+class EngineOptions:
+    """The injection engine's result-neutral settings, as one value.
+
+    None of these can change an injection's effect - the translator,
+    early-exit and observability equivalence suites pin that - so none
+    of them is part of a campaign's cache key.  Field names match
+    the flat :class:`~repro.injection.campaign.CampaignConfig` fields
+    they are read from (``CampaignConfig.engine``).
+    """
+
+    #: Run injected programs through the basic-block translator
+    #: (:mod:`repro.microarch.translate`) and restore copy-on-write
+    #: (:class:`~repro.microarch.snapshot.DeltaRestorer`).  ``False`` is
+    #: the reference engine: the interpreter with full-sweep restores.
+    translate: bool = True
+    #: Master switch for the provably-sound early-Masked terminations.
+    early_exit: bool = True
+    #: Evenly spaced golden-state digest probes recorded for early exit
+    #: and fault-lifetime divergence stamping.
+    digest_probes: int = 24
+    #: Record per-injection fault-lifetime events (:mod:`repro.observability`).
+    lifetime_events: bool = True
+    #: When > 0, trace every injected run and attach the last N instructions
+    #: to Crash-classified results.  Forces the slow interpreter loop.
+    trace_on_crash: int = 0
+    #: Compile translator iteration counters and collect per-op dispatch
+    #: counts (:mod:`repro.microarch.profile`).
+    profile: bool = False
+
+
 @dataclass
 class MachineImage:
     """Shared machine image: one (workload, machine) pair, ready to inject.
@@ -141,30 +172,11 @@ class MachineImage:
     cluster_size: int = 1
     #: Golden-state digests keyed by cycle (see :mod:`repro.microarch.digest`).
     digests: dict[int, bytes] = field(default_factory=dict)
-    #: Master switch for the provably-sound early-Masked terminations.
-    early_exit: bool = True
     #: Golden *architectural* digests on the same probe grid, used by the
     #: fault-lifetime layer to stamp the first architectural divergence.
     arch_digests: dict[int, bytes] = field(default_factory=dict)
-    #: Record per-injection fault-lifetime events (:mod:`repro.observability`).
-    lifetime: bool = False
-    #: When > 0, trace every injected run and attach the last N instructions
-    #: to Crash-classified results.  Forces the slow interpreter loop.
-    trace_on_crash: int = 0
-    #: Run injected programs through the basic-block translator
-    #: (:mod:`repro.microarch.translate`).  Result-neutral by construction;
-    #: ``--no-translate`` exists for debugging and equivalence audits.
-    translate: bool = True
-    #: Restore injections copy-on-write (rewrite only dirtied/differing
-    #: memory pages) instead of sweeping the whole address space.
-    cow: bool = True
-    #: Translator tuning knobs (see :class:`CampaignConfig` for the
-    #: semantics); all of them are result-neutral scheduling/observation
-    #: switches.
-    heat_threshold: int = 16
-    chain: bool = True
-    superblocks: bool = True
-    profile: bool = False
+    #: How the injector runs each fault; result-neutral by construction.
+    engine: EngineOptions = EngineOptions()
     #: Golden cache/TLB activity observables for learned sampling
     #: (:mod:`repro.observability.golden`); ``None`` unless the campaign
     #: was configured with ``learned_sampling``.
@@ -179,16 +191,8 @@ class MachineImage:
         snapshots: list[SystemSnapshot] | None = None,
         cluster_size: int = 1,
         digests: Mapping[int, bytes] | None = None,
-        early_exit: bool = True,
         arch_digests: Mapping[int, bytes] | None = None,
-        lifetime: bool = False,
-        trace_on_crash: int = 0,
-        translate: bool = True,
-        cow: bool = True,
-        heat_threshold: int = 16,
-        chain: bool = True,
-        superblocks: bool = True,
-        profile: bool = False,
+        engine: EngineOptions = EngineOptions(),
         activity: GoldenActivity | None = None,
     ) -> "MachineImage":
         """Bundle a workload's golden run into a shippable image."""
@@ -201,16 +205,8 @@ class MachineImage:
             snapshots=list(snapshots or []),
             cluster_size=cluster_size,
             digests=dict(digests or {}),
-            early_exit=early_exit,
             arch_digests=dict(arch_digests or {}),
-            lifetime=lifetime,
-            trace_on_crash=trace_on_crash,
-            translate=translate,
-            cow=cow,
-            heat_threshold=heat_threshold,
-            chain=chain,
-            superblocks=superblocks,
-            profile=profile,
+            engine=engine,
             activity=activity,
         )
 
@@ -246,9 +242,9 @@ class InjectionResult:
     itself is independent of the termination mechanism - that is the
     equivalence guarantee the early-exit test suite enforces.
 
-    With ``image.lifetime``, ``events`` carries the fault-lifetime event
-    payload (``(kind, cycle, detail)`` tuples; see
-    :mod:`repro.observability.events`); with ``image.trace_on_crash``,
+    With ``lifetime_events`` armed, ``events`` carries the fault-lifetime
+    event payload (``(kind, cycle, detail)`` tuples; see
+    :mod:`repro.observability.events`); with ``trace_on_crash``,
     ``trace`` carries the last instructions of a Crash-classified run.
     Both default empty, so pickles and journals stay compact.
     """
@@ -281,25 +277,23 @@ class ImageInjector:
 
     def __init__(self, image: MachineImage):
         self.image = image
+        engine = image.engine
         self.system = System(image.program, config=image.machine)
         self.pristine = SystemSnapshot(self.system)
         self.budget = watchdog_budget(image.golden_cycles)
         self.translator = None
-        if image.translate:
+        if engine.translate:
             self.translator = attach_translator(
-                self.system,
-                heat_threshold=image.heat_threshold,
-                chain=image.chain,
-                superblocks=image.superblocks,
-                profile=image.profile,
+                self.system, profile=engine.profile
             )
-        if image.profile:
+        if engine.profile:
             enable_op_counts(self.system.core)
         # This injector owns its system exclusively and restores through
-        # one engine, which is exactly the DeltaRestorer contract.  Atomic
-        # machines store straight into memory without dirty tracking, so
-        # they keep the full-sweep restore (and uncached digests).
-        if image.cow and not image.machine.atomic:
+        # one engine, which is exactly the DeltaRestorer contract.  The
+        # reference engine and atomic machines (which store straight into
+        # memory without dirty tracking) keep the full-sweep restore and
+        # uncached digests.
+        if engine.translate and not image.machine.atomic:
             self._restorer = DeltaRestorer(self.system)
             self.system.memory.enable_digest_cache()
         else:
@@ -308,7 +302,7 @@ class ImageInjector:
         # convergence/divergence stamping for fault-lifetime events.
         self._probe_cycles = (
             sorted(image.digests)
-            if (image.early_exit or image.lifetime)
+            if (engine.early_exit or engine.lifetime_events)
             else []
         )
         #: Termination accounting of the most recent :meth:`run_fault` call.
@@ -327,7 +321,7 @@ class ImageInjector:
     def run_fault_ex(self, fault: Fault) -> InjectionResult:
         """Like :meth:`run_fault`, but also report *how* the run ended.
 
-        With ``image.early_exit`` set, two sound pruning mechanisms can
+        With ``early_exit`` armed, two sound pruning mechanisms can
         classify a run Masked without simulating it to completion (see
         the module docstring); both raise :class:`EarlyMasked`, caught
         here.  Probe events are registered only for cycles *strictly
@@ -336,6 +330,7 @@ class ImageInjector:
         and terminate the run before the fault even fires.
         """
         image = self.image
+        engine = image.engine
         system = self.system
         snapshot = best_snapshot(image.snapshots, fault.cycle)
         if snapshot is None:
@@ -347,9 +342,10 @@ class ImageInjector:
         target = component_target(system, fault.component)
         population = target.data_bits
         cluster = image.cluster_size
-        early = image.early_exit
-        lifetime = FaultLifetime(system.core) if image.lifetime else None
-        tracer = Tracer(image.trace_on_crash) if image.trace_on_crash else None
+        early = engine.early_exit
+        lifetime = FaultLifetime(system.core) if engine.lifetime_events else None
+        trace_depth = engine.trace_on_crash
+        tracer = Tracer(trace_depth) if trace_depth else None
         uninstall: list = []
 
         def flip():
@@ -404,7 +400,7 @@ class ImageInjector:
             FaultEffect.SYS_CRASH,
         ):
             trace_tail = tuple(
-                str(record) for record in tracer.tail(image.trace_on_crash)
+                str(record) for record in tracer.tail(trace_depth)
             )
         return InjectionResult(
             effect,
@@ -418,7 +414,7 @@ class ImageInjector:
         image = self.image
         golden = image.digests[cycle]
         golden_arch = image.arch_digests.get(cycle)
-        early = image.early_exit
+        early = image.engine.early_exit
         system = self.system
 
         def probe():

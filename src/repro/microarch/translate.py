@@ -143,35 +143,20 @@ _CODE_CACHE: dict[str, object] = {}
 _CODE_CACHE_MAX = 4096
 
 
-def attach_translator(
-    system,
-    *,
-    heat_threshold: int = HEAT_THRESHOLD,
-    chain: bool = True,
-    superblocks: bool = True,
-    profile: bool = False,
-):
+def attach_translator(system, *, profile: bool = False):
     """Enable block translation on ``system``'s core.
 
     Returns the installed :class:`BlockTranslator`, or ``None`` on atomic
     machines - atomic mode has no caches or TLBs to guard blocks with, and
     its interpreter is already a flat array walk.
 
-    ``heat_threshold``, ``chain`` and ``superblocks`` tune when code
-    compiles and how far compiled execution runs without the dispatcher;
-    none of them can change architectural results.  ``profile`` compiles
-    iteration counters into superblocks and keeps translator statistics
-    for :func:`repro.microarch.profile.translator_stats`.
+    ``profile`` compiles iteration counters into superblocks and keeps
+    translator statistics for
+    :func:`repro.microarch.profile.translator_stats`.
     """
     if system.config.atomic:
         return None
-    translator = BlockTranslator(
-        system.core,
-        heat_threshold=heat_threshold,
-        chain=chain,
-        superblocks=superblocks,
-        profile=profile,
-    )
+    translator = BlockTranslator(system.core, profile=profile)
     system.core.translator = translator
     return translator
 
@@ -179,19 +164,8 @@ def attach_translator(
 class BlockTranslator:
     """Discovers, compiles and dispatches translated blocks for one core."""
 
-    def __init__(
-        self,
-        core,
-        *,
-        heat_threshold: int = HEAT_THRESHOLD,
-        chain: bool = True,
-        superblocks: bool = True,
-        profile: bool = False,
-    ):
+    def __init__(self, core, *, profile: bool = False):
         self.core = core
-        self.heat_threshold = max(1, int(heat_threshold))
-        self.chain = bool(chain)
-        self.superblocks = bool(superblocks)
         self.profile = bool(profile)
         #: pc -> list of compiled variants (MRU order), or _NEVER.  A pc
         #: accumulates one variant per byte-content seen (pristine code
@@ -226,8 +200,8 @@ class BlockTranslator:
 
         Returns ``True`` when at least one instruction was executed (the
         run loop then re-checks events/timer/watchdog), ``False`` when the
-        caller must interpret the next instruction itself.  With chaining
-        enabled the dispatcher keeps running successor blocks until the
+        caller must interpret the next instruction itself.  The
+        dispatcher chains: it keeps running successor blocks until the
         budget is spent, a guard fails, or the next pc is cold.
         """
         if core.l1i.probe is not None or core.itlb.probe is not None:
@@ -244,8 +218,6 @@ class BlockTranslator:
             self._kernel_blocks if mode is Mode.KERNEL else self._user_blocks
         )
         heat = self._heat
-        threshold = self.heat_threshold
-        chain = self.chain
         executed = False
         self.dispatches += 1
         while True:
@@ -254,7 +226,7 @@ class BlockTranslator:
             if variants is None:
                 key = (pc << 1) | int(mode)
                 count = heat.get(key, 0) + 1
-                if count < threshold:
+                if count < HEAT_THRESHOLD:
                     heat[key] = count
                     return executed
                 heat.pop(key, None)
@@ -290,7 +262,7 @@ class BlockTranslator:
                 self.translated_instructions += core.icount - icount0
                 if self._fails:
                     self._fails.pop((pc << 1) | int(mode), None)
-                if chain and core.cycle < limit:
+                if core.cycle < limit:
                     self.chain_hits += 1
                     continue
                 return True
@@ -333,9 +305,9 @@ class BlockTranslator:
         Returns ``(instrs, extendable, stop_reason)``; ``extendable``
         means a longer region might become discoverable later (an L1I
         line was absent), so a failed attempt should be retried rather
-        than pinned.  With superblocks enabled, decoding continues past
-        conditional branches and past unconditional branches that still
-        have a decoded-forward target ahead of them.
+        than pinned.  Decoding continues past conditional branches and
+        past unconditional branches that still have a decoded-forward
+        target ahead of them (loop superblocks).
         """
         itlb = core.itlb
         vpn = pc >> PAGE_SHIFT
@@ -352,7 +324,6 @@ class BlockTranslator:
         l1i = core.l1i
         memory_size = core.layout.memory_size
         page_end = (vpn + 1) << PAGE_SHIFT
-        superblocks = self.superblocks
         max_end = pc + 4 * MAX_BLOCK_INSTRUCTIONS
         instrs: list = []
         addr = pc
@@ -381,8 +352,6 @@ class BlockTranslator:
             if op in _EXIT_OPS:
                 return instrs, False, "call-or-indirect"
             if op is Op.B or op in _COND_BRANCH_EXPR:
-                if not superblocks:
-                    return instrs, False, "branch"
                 target = (addr + 4 + inst.imm * 4) & _MASK32
                 if addr < target < min(page_end, max_end) and target > pending:
                     pending = target

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import threading
+import urllib.error
+import urllib.request
 
 import pytest
 
+from repro.cli import main
+from repro.fabric.coordinator import Coordinator, create_server
 from repro.fabric.protocol import (
     CampaignSpec,
     FabricError,
@@ -13,8 +19,10 @@ from repro.fabric.protocol import (
     machine_digest,
     resolve_machine,
 )
+from repro.fabric.store import FaultStore
 from repro.injection.campaign import CampaignConfig
 from repro.injection.components import Component
+from repro.injection.parallel import EngineOptions
 from repro.microarch.config import (
     CORTEX_A9_CONFIG,
     SCALED_A9_CONFIG,
@@ -98,6 +106,51 @@ class TestCampaignSpec:
         # A flipped flag is a different campaign identity.
         assert spec.campaign_id != make_spec().campaign_id
 
+    def test_engine_travels_nested_and_round_trips(self):
+        config = CampaignConfig(
+            faults_per_component=10, seed=7, translate=False, digest_probes=5
+        )
+        spec = CampaignSpec.from_config("CRC32", config, golden_cycles=999)
+        assert spec.engine == config.engine
+        assert spec.to_payload()["engine"]["translate"] is False
+        assert CampaignSpec.from_payload(spec.to_payload()) == spec
+        assert spec.to_config().engine == config.engine
+        assert spec.campaign_id != make_spec().campaign_id
+
+    def test_protocol_v1_payload_names_both_versions(self):
+        payload = make_spec().to_payload()
+        payload["version"] = 1
+        with pytest.raises(FabricError, match="protocol v1.*speaks v2"):
+            CampaignSpec.from_payload(payload)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(lambda p: p.update(turbo=True), id="unknown-field"),
+            pytest.param(lambda p: p.pop("workload"), id="missing-field"),
+            pytest.param(
+                lambda p: p["engine"].update(turbo=True),
+                id="unknown-engine-field",
+            ),
+            pytest.param(
+                lambda p: p.update(engine=[1, 2]), id="engine-not-object"
+            ),
+            pytest.param(
+                lambda p: p.update(components=7), id="components-not-list"
+            ),
+        ],
+    )
+    def test_malformed_payloads_raise_fabric_errors(self, mutate):
+        payload = make_spec().to_payload()
+        mutate(payload)
+        with pytest.raises(FabricError, match="malformed campaign spec"):
+            CampaignSpec.from_payload(payload)
+
+    @pytest.mark.parametrize("payload", [None, [], "spec", 3])
+    def test_non_object_payloads_raise_fabric_errors(self, payload):
+        with pytest.raises(FabricError, match="JSON object"):
+            CampaignSpec.from_payload(payload)
+
     def test_pre_learned_payloads_still_parse(self):
         """Specs serialized before the learned_sampling field existed
         must keep parsing (dataclass default, no protocol bump)."""
@@ -124,3 +177,70 @@ class TestFaultIdentity:
         small = identity_base(make_spec(faults_per_component=5))
         large = identity_base(make_spec(faults_per_component=50))
         assert small == large
+
+
+def _post(url: str, body: bytes) -> tuple[int, dict]:
+    request = urllib.request.Request(
+        url, data=body, headers={"Content-Type": "application/json"}
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=10) as response:
+            return response.status, json.loads(response.read().decode())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read().decode())
+
+
+class TestBadRequests:
+    """Malformed requests and stores are client errors, never 500s or
+    tracebacks."""
+
+    def test_handler_answers_400_to_bad_bodies(self, tmp_path):
+        coordinator = Coordinator(FaultStore(), tmp_path / "journals")
+        server = create_server(coordinator)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        url = f"http://127.0.0.1:{server.server_address[1]}"
+        try:
+            bad_spec = make_spec().to_payload()
+            bad_spec["turbo"] = True
+            cases = {
+                "not-json": (f"{url}/submit", b"{not json"),
+                "not-object": (f"{url}/lease", b"[1, 2]"),
+                "unknown-field": (
+                    f"{url}/submit",
+                    json.dumps({"spec": bad_spec}).encode(),
+                ),
+                "no-spec": (f"{url}/submit", b"{}"),
+            }
+            for name, (endpoint, body) in cases.items():
+                code, reply = _post(endpoint, body)
+                assert code == 400, (name, reply)
+                assert reply["error"], name
+            # The server keeps serving after the bad requests.
+            assert _post(f"{url}/heartbeat", b'{"worker": "w"}')[0] == 200
+        finally:
+            server.shutdown()
+            server.server_close()
+            coordinator.close()
+
+    def test_coordinator_refuses_a_store_with_a_malformed_spec(self, tmp_path):
+        store = FaultStore(tmp_path / "faults.sqlite")
+        payload = make_spec().to_payload()
+        payload["turbo"] = True
+        store.save_campaign("abc123", payload)
+        with pytest.raises(FabricError, match="stored campaign abc123"):
+            Coordinator(store, tmp_path / "journals")
+        store.close()
+
+    def test_serve_over_a_v1_store_exits_2(self, tmp_path, capsys):
+        store_path = tmp_path / "faults.sqlite"
+        store = FaultStore(store_path)
+        payload = make_spec().to_payload()
+        payload["version"] = 1
+        store.save_campaign("v1campaign", payload)
+        store.close()
+        code = main([
+            "serve", "--store", str(store_path),
+            "--journal-dir", str(tmp_path / "journals"), "--port", "0",
+        ])
+        assert code == 2
+        assert "protocol v1" in capsys.readouterr().err

@@ -1,18 +1,19 @@
 """Fabric workers honor the campaign's execution-engine spec fields.
 
-The wire protocol carries the submitter's engine configuration
-(``translate``, ``cow_images``, ``heat_threshold``, ``chain``,
-``superblocks``) so a worker rebuilds the campaign with the *same*
-engine the submitter would use locally.  These are performance knobs -
-effects are bit-identical either way - but a worker silently dropping
-``translate`` would run an order of magnitude slower than the farm
-operator expects, so the threading is pinned here:
+The wire protocol carries the submitter's engine configuration (one
+nested :class:`~repro.injection.parallel.EngineOptions`) so a worker
+rebuilds the campaign with the *same* engine the submitter would use
+locally.  These are performance and observation settings - effects are
+bit-identical either way - but a worker silently dropping ``translate``
+would run an order of magnitude slower than the farm operator expects,
+so the threading is pinned here:
 
 - a spec round-trip preserves every engine field;
-- the worker-side campaign context builds a translator wired with the
-  spec's knobs (and none when the spec says interpret);
+- the worker-side campaign context builds a translator and restores
+  copy-on-write (and neither when the spec selects the reference
+  engine);
 - an injection through the translated context actually *runs*
-  translated blocks, and its effect matches the interpreted context's.
+  translated blocks, and its effect matches the reference context's.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.fabric.protocol import CampaignSpec
 from repro.fabric.worker import _CampaignContext
 from repro.injection.campaign import CampaignConfig, prepare_image
 from repro.injection.components import Component
+from repro.injection.parallel import EngineOptions
 from repro.workloads import get_workload
 
 WORKLOAD = "StringSearch"
@@ -43,40 +45,37 @@ def _spec(golden_cycles, **overrides):
 
 
 def test_spec_roundtrip_preserves_engine_fields(golden_cycles):
-    spec = _spec(
-        golden_cycles,
+    config = CampaignConfig(
+        faults_per_component=2,
+        seed=7,
         translate=False,
-        cow_images=False,
-        heat_threshold=5,
-        chain=False,
-        superblocks=False,
+        early_exit=False,
+        digest_probes=5,
+        lifetime_events=False,
+        trace_on_crash=3,
+        profile=True,
+    )
+    assert config.engine != EngineOptions()
+    spec = CampaignSpec.from_config(
+        WORKLOAD, config, golden_cycles, (Component.REGFILE,)
     )
     wire = CampaignSpec.from_payload(spec.to_payload())
-    config = wire.to_config()
-    assert config.translate is False
-    assert config.cow_images is False
-    assert config.heat_threshold == 5
-    assert config.chain is False
-    assert config.superblocks is False
+    assert wire.to_config().engine == config.engine
 
 
 def test_worker_context_runs_translated(golden_cycles):
-    spec = _spec(golden_cycles, heat_threshold=4, chain=False)
-    context = _CampaignContext(spec)
+    context = _CampaignContext(_spec(golden_cycles))
     translator = context.injector.translator
     assert translator is not None
-    assert context.image.cow is True
-    assert translator.heat_threshold == 4
-    assert translator.chain is False
-    assert translator.superblocks is True
+    assert context.image.engine.translate is True
+    assert context.injector._restorer is not None, "no copy-on-write restores"
 
     fault = context.plan[Component.REGFILE][0]
     effect = context.injector.run_fault(fault)
     assert translator.block_runs > 0, "worker context never ran a block"
 
-    interpreted = _CampaignContext(
-        _spec(golden_cycles, translate=False, cow_images=False)
-    )
-    assert interpreted.injector.translator is None
-    assert interpreted.image.cow is False
-    assert interpreted.injector.run_fault(fault) == effect
+    reference = _CampaignContext(_spec(golden_cycles, translate=False))
+    assert reference.injector.translator is None
+    assert reference.image.engine.translate is False
+    assert reference.injector._restorer is None
+    assert reference.injector.run_fault(fault) == effect

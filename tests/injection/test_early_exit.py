@@ -26,6 +26,7 @@ from repro.injection.parallel import (
     ENDED_DEAD_CELL,
     ENDED_DIGEST,
     ENDED_FULL,
+    EngineOptions,
     ImageInjector,
     InjectionResult,
     MachineImage,
@@ -57,11 +58,13 @@ def _image_pair(prepared, cluster_size: int):
     workload, golden, snapshots, digests = prepared
     pruned = MachineImage.capture(
         workload, MACHINE, golden, snapshots,
-        cluster_size=cluster_size, digests=digests, early_exit=True,
+        cluster_size=cluster_size, digests=digests,
+        engine=EngineOptions(early_exit=True, lifetime_events=False),
     )
     full = MachineImage.capture(
         workload, MACHINE, golden, snapshots,
-        cluster_size=cluster_size, early_exit=False,
+        cluster_size=cluster_size,
+        engine=EngineOptions(early_exit=False, lifetime_events=False),
     )
     return pruned, full
 
@@ -311,4 +314,4 @@ class TestResultType:
         pruned_image, _full = _image_pair(prepared, 1)
         clone = pickle.loads(pickle.dumps(pruned_image))
         assert clone.digests == pruned_image.digests
-        assert clone.early_exit is True
+        assert clone.engine.early_exit is True

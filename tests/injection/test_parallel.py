@@ -8,6 +8,7 @@ build-a-fresh-System path bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
@@ -22,6 +23,7 @@ from repro.injection.campaign import (
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import generate_faults
 from repro.injection.parallel import (
+    EngineOptions,
     ImageInjector,
     MachineImage,
     resolve_jobs,
@@ -35,6 +37,9 @@ from repro.workloads import get_workload
 WORKLOAD = "StringSearch"
 COMPONENTS = (Component.REGFILE, Component.DTLB)
 FAULTS = 5
+
+#: The images here record no fault-lifetime events.
+BARE = EngineOptions(lifetime_events=False)
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +59,9 @@ def snapshots(workload, golden):
 
 @pytest.fixture(scope="module")
 def image(workload, golden, snapshots):
-    return MachineImage.capture(workload, SCALED_A9_CONFIG, golden, snapshots)
+    return MachineImage.capture(
+        workload, SCALED_A9_CONFIG, golden, snapshots, engine=BARE
+    )
 
 
 class TestResolveJobs:
@@ -159,11 +166,11 @@ class TestPlanExecution:
 class TestAccelerationEquivalence:
     """Translation and COW restores must be invisible in every effect.
 
-    The two knobs are excluded from the campaign cache key on exactly
-    this guarantee, so it is pinned here at campaign granularity: the
-    accelerated engine (default) and the interpreter-only, full-restore
-    engine must produce byte-identical per-fault effects at any worker
-    count.
+    The engine settings are excluded from the campaign cache key on
+    exactly this guarantee, so it is pinned here at campaign granularity:
+    the accelerated engine (default) and the reference engine
+    (interpreter-only, full restores) must produce byte-identical
+    per-fault effects at any worker count.
     """
 
     @pytest.fixture(scope="class")
@@ -183,7 +190,7 @@ class TestAccelerationEquivalence:
     def baseline_effects(self, workload, golden, snapshots, plan):
         image = MachineImage.capture(
             workload, SCALED_A9_CONFIG, golden, snapshots,
-            translate=False, cow=False,
+            engine=dataclasses.replace(BARE, translate=False),
         )
         return run_injection_plan(image, plan, jobs=1)
 
@@ -193,14 +200,25 @@ class TestAccelerationEquivalence:
     ):
         image = MachineImage.capture(
             workload, SCALED_A9_CONFIG, golden, snapshots,
-            translate=True, cow=True,
+            engine=BARE,
         )
         assert run_injection_plan(image, plan, jobs=jobs) == baseline_effects
 
     def test_knobs_do_not_change_the_cache_key(self):
-        fast = CampaignConfig(translate=True, cow_images=True)
-        slow = CampaignConfig(translate=False, cow_images=False)
-        assert fast.cache_key("CRC32") == slow.cache_key("CRC32")
+        base = CampaignConfig()
+        assert base.engine == EngineOptions()
+        changes = {}
+        for option in dataclasses.fields(EngineOptions):
+            default = getattr(base.engine, option.name)
+            value = not default if isinstance(default, bool) else default + 3
+            changes[option.name] = value
+            changed = dataclasses.replace(base, **{option.name: value})
+            assert getattr(changed.engine, option.name) == value
+            assert changed.cache_key("CRC32") == base.cache_key("CRC32"), (
+                option.name
+            )
+        every = dataclasses.replace(base, **changes)
+        assert every.cache_key("CRC32") == base.cache_key("CRC32")
 
 
 @pytest.mark.slow

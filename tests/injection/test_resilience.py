@@ -27,6 +27,7 @@ from repro.injection.components import Component, component_bits
 from repro.injection.fault import generate_faults
 from repro.injection.journal import InjectionJournal, JournalMeta, read_journal
 from repro.injection.parallel import (
+    EngineOptions,
     ImageInjector,
     MachineImage,
     _validate_effects,
@@ -64,7 +65,10 @@ def golden(workload):
 @pytest.fixture(scope="module")
 def image(workload, golden):
     snapshots = record_golden_snapshots(workload, SCALED_A9_CONFIG, golden, count=4)
-    return MachineImage.capture(workload, SCALED_A9_CONFIG, golden, snapshots)
+    return MachineImage.capture(
+        workload, SCALED_A9_CONFIG, golden, snapshots,
+        engine=EngineOptions(lifetime_events=False),
+    )
 
 
 @pytest.fixture(scope="module")

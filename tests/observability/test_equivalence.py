@@ -14,7 +14,7 @@ from repro.injection.campaign import record_golden_observables, run_golden
 from repro.injection.classify import FaultEffect
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import generate_faults
-from repro.injection.parallel import ImageInjector, MachineImage
+from repro.injection.parallel import EngineOptions, ImageInjector, MachineImage
 from repro.microarch.config import SCALED_A9_CONFIG
 from repro.observability.events import (
     EV_FLIP,
@@ -48,10 +48,11 @@ def _image_pair(prepared):
     with_events = MachineImage.capture(
         workload, MACHINE, golden, snapshots,
         digests=digests, arch_digests=arch_digests,
-        early_exit=False, lifetime=True,
+        engine=EngineOptions(early_exit=False, lifetime_events=True),
     )
     without = MachineImage.capture(
-        workload, MACHINE, golden, snapshots, early_exit=False,
+        workload, MACHINE, golden, snapshots,
+        engine=EngineOptions(early_exit=False, lifetime_events=False),
     )
     return with_events, without
 
