@@ -32,10 +32,10 @@ from repro.kernel.layout import DEFAULT_LAYOUT, MemoryLayout
 from repro.microarch import (
     CORTEX_A9_CONFIG,
     SCALED_A9_CONFIG,
+    InstructionTrace,
     MachineConfig,
     RunResult,
     System,
-    Tracer,
 )
 from repro.workloads import MIBENCH_SUITE, Workload, get_workload, workload_names
 from repro.injection import (
@@ -65,7 +65,7 @@ __all__ = [
     "CORTEX_A9_CONFIG",
     "System",
     "RunResult",
-    "Tracer",
+    "InstructionTrace",
     "Workload",
     "MIBENCH_SUITE",
     "get_workload",

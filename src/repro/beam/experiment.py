@@ -7,17 +7,18 @@ are counted as error-free - the paper designed its experiments the same way
 ("observed error rates were lower than 1 error per 1,000 executions"), so
 this short-cut introduces no artifact.
 
-Each simulated strike boots the machine in *beam mode* (steady-state caches
-with the background-OS working set, online check routine, golden output in
-memory) and either resolves through execution or through the board model
-for background-OS line hits.  Platform-logic strikes resolve through the
-board model alone.  Results are cached on disk.
+Strikes run on the injection engine, one serial
+:class:`~repro.injection.parallel.ImageInjector` per workload on a
+*beam-mode* image (steady-state caches with the background-OS working set,
+online check routine, golden output in memory), and either resolve through
+execution or, for background-OS line hits, through the board model hooked
+in at the flip.  Platform-logic strikes resolve through the board model
+alone.  Results are cached on disk.
 """
 
 from __future__ import annotations
 
 import binascii
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,21 +29,23 @@ from repro.beam.checkroutine import build_check_program
 from repro.beam.facility import LANSCE, BeamFacility
 from repro.beam.fit import fit_rate, poisson_interval, sample_poisson
 from repro.injection.campaign import (
-    WATCHDOG_FACTOR,
-    WATCHDOG_SLACK,
     default_cache_dir,
+    read_json_cache,
+    record_golden_observables,
+    write_json_atomic,
 )
-from repro.injection.classify import FaultEffect, classify_run
-from repro.injection.components import Component, component_bits, component_target
+from repro.injection.classify import FaultEffect
+from repro.injection.components import Component, component_bits
+from repro.injection.fault import Fault
+from repro.injection.parallel import EngineOptions, ImageInjector, MachineImage
 from repro.microarch.cache import Cache
 from repro.microarch.config import MachineConfig, SCALED_A9_CONFIG
-from repro.microarch.snapshot import (
-    SystemSnapshot,
-    best_snapshot,
-    record_snapshots,
-)
+from repro.microarch.snapshot import SystemSnapshot
 from repro.microarch.system import System
 from repro.workloads.base import Workload
+
+#: Strike engine settings (no lifetime events: beam has no journal yet).
+BEAM_ENGINE = EngineOptions(lifetime_events=False)
 
 
 @dataclass(frozen=True)
@@ -144,13 +147,9 @@ class BeamExperiment:
         return self.cache_dir / (self.config.cache_key(workload_name) + ".json")
 
     def _load_cached(self, workload_name: str) -> BeamResult | None:
-        path = self._cache_path(workload_name)
-        if not path.exists():
-            return None
-        try:
-            return BeamResult.from_dict(json.loads(path.read_text()))
-        except (ValueError, KeyError):
-            return None
+        return read_json_cache(
+            self._cache_path(workload_name), BeamResult.from_dict, self._progress
+        )
 
     # -- machine construction -------------------------------------------------
 
@@ -192,42 +191,52 @@ class BeamExperiment:
             )
         return warm_boot, warm
 
-    # -- strike execution ---------------------------------------------------------
+    def _beam_injector(self, workload: Workload, golden: bytes):
+        """``(injector, warm_result)``: the strike executor, whose image
+        holds the warm boot plus checkpoints and digests of the warm run."""
+        machine = self.config.machine
+        warm_boot, warm = self._golden_beam_run(workload, golden)
+        system = self._beam_system(workload, golden)
+        warm_boot.restore(system)
+        snapshots, digests, arch_digests, _ = record_golden_observables(
+            workload, machine, warm, system=system
+        )
+        image = MachineImage(
+            name=workload.name,
+            program=workload.program(machine.layout),
+            machine=machine,
+            golden_cycles=warm.cycles,
+            golden_output=golden,
+            snapshots=[warm_boot] + snapshots,
+            digests=digests,
+            arch_digests=arch_digests,
+            engine=BEAM_ENGINE,
+            check_program=build_check_program(machine.layout, len(golden)),
+        )
+        return ImageInjector(image), warm
 
     def _strike_effect(
         self,
-        workload: Workload,
-        golden: bytes,
+        injector: ImageInjector,
         component: Component,
         bit_index: int,
         cycle: int,
-        budget: int,
         rng: random.Random,
-        snapshots: list | None = None,
     ) -> FaultEffect:
-        system = self._beam_system(workload, golden)
-        if snapshots:
-            snapshot = best_snapshot(snapshots, cycle)
-            if snapshot is not None:
-                snapshot.restore(system)
         board = self.config.board
         layout = self.config.machine.layout
-        target = component_target(system, component)
 
-        def fire():
-            if isinstance(target, Cache):
-                line = target.line_at(bit_index)
-                if line.valid:
-                    region = layout.region_of(target.line_base_paddr(bit_index))
-                    if region == "os_background":
-                        raise BoardModelOutcome(board.sample_os_line_outcome(rng))
-            target.flip_bit(bit_index)
+        def os_background(target):
+            if isinstance(target, Cache) and target.line_at(bit_index).valid:
+                region = layout.region_of(target.line_base_paddr(bit_index))
+                if region == "os_background":
+                    raise BoardModelOutcome(board.sample_os_line_outcome(rng))
 
+        fault = Fault(component, bit_index, cycle)
         try:
-            result = system.run(max_cycles=budget, events=[(cycle, fire)])
+            return injector.run_fault_ex(fault, strike=os_background).effect
         except BoardModelOutcome as resolved:
             return resolved.effect
-        return classify_run(result, golden, system)
 
     # -- campaign ------------------------------------------------------------------
 
@@ -246,17 +255,7 @@ class BeamExperiment:
         )
 
         golden = workload.reference_output()
-        warm_boot, golden_run = self._golden_beam_run(workload, golden)
-        budget = int(golden_run.cycles * WATCHDOG_FACTOR) + WATCHDOG_SLACK
-
-        # Checkpoint the warm reference run for fast-forwarded strikes:
-        # replay it from the warm-boot state, snapshotting along the way.
-        snapshot_system = self._beam_system(workload, golden)
-        warm_boot.restore(snapshot_system)
-        step = max(1, golden_run.cycles // 9)
-        snapshots = [warm_boot] + record_snapshots(
-            snapshot_system, [step * (index + 1) for index in range(8)]
-        )
+        injector, golden_run = self._beam_injector(workload, golden)
 
         beam_seconds = config.beam_hours * 3600.0
         result = BeamResult(
@@ -274,14 +273,11 @@ class BeamExperiment:
             strikes = sample_poisson(rng, expected)
             for index in range(strikes):
                 effect = self._strike_effect(
-                    workload,
-                    golden,
+                    injector,
                     component,
                     bit_index=rng.randrange(bits),
                     cycle=rng.randrange(golden_run.cycles),
-                    budget=budget,
                     rng=rng,
-                    snapshots=snapshots,
                 )
                 result.counts[effect] = result.counts.get(effect, 0) + 1
                 result.strikes_simulated += 1
@@ -302,9 +298,7 @@ class BeamExperiment:
         result.platform_strikes = platform_strikes
 
         if use_cache:
-            path = self._cache_path(workload.name)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(result.to_dict(), indent=1))
+            write_json_atomic(self._cache_path(workload.name), result.to_dict())
         return result
 
     def run_suite(

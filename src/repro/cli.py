@@ -122,9 +122,9 @@ def _cmd_run(args) -> int:
     system = System(workload.program(DEFAULT_LAYOUT))
     tracer = None
     if args.trace:
-        from repro.microarch.trace import Tracer
+        from repro.microarch.trace import InstructionTrace
 
-        tracer = Tracer(args.trace)
+        tracer = InstructionTrace(args.trace)
     translator = None
     if args.profile:
         from repro.microarch.profile import enable_op_counts

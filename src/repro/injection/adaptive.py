@@ -78,6 +78,7 @@ from repro.injection.campaign import (
     ComponentResult,
     InjectionCampaign,
     WorkloadResult,
+    prepare_image,
 )
 from repro.injection.classify import ERROR_CLASSES, FaultEffect
 from repro.injection.components import Component, component_bits
@@ -725,7 +726,7 @@ class AdaptiveCampaign(InjectionCampaign):
             )
 
         config = self.config
-        golden, image = self._prepare_image(workload)
+        golden, image = prepare_image(workload, config)
         machine = config.machine
         planner = None
         if config.learned_sampling:
@@ -758,46 +759,48 @@ class AdaptiveCampaign(InjectionCampaign):
         quarantined: list[QuarantinedFault] = []
         rounds = 0
         try:
-            while True:
-                windows = self._next_windows(states, journal, first=rounds == 0)
-                if not windows:
-                    break
-                rounds += 1
-                plan = {}
-                bases = {}
-                index_map = {}
-                for component, (start, stop) in windows.items():
-                    state = states[component]
-                    if state.plan is None:
-                        # Identity order: positions are stream indices.
-                        plan[component] = state.stream.window(start, stop)
-                        bases[component] = start
-                    else:
-                        # Importance order: positions map through the
-                        # learned plan; journal with true stream indices.
-                        globals_ = [
-                            state.global_for(position)
-                            for position in range(start, stop)
-                        ]
-                        plan[component] = state.stream.at(globals_)
-                        index_map[component] = globals_
-                effects = run_injection_plan(
-                    image,
-                    plan,
-                    jobs=config.jobs,
-                    progress=self._progress,
-                    journal=journal,
-                    telemetry=self.telemetry,
-                    timeout=config.injection_timeout,
-                    max_retries=config.max_retries,
-                    quarantined=quarantined,
-                    index_base=bases,
-                    index_map=index_map or None,
-                    tracer=self.tracer,
-                )
-                for component, (start, _stop) in windows.items():
-                    states[component].absorb(start, effects[component])
-                self._report_round(workload.name, rounds, states)
+            with self._campaign_span(workload.name) as span_parent:
+                while True:
+                    windows = self._next_windows(states, journal, first=rounds == 0)
+                    if not windows:
+                        break
+                    rounds += 1
+                    plan = {}
+                    bases = {}
+                    index_map = {}
+                    for component, (start, stop) in windows.items():
+                        state = states[component]
+                        if state.plan is None:
+                            # Identity order: positions are stream indices.
+                            plan[component] = state.stream.window(start, stop)
+                            bases[component] = start
+                        else:
+                            # Importance order: positions map through the
+                            # learned plan; journal with true stream indices.
+                            globals_ = [
+                                state.global_for(position)
+                                for position in range(start, stop)
+                            ]
+                            plan[component] = state.stream.at(globals_)
+                            index_map[component] = globals_
+                    effects = run_injection_plan(
+                        image,
+                        plan,
+                        jobs=config.jobs,
+                        progress=self._progress,
+                        journal=journal,
+                        telemetry=self.telemetry,
+                        timeout=config.injection_timeout,
+                        max_retries=config.max_retries,
+                        quarantined=quarantined,
+                        index_base=bases,
+                        index_map=index_map or None,
+                        tracer=self.tracer,
+                        span_parent=span_parent,
+                    )
+                    for component, (start, _stop) in windows.items():
+                        states[component].absorb(start, effects[component])
+                    self._report_round(workload.name, rounds, states)
         finally:
             if journal is not None:
                 journal.close()

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable
@@ -38,8 +39,6 @@ from repro.injection.fault import Fault, generate_faults
 from repro.injection.journal import InjectionJournal, JournalMeta
 from repro.injection.parallel import (
     DEFAULT_MAX_RETRIES,
-    WATCHDOG_FACTOR,
-    WATCHDOG_SLACK,
     EngineOptions,
     ImageInjector,
     MachineImage,
@@ -55,18 +54,11 @@ from repro.injection.sampling import (
 )
 from repro.microarch.config import MachineConfig, SCALED_A9_CONFIG
 from repro.microarch.digest import arch_digest, probe_cycles, system_digest
-from repro.microarch.snapshot import (
-    SystemSnapshot,
-    best_snapshot,
-    record_snapshots,
-    run_with_captures,
-)
+from repro.microarch.snapshot import SystemSnapshot, best_snapshot, run_with_captures
 from repro.microarch.system import RunResult, System
 from repro.workloads.base import Workload
 
 __all__ = [
-    "WATCHDOG_FACTOR",
-    "WATCHDOG_SLACK",
     "CampaignConfig",
     "ComponentResult",
     "WorkloadResult",
@@ -89,6 +81,25 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
 
 
+def read_json_cache(path: Path, parse: Callable, progress: Callable[[str], None]):
+    """``parse`` a cache file; ``None`` on a miss or (visibly) a corrupt one."""
+    if not path.exists():
+        return None
+    try:
+        return parse(json.loads(path.read_text()))
+    except (ValueError, KeyError, InjectionError):
+        progress(f"cache: ignoring corrupt {path.name}, re-running")
+        return None
+
+
+def write_json_atomic(path: Path, payload: dict) -> None:
+    """Persist a cache entry atomically (a killed run never truncates)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(json.dumps(payload, indent=1))
+    os.replace(tmp, path)
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     """Knobs of one injection campaign."""
@@ -97,8 +108,7 @@ class CampaignConfig:
     seed: int = 0
     confidence: float = 0.99
     machine: MachineConfig = SCALED_A9_CONFIG
-    #: Checkpoint-accelerated injection (results are identical; the prefix
-    #: of an injected run is bit-identical to the golden run).
+    #: Checkpoint-accelerated injection (results are bit-identical).
     use_checkpoints: bool = True
     checkpoint_count: int = 8
     #: Fault model: number of adjacent bits flipped per injection.  The
@@ -514,10 +524,7 @@ def record_golden_snapshots(
     count: int = 8,
 ) -> list:
     """Checkpoint the golden run at ``count`` evenly spaced cycles."""
-    system = System(workload.program(machine.layout), config=machine)
-    step = max(1, golden.cycles // (count + 1))
-    cycles = [step * (index + 1) for index in range(count)]
-    return record_snapshots(system, cycles)
+    return record_golden_observables(workload, machine, golden, count, 0)[0]
 
 
 def record_golden_captures(
@@ -552,6 +559,7 @@ def record_golden_observables(
     snapshot_count: int = 8,
     digest_count: int = 24,
     record_activity: bool = False,
+    system: System | None = None,
 ) -> tuple[list, dict[int, bytes], dict[int, bytes], "GoldenActivity | None"]:
     """Capture checkpoints, digests and (optionally) activity at once.
 
@@ -566,11 +574,13 @@ def record_golden_observables(
     sweeps join the capture grid; ``activity`` is ``None`` otherwise.  All
     grids are recorded through the same event mechanism the injectors use,
     in a single run that stops right after the last capture - one golden
-    prefix instead of several.
+    prefix instead of several.  The golden run starts on ``system`` as it
+    stands (default: a fresh boot; the beam campaign passes its warm boot).
     """
     from repro.observability.golden import ActivityRecorder, activity_grid
 
-    system = System(workload.program(machine.layout), config=machine)
+    if system is None:
+        system = System(workload.program(machine.layout), config=machine)
     step = max(1, golden.cycles // (snapshot_count + 1))
     snapshot_cycles = [step * (index + 1) for index in range(snapshot_count)]
     snapshots: list[SystemSnapshot] = []
@@ -723,14 +733,8 @@ class InjectionCampaign:
 
     def _load_cached(self, workload_name: str) -> WorkloadResult | None:
         path = self._cache_path(workload_name)
-        if not path.exists():
-            return None
-        try:
-            result = WorkloadResult.from_dict(json.loads(path.read_text()))
-        except (ValueError, KeyError, InjectionError):
-            # A truncated or stale file (e.g. a killed campaign before
-            # writes were atomic) is treated as a miss, but visibly so.
-            self._progress(f"cache: ignoring corrupt {path.name}, re-running")
+        result = read_json_cache(path, WorkloadResult.from_dict, self._progress)
+        if result is None:
             return None
         # The cache key spans everything that determines the raw counts -
         # but *confidence* only affects derived margins/intervals, so it is
@@ -741,12 +745,7 @@ class InjectionCampaign:
         return result
 
     def _store(self, result: WorkloadResult) -> None:
-        """Atomically persist a result (a killed run never truncates)."""
-        path = self._cache_path(result.workload_name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(result.to_dict(), indent=1))
-        os.replace(tmp, path)
+        write_json_atomic(self._cache_path(result.workload_name), result.to_dict())
 
     # -- journaling ------------------------------------------------------------
 
@@ -774,9 +773,14 @@ class InjectionCampaign:
 
     # -- execution -------------------------------------------------------------
 
-    def _prepare_image(self, workload: Workload) -> tuple[RunResult, MachineImage]:
-        """Delegate to the shared :func:`prepare_image` seam."""
-        return prepare_image(workload, self.config)
+    @contextmanager
+    def _campaign_span(self, workload_name: str):
+        """Open a workload's root span; yields the ``window`` spans' parent."""
+        if self.tracer is None:
+            yield None
+            return
+        with self.tracer.span("campaign", workload=workload_name) as span:
+            yield span.span_id
 
     def run_workload(
         self,
@@ -805,18 +809,9 @@ class InjectionCampaign:
                 + ",".join(component.name for component in missing)
             )
 
-        golden, image = self._prepare_image(workload)
+        golden, image = prepare_image(workload, self.config)
         machine = self.config.machine
-        plan = {
-            component: generate_faults(
-                component,
-                component_bits(machine, component),
-                golden.cycles,
-                self.config.faults_per_component,
-                seed=self.config.seed,
-            )
-            for component in missing
-        }
+        plan = build_fault_plan(self.config, golden.cycles, missing)
         journal = self._open_journal(workload.name, golden.cycles)
         quarantined: list[QuarantinedFault] = []
         # Profiling keeps the injector in our hands: the op histogram and
@@ -827,35 +822,25 @@ class InjectionCampaign:
             if self.config.profile and self.config.jobs == 1
             else None
         )
-        campaign_span = (
-            self.tracer.start_span(
-                "campaign", attributes={"workload": workload.name}
-            )
-            if self.tracer is not None
-            else None
-        )
         try:
-            effects = run_injection_plan(
-                image,
-                plan,
-                jobs=self.config.jobs,
-                progress=self._progress,
-                journal=journal,
-                telemetry=self.telemetry,
-                timeout=self.config.injection_timeout,
-                max_retries=self.config.max_retries,
-                quarantined=quarantined,
-                injector=injector,
-                tracer=self.tracer,
-                span_parent=(
-                    campaign_span.span_id if campaign_span is not None else None
-                ),
-            )
+            with self._campaign_span(workload.name) as span_parent:
+                effects = run_injection_plan(
+                    image,
+                    plan,
+                    jobs=self.config.jobs,
+                    progress=self._progress,
+                    journal=journal,
+                    telemetry=self.telemetry,
+                    timeout=self.config.injection_timeout,
+                    max_retries=self.config.max_retries,
+                    quarantined=quarantined,
+                    injector=injector,
+                    tracer=self.tracer,
+                    span_parent=span_parent,
+                )
         finally:
             if journal is not None:
                 journal.close()
-            if campaign_span is not None:
-                self.tracer.end_span(campaign_span)
         if injector is not None:
             from repro.microarch.profile import execution_profile
 

@@ -88,7 +88,7 @@ from repro.microarch.snapshot import (
 from repro.microarch.profile import enable_op_counts
 from repro.microarch.translate import attach_translator
 from repro.microarch.system import RunResult, System
-from repro.microarch.trace import Tracer
+from repro.microarch.trace import InstructionTrace
 from repro.observability.events import (
     EV_CONVERGE,
     EV_DIVERGE,
@@ -181,6 +181,10 @@ class MachineImage:
     #: (:mod:`repro.observability.golden`); ``None`` unless the campaign
     #: was configured with ``learned_sampling``.
     activity: GoldenActivity | None = None
+    #: Beam images only (:mod:`repro.beam.experiment`): the online check
+    #: routine; the injector then boots in beam mode with the golden output
+    #: in memory, and ``snapshots[0]`` is the warm boot at cycle 0.
+    check_program: Program | None = None
 
     @classmethod
     def capture(
@@ -278,7 +282,14 @@ class ImageInjector:
     def __init__(self, image: MachineImage):
         self.image = image
         engine = image.engine
-        self.system = System(image.program, config=image.machine)
+        beam = image.check_program is not None
+        self.system = System(
+            image.program,
+            config=image.machine,
+            check_program=image.check_program,
+            golden_output=image.golden_output if beam else None,
+            beam_mode=beam,
+        )
         self.pristine = SystemSnapshot(self.system)
         self.budget = watchdog_budget(image.golden_cycles)
         self.translator = None
@@ -318,8 +329,14 @@ class ImageInjector:
         self.last_result = self.run_fault_ex(fault)
         return self.last_result.effect
 
-    def run_fault_ex(self, fault: Fault) -> InjectionResult:
+    def run_fault_ex(
+        self, fault: Fault, strike: Callable[[object], None] | None = None
+    ) -> InjectionResult:
         """Like :meth:`run_fault`, but also report *how* the run ended.
+
+        ``strike(target)`` runs at the flip event before any bit flips;
+        an exception it raises ends the run and propagates (the beam's
+        board model resolves background-OS line hits that way).
 
         With ``early_exit`` armed, two sound pruning mechanisms can
         classify a run Masked without simulating it to completion (see
@@ -345,10 +362,12 @@ class ImageInjector:
         early = engine.early_exit
         lifetime = FaultLifetime(system.core) if engine.lifetime_events else None
         trace_depth = engine.trace_on_crash
-        tracer = Tracer(trace_depth) if trace_depth else None
+        tracer = InstructionTrace(trace_depth) if trace_depth else None
         uninstall: list = []
 
         def flip():
+            if strike is not None:
+                strike(target)
             if (
                 early
                 and isinstance(target, Cache)

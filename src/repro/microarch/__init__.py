@@ -35,7 +35,7 @@ from repro.microarch.digest import (
     system_digest,
 )
 from repro.microarch.system import System, RunResult
-from repro.microarch.trace import Tracer, TraceRecord
+from repro.microarch.trace import InstructionTrace, TraceRecord
 
 __all__ = [
     "CacheGeometry",
@@ -62,6 +62,6 @@ __all__ = [
     "probe_cycles",
     "record_digests",
     "system_digest",
-    "Tracer",
+    "InstructionTrace",
     "TraceRecord",
 ]

@@ -314,13 +314,16 @@ class System:
         """Run to a terminal outcome and package the observables.
 
         ``trace`` is an optional per-instruction hook (see
-        :class:`repro.microarch.trace.Tracer`).
+        :class:`repro.microarch.trace.InstructionTrace`).
         """
         try:
             self.core.run(max_cycles, events=events, trace=trace)
             raise AssertionError("core.run returned without terminating")
         except SimulationTermination as termination:
-            outcome = termination
+            # Keep the outcome, not its traceback: the traceback's frames
+            # would pin the callers' locals (checkpoints, whole machines)
+            # in a reference cycle until the next full collection.
+            outcome = termination.with_traceback(None)
         counters = PerfCounters()
         self.core.fill_counters(counters)
         devices = self._devices

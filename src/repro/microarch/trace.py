@@ -1,13 +1,13 @@
 """Execution tracing: per-instruction records with disassembly.
 
 Debugging aid for workload/kernel development and for dissecting how an
-injected fault propagated.  A :class:`Tracer` keeps a bounded ring of
-:class:`TraceRecord` entries; pass its hook to ``System.run(trace=...)``
+injected fault propagated.  An :class:`InstructionTrace` keeps a bounded
+ring of :class:`TraceRecord` entries; pass its hook to ``System.run(trace=...)``
 (or ``Core.run``) and inspect/format the tail afterwards.
 
 Example::
 
-    tracer = Tracer(limit=200)
+    tracer = InstructionTrace(limit=200)
     result = system.run(max_cycles=1_000_000, trace=tracer.hook)
     print(tracer.format_tail(20))   # the last 20 instructions executed
 """
@@ -35,7 +35,7 @@ class TraceRecord:
         return f"[{self.cycle:>10}] {self.mode[0]} {self.pc:#010x}: {self.text}"
 
 
-class Tracer:
+class InstructionTrace:
     """Bounded instruction trace, attachable to a running core."""
 
     def __init__(self, limit: int = 1000):

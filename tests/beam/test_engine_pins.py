@@ -1,0 +1,70 @@
+"""Beam strikes run on the injection engine, with pinned results.
+
+The expected ``BeamResult`` payloads below were produced by the earlier
+per-strike executor (a fresh ``System`` booted for every strike, run by
+the interpreter to program exit).  Strikes now run through
+:class:`~repro.injection.parallel.ImageInjector` - translator, copy-on-write
+restores, early exit - and must reproduce them exactly.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.beam.experiment import BeamCampaignConfig, BeamExperiment
+from repro.microarch.system import System
+from repro.workloads import get_workload
+
+HOURS = 20.0
+
+
+def _payload(workload, golden_cycles, counts, strikes, platform):
+    masked, sdc, app, sys_ = counts
+    return {
+        "workload": workload,
+        "beam_seconds": 72000.0,
+        "fluence": 25200000000.0,
+        "golden_cycles": golden_cycles,
+        "counts": {
+            "MASKED": masked, "SDC": sdc, "APP_CRASH": app, "SYS_CRASH": sys_,
+        },
+        "strikes_simulated": strikes,
+        "platform_strikes": platform,
+        "natural_years": 221285.56375131718,
+    }
+
+
+PINNED = {
+    "CRC32": _payload("CRC32", 272664, (5, 1, 4, 0), 8, 2),
+    "StringSearch": _payload("StringSearch", 54582, (10, 0, 3, 4), 16, 1),
+    "Qsort": _payload("Qsort", 160954, (13, 0, 0, 4), 13, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_beam_result_matches_the_per_strike_executor(name):
+    experiment = BeamExperiment(BeamCampaignConfig(beam_hours=HOURS, seed=0))
+    result = experiment.run_workload(get_workload(name), use_cache=False)
+    assert result.to_dict() == PINNED[name]
+
+
+def test_system_builds_do_not_grow_with_strikes(monkeypatch):
+    """One injector per workload: machine construction is a fixed cost."""
+    builds = []
+    original = System.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(System, "__init__", counting_init)
+    workload = get_workload("StringSearch")
+    per_setting = {}
+    for hours in (5.0, 40.0):
+        builds.clear()
+        experiment = BeamExperiment(BeamCampaignConfig(beam_hours=hours, seed=0))
+        result = experiment.run_workload(workload, use_cache=False)
+        per_setting[hours] = (len(builds), result.strikes_simulated)
+    (few_builds, few_strikes), (many_builds, many_strikes) = per_setting.values()
+    assert many_strikes > few_strikes + 3
+    assert few_builds == many_builds <= 3

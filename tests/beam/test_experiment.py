@@ -105,3 +105,24 @@ class TestLiveBeamCampaign:
         assert payload["workload"] == "Susan C"
         again = experiment.run_workload(get_workload("Susan C"))
         assert again.to_dict() == result.to_dict()
+
+
+class TestBeamCache:
+    def test_truncated_cache_is_rerun_visibly(self, tmp_path):
+        messages: list[str] = []
+        experiment = BeamExperiment(
+            BeamCampaignConfig(beam_hours=5, seed=0),
+            cache_dir=tmp_path,
+            progress=messages.append,
+        )
+        workload = get_workload("StringSearch")
+        result = experiment.run_workload(workload)
+        (path,) = tmp_path.glob("beam-*.json")
+        intact = path.read_bytes()
+        path.write_bytes(intact[: len(intact) // 2])
+
+        again = experiment.run_workload(workload)
+        assert again.to_dict() == result.to_dict()
+        assert f"cache: ignoring corrupt {path.name}, re-running" in messages
+        assert path.read_bytes() == intact
+        assert list(tmp_path.glob("*.tmp")) == []

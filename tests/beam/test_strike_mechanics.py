@@ -52,12 +52,12 @@ class TestOSResidencyChannel:
     def test_os_line_strike_resolved_by_board_model(self, experiment, susan):
         workload, golden, _boot, warm = susan
         bit = strike_line_in_region(experiment, susan, "l2", "os_background")
+        injector, _warm = experiment._beam_injector(workload, golden)
         rng = random.Random(0)
         outcomes = {
             experiment._strike_effect(
-                workload, golden, Component.L2,
-                bit_index=bit, cycle=warm.cycles // 2,
-                budget=warm.cycles * 3, rng=rng,
+                injector, Component.L2,
+                bit_index=bit, cycle=warm.cycles // 2, rng=rng,
             )
             for _ in range(12)
         }

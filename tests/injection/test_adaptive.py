@@ -405,3 +405,25 @@ class TestAdaptiveResume:
             get_workload("Susan E"), components=COMPONENTS
         )
         assert _tallies(resumed) == _tallies(uninterrupted)
+
+
+class TestAdaptiveTracing:
+    def test_window_spans_share_one_campaign_root(self, tmp_path):
+        from repro.observability.tracing import Tracer
+
+        tracer = Tracer()
+        campaign = AdaptiveCampaign(
+            _adaptive_config(min_faults=5, max_faults=15, batch_size=5),
+            cache_dir=tmp_path,
+            tracer=tracer,
+        )
+        campaign.run_workload(
+            get_workload("StringSearch"), components=(Component.L1D,)
+        )
+        assert campaign.diagnostics["StringSearch"].rounds > 1
+        spans = tracer.drain()
+        roots = [span for span in spans if span["name"] == "campaign"]
+        windows = [span for span in spans if span["name"] == "window"]
+        assert len(roots) == 1
+        assert len(windows) == campaign.diagnostics["StringSearch"].rounds
+        assert all(span["parent"] == roots[0]["span"] for span in windows)

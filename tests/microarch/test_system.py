@@ -96,3 +96,13 @@ class TestCacheOccupancyReport:
         report = susan_system.cache_occupancy()
         assert set(report) == {"l1i", "l1d", "l2"}
         assert all(0.0 <= value <= 1.0 for value in report.values())
+
+
+class TestRunResult:
+    def test_outcome_keeps_no_traceback(self):
+        """A kept traceback pins the caller's frames, and every checkpoint
+        or machine they hold, in a reference cycle."""
+        system = System(get_workload("StringSearch").program(DEFAULT_LAYOUT))
+        result = system.run(max_cycles=200_000_000)
+        assert result.exited_cleanly
+        assert result.outcome.__traceback__ is None

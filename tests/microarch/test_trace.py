@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from repro.microarch.trace import Tracer
+from repro.microarch.trace import InstructionTrace
 
 
 class TestTracer:
     def test_records_every_instruction(self, run_program, exit0):
-        tracer = Tracer(limit=10_000)
+        tracer = InstructionTrace(limit=10_000)
         result = run_program(f"""
 _start:
     movi r1, 5
@@ -31,7 +31,7 @@ _start:
         assert tracer.instructions_seen == baseline + 1
 
     def test_ring_buffer_bounded(self, run_program, exit0):
-        tracer = Tracer(limit=16)
+        tracer = InstructionTrace(limit=16)
         run_program(f"""
 _start:
     li   r1, 500
@@ -45,7 +45,7 @@ loop:
         assert tracer.instructions_seen > 16
 
     def test_records_carry_disassembly_and_mode(self, run_program, exit0):
-        tracer = Tracer(limit=100_000)
+        tracer = InstructionTrace(limit=100_000)
         run_program(f"""
 _start:
     movi r1, 42
@@ -57,13 +57,13 @@ _start:
         assert modes == {"user", "kernel"}  # boot + syscall run in kernel
 
     def test_tail_formatting(self, run_program, exit0):
-        tracer = Tracer()
+        tracer = InstructionTrace()
         run_program(f"_start:\n{exit0}", trace=tracer.hook)
         tail = tracer.format_tail(5)
         assert "0x" in tail and len(tail.splitlines()) == 5
 
     def test_trace_shows_the_faulting_instruction(self, run_program, exit0):
-        tracer = Tracer()
+        tracer = InstructionTrace()
         result = run_program(f"""
 _start:
     li   r1, 0x00700000
@@ -89,6 +89,6 @@ loop:
 {exit0}
 """
         plain = run_program(source)
-        traced = run_program(source, trace=Tracer().hook)
+        traced = run_program(source, trace=InstructionTrace().hook)
         assert plain.output == traced.output
         assert plain.cycles == traced.cycles
