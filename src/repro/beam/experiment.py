@@ -42,9 +42,11 @@ from repro.microarch.cache import Cache
 from repro.microarch.config import MachineConfig, SCALED_A9_CONFIG
 from repro.microarch.snapshot import SystemSnapshot
 from repro.microarch.system import System
+from repro.microarch.translate import translated
 from repro.workloads.base import Workload
 
-#: Strike engine settings (no lifetime events: beam has no journal yet).
+#: Strike engine settings (no lifetime events: beam has no journal yet);
+#: its ``translate`` also selects the engine of the warm and capture runs.
 BEAM_ENGINE = EngineOptions(lifetime_events=False)
 
 
@@ -176,15 +178,16 @@ class BeamExperiment:
         post-reboot cycle-0 state every strike run starts from.
         """
         system = self._beam_system(workload, golden)
-        first = system.run(max_cycles=200_000_000)
-        if not first.exited_cleanly or first.sdc_flag or not first.check_done:
-            raise RuntimeError(
-                f"warm-up beam run of {workload.name} failed: {first.outcome}, "
-                f"sdc={first.sdc_flag}, check_done={first.check_done}"
-            )
-        system.soft_reset()
-        warm_boot = SystemSnapshot(system)
-        warm = system.run(max_cycles=200_000_000)
+        with translated(system, BEAM_ENGINE.translate):
+            first = system.run(max_cycles=200_000_000)
+            if not first.exited_cleanly or first.sdc_flag or not first.check_done:
+                raise RuntimeError(
+                    f"warm-up beam run of {workload.name} failed: {first.outcome}, "
+                    f"sdc={first.sdc_flag}, check_done={first.check_done}"
+                )
+            system.soft_reset()
+            warm_boot = SystemSnapshot(system)
+            warm = system.run(max_cycles=200_000_000)
         if not warm.exited_cleanly or warm.sdc_flag or warm.output != golden:
             raise RuntimeError(
                 f"warm beam run of {workload.name} failed: {warm.outcome}"
@@ -199,7 +202,7 @@ class BeamExperiment:
         system = self._beam_system(workload, golden)
         warm_boot.restore(system)
         snapshots, digests, arch_digests, _ = record_golden_observables(
-            workload, machine, warm, system=system
+            workload, machine, warm, system=system, translate=BEAM_ENGINE.translate
         )
         image = MachineImage(
             name=workload.name,

@@ -111,7 +111,7 @@ class FabricClient:
         suite pins this per fault, not just per tally).
         """
         components = tuple(components)
-        golden = run_golden(workload, config.machine)
+        golden = run_golden(workload, config.machine, translate=config.translate)
         spec = CampaignSpec.from_config(
             workload.name, config, golden.cycles, components
         )

@@ -56,6 +56,7 @@ from repro.microarch.config import MachineConfig, SCALED_A9_CONFIG
 from repro.microarch.digest import arch_digest, probe_cycles, system_digest
 from repro.microarch.snapshot import SystemSnapshot, best_snapshot, run_with_captures
 from repro.microarch.system import RunResult, System
+from repro.microarch.translate import translated
 from repro.workloads.base import Workload
 
 __all__ = [
@@ -151,7 +152,7 @@ class CampaignConfig:
     #: Tracing forces the slow interpreter loop; 0 (the default) disables
     #: it.  Observation-only, hence also excluded from the cache key.
     trace_on_crash: int = 0
-    #: Execute injected runs through the basic-block translator
+    #: Execute injected and golden runs through the basic-block translator
     #: (:mod:`repro.microarch.translate`) with copy-on-write restores
     #: (:class:`~repro.microarch.snapshot.DeltaRestorer`).  Bit-identical
     #: by construction to the reference engine, the interpreter with
@@ -398,10 +399,17 @@ class WorkloadResult:
         )
 
 
-def run_golden(workload: Workload, machine: MachineConfig) -> RunResult:
-    """Fault-free reference run (defines golden output and duration)."""
+def run_golden(
+    workload: Workload, machine: MachineConfig, translate: bool = True
+) -> RunResult:
+    """Fault-free reference run (defines golden output and duration).
+
+    ``translate`` follows :attr:`EngineOptions.translate`: the run is
+    bit-identical on either engine, only faster translated.
+    """
     system = System(workload.program(machine.layout), config=machine)
-    result = system.run(max_cycles=200_000_000)
+    with translated(system, translate):
+        result = system.run(max_cycles=200_000_000)
     if not result.exited_cleanly:
         raise RuntimeError(
             f"golden run of {workload.name} did not exit cleanly: {result.outcome}"
@@ -560,6 +568,7 @@ def record_golden_observables(
     digest_count: int = 24,
     record_activity: bool = False,
     system: System | None = None,
+    translate: bool = True,
 ) -> tuple[list, dict[int, bytes], dict[int, bytes], "GoldenActivity | None"]:
     """Capture checkpoints, digests and (optionally) activity at once.
 
@@ -575,7 +584,8 @@ def record_golden_observables(
     grids are recorded through the same event mechanism the injectors use,
     in a single run that stops right after the last capture - one golden
     prefix instead of several.  The golden run starts on ``system`` as it
-    stands (default: a fresh boot; the beam campaign passes its warm boot).
+    stands (default: a fresh boot; the beam campaign passes its warm boot)
+    and runs translated when ``translate`` is set.
     """
     from repro.observability.golden import ActivityRecorder, activity_grid
 
@@ -608,7 +618,11 @@ def record_golden_observables(
         captures += [
             (cycle, recorder.sweep) for cycle in activity_grid(golden.cycles)
         ]
-    run_with_captures(system, captures)
+    # The activity recorder's L1I/ITLB probes make the translator refuse
+    # every dispatch, so translating an activity capture would only add a
+    # refused dispatch per instruction: it stays interpreted.
+    with translated(system, translate and not record_activity):
+        run_with_captures(system, captures)
     activity = recorder.finish() if recorder is not None else None
     return snapshots, digests, arch_digests, activity
 
@@ -627,7 +641,7 @@ def prepare_image(
     bit-identical to a local one.
     """
     machine = config.machine
-    golden = run_golden(workload, machine)
+    golden = run_golden(workload, machine, translate=config.translate)
     snapshots: list | None = None
     digests: dict[int, bytes] = {}
     arch_digests: dict[int, bytes] = {}
@@ -649,6 +663,7 @@ def prepare_image(
             snapshot_count=snapshot_count,
             digest_count=digest_count,
             record_activity=record_activity,
+            translate=config.translate,
         )
     image = MachineImage.capture(
         workload,

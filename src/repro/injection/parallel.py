@@ -135,7 +135,8 @@ class EngineOptions:
 
     #: Run injected programs through the basic-block translator
     #: (:mod:`repro.microarch.translate`) and restore copy-on-write
-    #: (:class:`~repro.microarch.snapshot.DeltaRestorer`).  ``False`` is
+    #: (:class:`~repro.microarch.snapshot.DeltaRestorer`); fault-free
+    #: golden, capture and beam warm runs translate too.  ``False`` is
     #: the reference engine: the interpreter with full-sweep restores.
     translate: bool = True
     #: Master switch for the provably-sound early-Masked terminations.

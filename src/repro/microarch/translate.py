@@ -74,6 +74,7 @@ that close the region (no decoded-forward target remains reachable).
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 
 from repro.errors import ArithmeticFault
 from repro.isa.encoding import try_decode
@@ -159,6 +160,27 @@ def attach_translator(system, *, profile: bool = False):
     translator = BlockTranslator(system.core, profile=profile)
     system.core.translator = translator
     return translator
+
+
+@contextmanager
+def translated(system, enabled: bool = True):
+    """Run ``system`` on a non-profiling block translator inside the block.
+
+    The engine of fault-free work (golden, capture and beam warm runs):
+    bit-exact with the interpreter, so ``enabled=False`` (the reference
+    engine) changes nothing but speed.  On exit the translator is
+    detached, breaking the core <-> translator reference cycle so the
+    fault-free machine is freed by refcount rather than at the next full
+    garbage collection.
+    """
+    if not enabled:
+        yield
+        return
+    attach_translator(system)
+    try:
+        yield
+    finally:
+        system.core.translator = None
 
 
 class BlockTranslator:

@@ -11,7 +11,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.beam import experiment as experiment_module
 from repro.beam.experiment import BeamCampaignConfig, BeamExperiment
+from repro.injection import parallel as parallel_module
+from repro.injection.parallel import EngineOptions
+from repro.microarch import translate as translate_module
+from repro.microarch.digest import system_digest
 from repro.microarch.system import System
 from repro.workloads import get_workload
 
@@ -68,3 +73,42 @@ def test_system_builds_do_not_grow_with_strikes(monkeypatch):
     (few_builds, few_strikes), (many_builds, many_strikes) = per_setting.values()
     assert many_strikes > few_strikes + 3
     assert few_builds == many_builds <= 3
+
+
+#: The beam engine with the reference (interpreter-only) engine selected.
+REFERENCE_BEAM_ENGINE = EngineOptions(translate=False, lifetime_events=False)
+
+
+@pytest.mark.parametrize("name", ["StringSearch", "MatMul", "CRC32"])
+def test_warm_runs_are_identical_on_both_engines(name, monkeypatch):
+    """The warm-up and warm reference runs follow the beam engine's
+    ``translate`` without changing the warm boot or the reference run."""
+    workload = get_workload(name)
+    golden = workload.reference_output()
+    experiment = BeamExperiment(BeamCampaignConfig(seed=0))
+    observed = []
+    for engine in (REFERENCE_BEAM_ENGINE, experiment_module.BEAM_ENGINE):
+        monkeypatch.setattr(experiment_module, "BEAM_ENGINE", engine)
+        warm_boot, warm = experiment._golden_beam_run(workload, golden)
+        system = experiment._beam_system(workload, golden)
+        warm_boot.restore(system)
+        observed.append((system_digest(system), warm.cycles, warm.output))
+    assert observed[0] == observed[1]
+
+
+def test_reference_beam_image_attaches_no_translator(monkeypatch):
+    attached = []
+
+    def counting_attach(system, **kwargs):
+        attached.append(system)
+
+    monkeypatch.setattr(translate_module, "attach_translator", counting_attach)
+    monkeypatch.setattr(parallel_module, "attach_translator", counting_attach)
+    monkeypatch.setattr(experiment_module, "BEAM_ENGINE", REFERENCE_BEAM_ENGINE)
+    workload = get_workload("StringSearch")
+    experiment = BeamExperiment(BeamCampaignConfig(seed=0))
+    injector, _warm = experiment._beam_injector(
+        workload, workload.reference_output()
+    )
+    assert attached == []
+    assert injector.system.core.translator is None

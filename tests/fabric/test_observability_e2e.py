@@ -45,6 +45,9 @@ WORKLOAD = "StringSearch"
 COMPONENTS = (Component.REGFILE, Component.DTLB)
 FAULTS = 4
 WORKER_TTL = 0.5
+LEASE_SIZE = 2
+WORKERS = 2
+WINDOWS_PER_WORKER = FAULTS * len(COMPONENTS) // LEASE_SIZE // WORKERS
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +76,7 @@ def outcome(tmp_path_factory, workload, config, serial):
     coordinator = Coordinator(
         FaultStore(tmp_path / "faults.sqlite"),
         tmp_path / "journals",
-        lease_size=2,
+        lease_size=LEASE_SIZE,
         telemetry=telemetry,
         worker_ttl=WORKER_TTL,
         trace=True,
@@ -96,10 +99,15 @@ def outcome(tmp_path_factory, workload, config, serial):
     workers = [
         FabricWorker(url, name=f"w{index}", poll_interval=0.05,
                      heartbeat_interval=0.1)
-        for index in range(2)
+        for index in range(WORKERS)
     ]
+    # Capping each worker at its share of the leases makes both of them
+    # run windows however the lease requests race.
     worker_threads = [
-        threading.Thread(target=worker.run, kwargs={"max_idle_polls": 40})
+        threading.Thread(
+            target=worker.run,
+            kwargs={"max_idle_polls": 40, "max_windows": WINDOWS_PER_WORKER},
+        )
         for worker in workers
     ]
     for thread in worker_threads:

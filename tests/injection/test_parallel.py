@@ -13,9 +13,12 @@ import os
 
 import pytest
 
+from repro.injection import parallel as parallel_module
 from repro.injection.campaign import (
     CampaignConfig,
     InjectionCampaign,
+    prepare_image,
+    record_golden_observables,
     record_golden_snapshots,
     run_golden,
     run_single_injection,
@@ -30,7 +33,10 @@ from repro.injection.parallel import (
     run_injection_plan,
     watchdog_budget,
 )
+from repro.microarch import translate as translate_module
 from repro.microarch.config import SCALED_A9_CONFIG
+from repro.microarch.digest import system_digest
+from repro.microarch.system import System
 from repro.workloads import get_workload
 
 #: Small but real campaign: the fastest workload and two cheap components.
@@ -219,6 +225,102 @@ class TestAccelerationEquivalence:
             )
         every = dataclasses.replace(base, **changes)
         assert every.cache_key("CRC32") == base.cache_key("CRC32")
+
+
+#: Short codes whose fault-free work is compared across the two engines.
+GOLDEN_CODES = ("StringSearch", "MatMul", "CRC32")
+
+
+def _restored_digests(workload, snapshots) -> list[bytes]:
+    machine = SCALED_A9_CONFIG
+    system = System(workload.program(machine.layout), config=machine)
+    digests = []
+    for snapshot in snapshots:
+        snapshot.restore(system)
+        digests.append(system_digest(system))
+    return digests
+
+
+@pytest.mark.parametrize("name", GOLDEN_CODES)
+def test_golden_work_is_identical_on_both_engines(name):
+    """Golden and capture runs follow ``translate`` without changing a bit."""
+    workload = get_workload(name)
+    observed = {}
+    for translate in (False, True):
+        golden = run_golden(workload, SCALED_A9_CONFIG, translate=translate)
+        snapshots, digests, arch_digests, _ = record_golden_observables(
+            workload, SCALED_A9_CONFIG, golden, translate=translate
+        )
+        observed[translate] = (
+            golden.cycles,
+            golden.output,
+            golden.counters.to_dict(),
+            _restored_digests(workload, snapshots),
+            digests,
+            arch_digests,
+        )
+    assert observed[True] == observed[False]
+
+
+@pytest.fixture
+def attached(monkeypatch):
+    """Systems given a translator, through either import of the attach."""
+    systems = []
+
+    def counting_attach(system, **kwargs):
+        systems.append(system)
+        return original(system, **kwargs)
+
+    original = translate_module.attach_translator
+    monkeypatch.setattr(translate_module, "attach_translator", counting_attach)
+    monkeypatch.setattr(parallel_module, "attach_translator", counting_attach)
+    return systems
+
+
+class TestGoldenEngineSelection:
+    """``translate=False`` is the pure reference engine on every
+    fault-free path; translated golden runs detach when they finish."""
+
+    CONFIG = CampaignConfig(faults_per_component=FAULTS, seed=5)
+
+    def test_reference_prepare_image_attaches_nothing(self, workload, attached):
+        config = dataclasses.replace(self.CONFIG, translate=False)
+        _golden, image = prepare_image(workload, config)
+        assert image.snapshots and image.digests
+        assert attached == []
+
+    def test_translated_golden_runs_detach(self, workload, attached):
+        prepare_image(workload, self.CONFIG)
+        assert len(attached) == 2  # golden run + capture run
+        assert all(system.core.translator is None for system in attached)
+
+    def test_activity_capture_stays_interpreted(self, workload, attached):
+        config = dataclasses.replace(
+            self.CONFIG, target_margin=0.1, learned_sampling=True
+        )
+        _golden, image = prepare_image(workload, config)
+        assert image.activity is not None
+        assert len(attached) == 1  # the golden run only
+
+    @pytest.mark.parametrize("translate", [False, True])
+    def test_fabric_anchor_golden_follows_translate(
+        self, workload, attached, monkeypatch, translate
+    ):
+        from repro.fabric.client import FabricClient
+
+        class Submitted(Exception):
+            pass
+
+        def submit(self, spec, span=None):
+            raise Submitted
+
+        monkeypatch.setattr(FabricClient, "submit", submit)
+        config = dataclasses.replace(self.CONFIG, translate=translate)
+        with pytest.raises(Submitted):
+            FabricClient("http://127.0.0.1:9").run_workload(
+                workload, config, COMPONENTS
+            )
+        assert len(attached) == int(translate)
 
 
 @pytest.mark.slow
