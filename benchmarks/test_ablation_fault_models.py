@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.analysis.report import format_table
 from repro.injection.campaign import (
-    record_golden_snapshots,
+    record_golden_observables,
     run_golden,
     run_single_injection,
 )
@@ -29,7 +29,9 @@ def test_ablation_multibit_fault_model(benchmark, emit):
     def full_ablation():
         workload = get_workload("Susan E")
         golden = run_golden(workload, SCALED_A9_CONFIG)
-        snapshots = record_golden_snapshots(workload, SCALED_A9_CONFIG, golden)
+        snapshots, _, _, _ = record_golden_observables(
+            workload, SCALED_A9_CONFIG, golden, digest_count=0
+        )
         faults = generate_faults(
             Component.L1D,
             component_bits(SCALED_A9_CONFIG, Component.L1D),

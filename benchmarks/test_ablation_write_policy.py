@@ -12,7 +12,7 @@ import dataclasses
 
 from repro.analysis.report import format_table
 from repro.injection.campaign import (
-    record_golden_snapshots,
+    record_golden_observables,
     run_golden,
     run_single_injection,
 )
@@ -34,7 +34,9 @@ WRITE_THROUGH_CONFIG = dataclasses.replace(
 def campaign(machine) -> dict[FaultEffect, int]:
     workload = get_workload("Qsort")
     golden = run_golden(workload, machine)
-    snapshots = record_golden_snapshots(workload, machine, golden)
+    snapshots, _, _, _ = record_golden_observables(
+        workload, machine, golden, digest_count=0
+    )
     faults = generate_faults(
         Component.L1D,
         component_bits(machine, Component.L1D),

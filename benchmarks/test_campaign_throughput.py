@@ -15,7 +15,6 @@ import time
 
 from repro.injection.campaign import (
     record_golden_observables,
-    record_golden_snapshots,
     run_golden,
 )
 from repro.injection.components import Component, component_bits
@@ -33,7 +32,9 @@ COMPONENTS = (Component.REGFILE, Component.L1D, Component.DTLB)
 def _build_plan():
     workload = get_workload("StringSearch")
     golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots = record_golden_snapshots(workload, SCALED_A9_CONFIG, golden)
+    snapshots, _, _, _ = record_golden_observables(
+        workload, SCALED_A9_CONFIG, golden, digest_count=0
+    )
     image = MachineImage.capture(
         workload, SCALED_A9_CONFIG, golden, snapshots,
         engine=EngineOptions(lifetime_events=False),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 
-from repro.injection.campaign import record_golden_captures, run_golden
+from repro.injection.campaign import record_golden_observables, run_golden
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import generate_faults
 from repro.injection.parallel import EngineOptions, MachineImage, run_injection_plan
@@ -28,7 +28,7 @@ SPEEDUP_BAR = 1.5
 def _build():
     workload = get_workload("StringSearch")
     golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots, digests = record_golden_captures(
+    snapshots, digests, _, _ = record_golden_observables(
         workload, SCALED_A9_CONFIG, golden
     )
     pruned = MachineImage.capture(

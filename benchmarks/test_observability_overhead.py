@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 
 from repro.injection.campaign import (
-    record_golden_snapshots,
+    record_golden_observables,
     run_golden,
 )
 from repro.injection.components import Component, component_bits
@@ -42,7 +42,9 @@ def test_tracing_overhead(benchmark):
     """Armed-tracer campaign throughput >= 0.95x of ``tracer=None``."""
     workload = get_workload("StringSearch")
     golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots = record_golden_snapshots(workload, SCALED_A9_CONFIG, golden)
+    snapshots, _, _, _ = record_golden_observables(
+        workload, SCALED_A9_CONFIG, golden, digest_count=0
+    )
     image = MachineImage.capture(
         workload, SCALED_A9_CONFIG, golden, snapshots,
         engine=EngineOptions(lifetime_events=False),

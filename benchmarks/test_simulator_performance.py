@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.injection.campaign import (
-    record_golden_snapshots,
+    record_golden_observables,
     run_golden,
     run_single_injection,
 )
@@ -91,7 +91,9 @@ def test_ablation_decode_cache(benchmark):
 def injection_setup():
     workload = get_workload("Dijkstra")
     golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots = record_golden_snapshots(workload, SCALED_A9_CONFIG, golden)
+    snapshots, _, _, _ = record_golden_observables(
+        workload, SCALED_A9_CONFIG, golden, digest_count=0
+    )
     faults = generate_faults(
         Component.L1D,
         component_bits(SCALED_A9_CONFIG, Component.L1D),

@@ -24,7 +24,6 @@ from __future__ import annotations
 import time
 
 from repro.injection.campaign import (
-    record_golden_captures,
     record_golden_observables,
     run_golden,
 )
@@ -44,7 +43,7 @@ SPEEDUP_BAR = 8.0
 def _build():
     workload = get_workload("CRC32")
     golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots, digests = record_golden_captures(
+    snapshots, digests, _, _ = record_golden_observables(
         workload, SCALED_A9_CONFIG, golden
     )
     accelerated = MachineImage.capture(

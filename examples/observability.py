@@ -7,21 +7,20 @@ exactly did the fault strike (e.g., whether it was on kernel or user mode
 or data, whether the corrupted entry was used or not) but also detailed
 information of what was the system effect."
 
-This example runs an instrumented mini-campaign on the L1 data cache and breaks
-the outcomes down by the memory region the struck line was holding -
-the analysis a beam experiment fundamentally cannot produce.
+This example runs a mini-campaign on the L1 data cache through the
+injection engine and breaks the outcomes down by the strike site every
+injection reports (``InjectionResult.site``): the privilege mode at the
+flip and the memory region the struck line was holding - the analysis a
+beam experiment fundamentally cannot produce.
 """
 
 from collections import Counter, defaultdict
 
 from repro import get_workload
-from repro.injection.campaign import (
-    record_golden_snapshots,
-    run_golden,
-    run_instrumented_injection,
-)
+from repro.injection.campaign import CampaignConfig, prepare_image
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import generate_faults
+from repro.injection.parallel import ImageInjector
 from repro.microarch.config import SCALED_A9_CONFIG
 
 FAULTS = 60
@@ -31,8 +30,8 @@ def main() -> None:
     workload = get_workload("Qsort")
     print(f"instrumented campaign: {FAULTS} L1D faults into {workload.name}\n")
 
-    golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots = record_golden_snapshots(workload, SCALED_A9_CONFIG, golden)
+    golden, image = prepare_image(workload, CampaignConfig())
+    injector = ImageInjector(image)
     faults = generate_faults(
         Component.L1D,
         component_bits(SCALED_A9_CONFIG, Component.L1D),
@@ -44,12 +43,10 @@ def main() -> None:
     by_region = defaultdict(Counter)
     modes = Counter()
     for fault in faults:
-        observation = run_instrumented_injection(
-            workload, fault, SCALED_A9_CONFIG, golden, snapshots=snapshots
-        )
-        region = observation.target_region or "(invalid line)"
-        by_region[region][observation.effect.label] += 1
-        modes[observation.mode_at_injection] += 1
+        result = injector.run_fault_ex(fault)
+        region = result.site.region or "(invalid line)"
+        by_region[region][result.effect.label] += 1
+        modes[result.site.mode] += 1
 
     print(f"strike mode: {dict(modes)}\n")
     print(f"{'struck region':16s} {'strikes':>8s}  outcome breakdown")

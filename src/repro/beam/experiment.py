@@ -38,7 +38,6 @@ from repro.injection.classify import FaultEffect
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import Fault
 from repro.injection.parallel import EngineOptions, ImageInjector, MachineImage
-from repro.microarch.cache import Cache
 from repro.microarch.config import MachineConfig, SCALED_A9_CONFIG
 from repro.microarch.snapshot import SystemSnapshot
 from repro.microarch.system import System
@@ -227,13 +226,10 @@ class BeamExperiment:
         rng: random.Random,
     ) -> FaultEffect:
         board = self.config.board
-        layout = self.config.machine.layout
 
-        def os_background(target):
-            if isinstance(target, Cache) and target.line_at(bit_index).valid:
-                region = layout.region_of(target.line_base_paddr(bit_index))
-                if region == "os_background":
-                    raise BoardModelOutcome(board.sample_os_line_outcome(rng))
+        def os_background(region):
+            if region == "os_background":
+                raise BoardModelOutcome(board.sample_os_line_outcome(rng))
 
         fault = Fault(component, bit_index, cycle)
         try:

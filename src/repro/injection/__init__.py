@@ -10,7 +10,7 @@ sampling formulation, and every result carries its error margin.
 """
 
 from repro.injection.components import Component, component_bits, component_target
-from repro.injection.fault import Fault, FaultStream, generate_faults
+from repro.injection.fault import Fault, FaultStream, StrikeSite, generate_faults
 from repro.injection.sampling import (
     error_margin,
     readjusted_margin,
@@ -28,10 +28,7 @@ from repro.injection.campaign import (
     CampaignConfig,
     ComponentResult,
     InjectionCampaign,
-    InjectionObservation,
     WorkloadResult,
-    record_golden_captures,
-    run_instrumented_injection,
     run_single_injection,
 )
 from repro.injection.parallel import (
@@ -52,6 +49,7 @@ __all__ = [
     "component_target",
     "Fault",
     "FaultStream",
+    "StrikeSite",
     "generate_faults",
     "error_margin",
     "readjusted_margin",
@@ -66,10 +64,7 @@ __all__ = [
     "CampaignConfig",
     "ComponentResult",
     "InjectionCampaign",
-    "InjectionObservation",
     "WorkloadResult",
-    "record_golden_captures",
-    "run_instrumented_injection",
     "run_single_injection",
     "ENDED_DEAD_CELL",
     "ENDED_DIGEST",

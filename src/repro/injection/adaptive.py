@@ -69,8 +69,7 @@ stream order itself until the pilot completes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.errors import ConfigurationError
 from repro.injection.campaign import (
@@ -99,7 +98,6 @@ from repro.injection.sampling import (
     stratified_rate,
     wilson_half_width,
 )
-from repro.injection.telemetry import CampaignTelemetry
 from repro.workloads.base import Workload
 
 __all__ = [
@@ -625,16 +623,9 @@ class AdaptiveCampaign(InjectionCampaign):
     are kept in :attr:`diagnostics` (by workload name).
     """
 
-    def __init__(
-        self,
-        config: CampaignConfig,
-        cache_dir: Path | None = None,
-        progress: Callable[[str], None] | None = None,
-        journal_dir: Path | None = None,
-        resume: bool = False,
-        telemetry: CampaignTelemetry | None = None,
-        tracer=None,
-    ):
+    def __init__(self, config: CampaignConfig, **kwargs):
+        """Validate the adaptive knobs of ``config``; ``kwargs`` are
+        :class:`InjectionCampaign`'s."""
         if config.target_margin is None:
             raise ConfigurationError(
                 "AdaptiveCampaign requires CampaignConfig.target_margin"
@@ -648,15 +639,7 @@ class AdaptiveCampaign(InjectionCampaign):
                 "need 0 < min_faults <= max_faults "
                 f"(got {config.min_faults}/{config.max_faults})"
             )
-        super().__init__(
-            config,
-            cache_dir=cache_dir,
-            progress=progress,
-            journal_dir=journal_dir,
-            resume=resume,
-            telemetry=telemetry,
-            tracer=tracer,
-        )
+        super().__init__(config, **kwargs)
         #: Convergence diagnostics by workload name (live runs only;
         #: cache hits get a recomputed entry with ``rounds == 0``).
         self.diagnostics: dict[str, AdaptiveDiagnostics] = {}
@@ -727,6 +710,9 @@ class AdaptiveCampaign(InjectionCampaign):
 
         config = self.config
         golden, image = prepare_image(workload, config)
+        cached = self._unless_stale(cached, golden.cycles)
+        if cached is None:
+            missing = list(components)
         machine = config.machine
         planner = None
         if config.learned_sampling:

@@ -64,13 +64,9 @@ __all__ = [
     "ComponentResult",
     "WorkloadResult",
     "InjectionCampaign",
-    "InjectionObservation",
     "default_cache_dir",
     "run_golden",
     "run_single_injection",
-    "run_instrumented_injection",
-    "record_golden_snapshots",
-    "record_golden_captures",
     "record_golden_observables",
     "prepare_image",
     "build_fault_plan",
@@ -425,9 +421,11 @@ def run_single_injection(
     snapshots: list | None = None,
     cluster_size: int = 1,
 ) -> FaultEffect:
-    """Execute one injection experiment and classify its effect.
+    """Reference injection on a freshly booted machine (the test oracle).
 
-    With ``snapshots`` (from :func:`record_golden_snapshots`), the run is
+    It shares no restore, translator or early-exit code with
+    :meth:`~repro.injection.parallel.ImageInjector.run_fault_ex`.  With
+    ``snapshots`` (from :func:`record_golden_observables`), the run is
     fast-forwarded to the latest checkpoint before the injection cycle -
     the prefix is bit-identical to the fault-free run, so skipping it
     cannot change the outcome (verified by the equivalence test suite).
@@ -450,114 +448,6 @@ def run_single_injection(
     events = [(fault.cycle, flip)]
     result = system.run(max_cycles=watchdog_budget(golden.cycles), events=events)
     return classify_run(result, golden.output, system)
-
-
-@dataclass(frozen=True)
-class InjectionObservation:
-    """What an instrumented injection observed (GeFIN-style visibility).
-
-    Microarchitecture-level injection "offers significant amount of
-    observability, allowing distinction of where exactly did the fault
-    strike" (Section IV-C): the privilege mode at strike time, the memory
-    region the struck cache line mapped (kernel text/data, user data, page
-    table, ...), and whether the struck cell was live at all.
-    """
-
-    fault: Fault
-    effect: FaultEffect
-    mode_at_injection: str
-    target_region: str | None
-    target_live: bool
-
-
-def run_instrumented_injection(
-    workload: Workload,
-    fault: Fault,
-    machine: MachineConfig,
-    golden: RunResult,
-    snapshots: list | None = None,
-    cluster_size: int = 1,
-) -> InjectionObservation:
-    """Like :func:`run_single_injection`, with strike-site observability.
-
-    ``cluster_size`` follows the same multi-cell-upset model as
-    :func:`run_single_injection` - the instrumentation only changes what
-    is *observed*, never which bits are flipped (the equivalence tests
-    assert identical effects for every cluster size).
-    """
-    from repro.microarch.cache import Cache  # local import avoids a cycle
-
-    system = System(workload.program(machine.layout), config=machine)
-    if snapshots:
-        snapshot = best_snapshot(snapshots, fault.cycle)
-        if snapshot is not None:
-            snapshot.restore(system)
-    target = component_target(system, fault.component)
-    observed: dict = {}
-
-    def flip():
-        observed["mode"] = system.core.mode.name.lower()
-        population = target.data_bits
-        if isinstance(target, Cache):
-            line = target.line_at(fault.bit_index)
-            observed["live"] = line.valid
-            if line.valid:
-                observed["region"] = machine.layout.region_of(
-                    target.line_base_paddr(fault.bit_index)
-                )
-            first_unflipped = 0
-        else:
-            observed["live"] = target.flip_bit(fault.bit_index)
-            first_unflipped = 1
-        for offset in range(first_unflipped, cluster_size):
-            target.flip_bit((fault.bit_index + offset) % population)
-
-    result = system.run(
-        max_cycles=watchdog_budget(golden.cycles), events=[(fault.cycle, flip)]
-    )
-    effect = classify_run(result, golden.output, system)
-    return InjectionObservation(
-        fault=fault,
-        effect=effect,
-        mode_at_injection=observed.get("mode", "user"),
-        target_region=observed.get("region"),
-        target_live=bool(observed.get("live")),
-    )
-
-
-def record_golden_snapshots(
-    workload: Workload,
-    machine: MachineConfig,
-    golden: RunResult,
-    count: int = 8,
-) -> list:
-    """Checkpoint the golden run at ``count`` evenly spaced cycles."""
-    return record_golden_observables(workload, machine, golden, count, 0)[0]
-
-
-def record_golden_captures(
-    workload: Workload,
-    machine: MachineConfig,
-    golden: RunResult,
-    snapshot_count: int = 8,
-    digest_count: int = 24,
-) -> tuple[list, dict[int, bytes]]:
-    """Capture checkpoints *and* state digests in one golden prefix run.
-
-    Returns ``(snapshots, digests)`` where ``digests`` maps probe cycles
-    to full-machine state digests (:mod:`repro.microarch.digest`).  Both
-    grids are recorded through the same event mechanism the injectors use,
-    in a single run that stops right after the last capture - one golden
-    prefix instead of two.
-    """
-    snapshots, digests, _, _ = record_golden_observables(
-        workload,
-        machine,
-        golden,
-        snapshot_count=snapshot_count,
-        digest_count=digest_count,
-    )
-    return snapshots, digests
 
 
 def record_golden_observables(
@@ -762,6 +652,20 @@ class InjectionCampaign:
     def _store(self, result: WorkloadResult) -> None:
         write_json_atomic(self._cache_path(result.workload_name), result.to_dict())
 
+    def _unless_stale(
+        self, cached: WorkloadResult | None, golden_cycles: int
+    ) -> WorkloadResult | None:
+        """``cached``, or ``None`` (re-run it all) when another golden run
+        produced it: extending it would mix two golden runs."""
+        if cached is None or cached.golden_cycles == golden_cycles:
+            return cached
+        self._progress(
+            f"cache: {self._cache_path(cached.workload_name).name} was "
+            f"recorded against {cached.golden_cycles} golden cycles, now "
+            f"{golden_cycles}; re-running"
+        )
+        return None
+
     # -- journaling ------------------------------------------------------------
 
     def _journal_path(self, workload_name: str) -> Path:
@@ -825,6 +729,9 @@ class InjectionCampaign:
             )
 
         golden, image = prepare_image(workload, self.config)
+        cached = self._unless_stale(cached, golden.cycles)
+        if cached is None:
+            missing = list(components)
         machine = self.config.machine
         plan = build_fault_plan(self.config, golden.cycles, missing)
         journal = self._open_journal(workload.name, golden.cycles)

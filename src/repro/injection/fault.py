@@ -25,6 +25,23 @@ class Fault:
             raise InjectionError(f"negative injection cycle {self.cycle}")
 
 
+@dataclass(frozen=True)
+class StrikeSite:
+    """Where a fault struck (Section IV-C's injection-only visibility).
+
+    ``mode`` is the core's privilege mode at the flip (``"user"`` or
+    ``"kernel"``); ``region`` names the memory region the struck cache
+    line held (``None`` for an invalid line or a non-cache component);
+    ``live`` is whether the first struck cell could be observed at all (a
+    valid cache line, a live field of a valid TLB entry, an architectural
+    register).
+    """
+
+    mode: str
+    region: str | None
+    live: bool
+
+
 def _stream_rng(component: Component, component_bits: int, seed: int) -> random.Random:
     """Per-stratum PRNG shared by the fixed and adaptive planners."""
     # Stable across processes (unlike hash() of a str under PYTHONHASHSEED).

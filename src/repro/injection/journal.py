@@ -28,12 +28,13 @@ from __future__ import annotations
 import errno
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 from repro.errors import InjectionError
 from repro.injection.classify import FaultEffect
 from repro.injection.components import Component
+from repro.injection.fault import StrikeSite
 
 #: Bump when the journal line format changes incompatibly.
 JOURNAL_VERSION = 1
@@ -91,7 +92,10 @@ class InjectionRecord:
     :mod:`repro.observability.events`) and ``trace`` (instruction tail of
     a Crash-classified run) are likewise observational and optional: they
     are serialized only when non-empty, and journals written before the
-    fields existed replay cleanly as empty.
+    fields existed replay cleanly as empty.  ``site`` (the
+    :class:`~repro.injection.fault.StrikeSite`) is serialized as
+    ``[mode, region, live]`` when set; older journals replay it as
+    ``None``.
     """
 
     component: Component
@@ -103,6 +107,7 @@ class InjectionRecord:
     ended_by: str = "full"
     events: tuple = ()
     trace: tuple = ()
+    site: StrikeSite | None = None
 
     def to_line(self) -> dict:
         """JSONL payload for one completed injection."""
@@ -120,11 +125,14 @@ class InjectionRecord:
             line["events"] = [list(event) for event in self.events]
         if self.trace:
             line["trace"] = list(self.trace)
+        if self.site is not None:
+            line["site"] = list(astuple(self.site))
         return line
 
     @classmethod
     def from_line(cls, payload: dict) -> "InjectionRecord":
         """Parse one journaled injection line."""
+        site = payload.get("site")
         return cls(
             component=Component[payload["component"]],
             index=payload["index"],
@@ -138,6 +146,7 @@ class InjectionRecord:
                 for kind, cycle, detail in payload.get("events", ())
             ),
             trace=tuple(str(entry) for entry in payload.get("trace", ())),
+            site=None if site is None else StrikeSite(*site),
         )
 
 

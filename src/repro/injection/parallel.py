@@ -69,7 +69,7 @@ from typing import Callable, Mapping, Sequence
 from repro.errors import InjectionError
 from repro.injection.classify import FaultEffect, classify_run
 from repro.injection.components import Component, component_target
-from repro.injection.fault import Fault
+from repro.injection.fault import Fault, StrikeSite
 from repro.microarch.cache import Cache
 from repro.microarch.digest import arch_digest, system_digest
 from repro.injection.journal import (
@@ -252,6 +252,9 @@ class InjectionResult:
     :mod:`repro.observability.events`); with ``trace_on_crash``,
     ``trace`` carries the last instructions of a Crash-classified run.
     Both default empty, so pickles and journals stay compact.
+
+    ``site`` is the :class:`~repro.injection.fault.StrikeSite` observed at
+    the flip; ``None`` only when the run ended before the injection cycle.
     """
 
     effect: FaultEffect
@@ -259,6 +262,7 @@ class InjectionResult:
     cycles_saved: int = 0
     events: tuple = ()
     trace: tuple = ()
+    site: StrikeSite | None = None
 
 
 def _finish_lifetime(lifetime: FaultLifetime | None, effect: FaultEffect) -> tuple:
@@ -317,27 +321,20 @@ class ImageInjector:
             if (engine.early_exit or engine.lifetime_events)
             else []
         )
-        #: Termination accounting of the most recent :meth:`run_fault` call.
-        self.last_result: InjectionResult | None = None
-
-    def run_fault(self, fault: Fault) -> FaultEffect:
-        """Execute one injection experiment and classify its effect.
-
-        This is the farm's per-injection entry point (and the seam the
-        resilience tests hook); how the run ended is kept in
-        :attr:`last_result` for callers that track termination accounting.
-        """
-        self.last_result = self.run_fault_ex(fault)
-        return self.last_result.effect
 
     def run_fault_ex(
-        self, fault: Fault, strike: Callable[[object], None] | None = None
+        self, fault: Fault, strike: Callable[[str | None], None] | None = None
     ) -> InjectionResult:
-        """Like :meth:`run_fault`, but also report *how* the run ended.
+        """Execute one injection experiment: its effect, how the run
+        ended, and where the fault struck.
 
-        ``strike(target)`` runs at the flip event before any bit flips;
-        an exception it raises ends the run and propagates (the beam's
-        board model resolves background-OS line hits that way).
+        This is the one per-injection entry point: the farm, the fabric
+        worker and the beam's strikes all run through it.  At the flip
+        it records the :class:`~repro.injection.fault.StrikeSite` (one
+        region lookup for a valid cache line).  ``strike(region)`` then
+        runs with the site's region before any bit flips; an exception it
+        raises ends the run and propagates (the beam's board model
+        resolves background-OS line hits that way).
 
         With ``early_exit`` armed, two sound pruning mechanisms can
         classify a run Masked without simulating it to completion (see
@@ -365,15 +362,21 @@ class ImageInjector:
         trace_depth = engine.trace_on_crash
         tracer = InstructionTrace(trace_depth) if trace_depth else None
         uninstall: list = []
+        site: StrikeSite | None = None
 
         def flip():
+            nonlocal site
+            mode = system.core.mode.name.lower()
+            region = None
+            is_cache = isinstance(target, Cache)
+            if is_cache and target.line_at(fault.bit_index).valid:
+                region = image.machine.layout.region_of(
+                    target.line_base_paddr(fault.bit_index)
+                )
             if strike is not None:
-                strike(target)
-            if (
-                early
-                and isinstance(target, Cache)
-                and target.cluster_dead(fault.bit_index, cluster)
-            ):
+                strike(region)
+            if early and is_cache and target.cluster_dead(fault.bit_index, cluster):
+                site = StrikeSite(mode, region, False)
                 if lifetime is not None:
                     lifetime.event(EV_FLIP, fault.component.name)
                 raise EarlyMasked(ENDED_DEAD_CELL)
@@ -381,8 +384,10 @@ class ImageInjector:
                 (fault.bit_index + offset) % population
                 for offset in range(cluster)
             ]
-            for bit in bits:
+            live = target.flip_bit(bits[0])
+            for bit in bits[1:]:
                 target.flip_bit(bit)
+            site = StrikeSite(mode, region, bool(live))
             if lifetime is not None:
                 lifetime.event(EV_FLIP, fault.component.name)
                 uninstall.append(
@@ -407,6 +412,7 @@ class ImageInjector:
                 masked.mechanism,
                 saved,
                 events=_finish_lifetime(lifetime, FaultEffect.MASKED),
+                site=site,
             )
         finally:
             # Taint probes must not outlive the injection: the next run on
@@ -428,6 +434,7 @@ class ImageInjector:
             0,
             events=_finish_lifetime(lifetime, effect),
             trace=trace_tail,
+            site=site,
         )
 
     def _make_probe(self, cycle: int, lifetime: FaultLifetime | None = None):
@@ -513,18 +520,14 @@ def _worker_main(image: MachineImage, task_conn, result_conn, worker_id: int):
             return
         component_index, fault_index, fault = task
         start = time.perf_counter()
-        injector.last_result = None
         try:
-            effect = injector.run_fault(fault)
+            result = injector.run_fault_ex(fault)
         except Exception as exc:  # noqa: BLE001 - reported, then retried
             message = (
                 "error", worker_id, component_index, fault_index,
                 f"{type(exc).__name__}: {exc}", time.perf_counter() - start,
             )
         else:
-            # A hooked/replaced run_fault may not fill last_result; its
-            # bare effect then counts as an ordinary full run.
-            result = injector.last_result or InjectionResult(effect)
             message = (
                 "ok", worker_id, component_index, fault_index,
                 result, time.perf_counter() - start,
@@ -1082,6 +1085,7 @@ def run_injection_plan(
                     ended_by=result.ended_by,
                     events=result.events,
                     trace=result.trace,
+                    site=result.site,
                 )
             )
         if telemetry is not None:
@@ -1203,9 +1207,8 @@ def _run_serial(
     while pending:
         attempt = pending.popleft()
         start = time.perf_counter()
-        injector.last_result = None
         try:
-            effect = injector.run_fault(attempt.fault)
+            result = injector.run_fault_ex(attempt.fault)
         except Exception as exc:  # noqa: BLE001 - bounded retry, then report
             attempt.attempts += 1
             injector = ImageInjector(image)  # state may be poisoned
@@ -1219,6 +1222,6 @@ def _run_serial(
             record(
                 attempt.component_index,
                 attempt.fault_index,
-                injector.last_result or InjectionResult(effect),
+                result,
                 time.perf_counter() - start,
             )

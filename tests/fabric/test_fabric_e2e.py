@@ -177,6 +177,15 @@ class TestDistributedEqualsSerial:
                 assert record.cycle == fault.cycle
         assert not by_fault, f"extra journal records: {sorted(by_fault)}"
 
+    def test_strike_sites_reach_the_coordinator_journal(self, outcome):
+        """Workers' strike sites ride the record lines into the
+        coordinator's store and journal, with no protocol change."""
+        journal = next((outcome["fabric"].tmp_path / "journals").glob("*.jsonl"))
+        _meta, records, _quarantines = read_journal(journal)
+        assert records
+        assert all(record.site is not None for record in records)
+        assert {record.site.mode for record in records} <= {"user", "kernel"}
+
     def test_no_fault_was_executed_twice(self, outcome):
         executed = sum(worker.executed for worker in outcome["workers"])
         assert executed == FAULTS * len(COMPONENTS)

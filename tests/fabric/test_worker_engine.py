@@ -71,11 +71,11 @@ def test_worker_context_runs_translated(golden_cycles):
     assert context.injector._restorer is not None, "no copy-on-write restores"
 
     fault = context.plan[Component.REGFILE][0]
-    effect = context.injector.run_fault(fault)
+    effect = context.injector.run_fault_ex(fault).effect
     assert translator.block_runs > 0, "worker context never ran a block"
 
     reference = _CampaignContext(_spec(golden_cycles, translate=False))
     assert reference.injector.translator is None
     assert reference.image.engine.translate is False
     assert reference.injector._restorer is None
-    assert reference.injector.run_fault(fault) == effect
+    assert reference.injector.run_fault_ex(fault).effect == effect

@@ -353,13 +353,13 @@ class TestAdaptiveResume:
         journal_path.write_text("".join(lines[: keep + 1]))
 
         live: list = []
-        original = parallel.ImageInjector.run_fault
+        original = parallel.ImageInjector.run_fault_ex
 
         def counting(self, fault):
             live.append(fault)
             return original(self, fault)
 
-        monkeypatch.setattr(parallel.ImageInjector, "run_fault", counting)
+        monkeypatch.setattr(parallel.ImageInjector, "run_fault_ex", counting)
         resumed_campaign = AdaptiveCampaign(
             _adaptive_config(),
             cache_dir=tmp_path / "cache2",

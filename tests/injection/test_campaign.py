@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.injection.adaptive import AdaptiveCampaign
 from repro.injection.campaign import (
     CampaignConfig,
     ComponentResult,
@@ -144,3 +145,61 @@ class TestLiveCampaign:
             loaded.components[sample].conservative_margin
             < result.components[sample].conservative_margin
         )
+
+
+class TestStaleGoldenCache:
+    """A partial cache hit recorded against another golden run is not
+    extended: every requested component is re-run against the new one."""
+
+    @pytest.mark.parametrize(
+        "campaign_class, config",
+        [
+            (InjectionCampaign, CampaignConfig(faults_per_component=4, seed=5)),
+            (
+                AdaptiveCampaign,
+                CampaignConfig(
+                    target_margin=0.3, min_faults=4, max_faults=8,
+                    batch_size=8, seed=5,
+                ),
+            ),
+        ],
+        ids=["fixed", "adaptive"],
+    )
+    def test_stale_partial_cache_is_rerun(self, campaign_class, config, tmp_path):
+        workload = get_workload("StringSearch")
+        golden = run_golden(workload, SCALED_A9_CONFIG)
+        bogus = 999
+        stale = WorkloadResult(
+            workload_name=workload.name,
+            golden_cycles=golden.cycles + 1,
+            components={
+                Component.REGFILE: ComponentResult(
+                    component=Component.REGFILE,
+                    injections=bogus,
+                    population_bits=component_bits(
+                        SCALED_A9_CONFIG, Component.REGFILE
+                    ),
+                    counts={FaultEffect.SDC: bogus},
+                )
+            },
+        )
+        cache_file = tmp_path / (config.cache_key(workload.name) + ".json")
+        cache_file.write_text(json.dumps(stale.to_dict()))
+        messages: list[str] = []
+        campaign = campaign_class(
+            config, cache_dir=tmp_path, progress=messages.append
+        )
+        result = campaign.run_workload(
+            workload, components=(Component.REGFILE, Component.L1D)
+        )
+        assert result.golden_cycles == golden.cycles
+        assert set(result.components) == {Component.REGFILE, Component.L1D}
+        for tally in result.components.values():
+            assert 0 < tally.injections < bogus
+        assert (
+            f"cache: {cache_file.name} was recorded against "
+            f"{golden.cycles + 1} golden cycles, now {golden.cycles}; "
+            "re-running"
+        ) in messages
+        stored = WorkloadResult.from_dict(json.loads(cache_file.read_text()))
+        assert stored.to_dict() == result.to_dict()

@@ -16,7 +16,7 @@ import pytest
 from repro.injection.campaign import (
     CampaignConfig,
     InjectionCampaign,
-    record_golden_captures,
+    record_golden_observables,
     run_golden,
 )
 from repro.injection.classify import FaultEffect
@@ -48,7 +48,7 @@ def prepared(request):
     """(workload, golden, snapshots, digests) for each equivalence workload."""
     workload = get_workload(request.param)
     golden = run_golden(workload, MACHINE)
-    snapshots, digests = record_golden_captures(
+    snapshots, digests, _, _ = record_golden_observables(
         workload, MACHINE, golden, snapshot_count=6, digest_count=16
     )
     return workload, golden, snapshots, digests
@@ -118,20 +118,6 @@ class TestPerFaultEquivalence:
                     assert result.cycles_saved == 0
         # Masked-heavy components must actually exercise the pruning.
         assert ended & {ENDED_DIGEST, ENDED_DEAD_CELL}
-
-    def test_run_fault_still_returns_bare_effect(self, prepared):
-        """Backward compatibility: ``run_fault`` keeps its old contract."""
-        _workload, golden, _snapshots, _digests = prepared
-        pruned_image, _full = _image_pair(prepared, 1)
-        injector = ImageInjector(pruned_image)
-        fault = generate_faults(
-            Component.REGFILE,
-            component_bits(MACHINE, Component.REGFILE),
-            golden.cycles,
-            count=1,
-            seed=5,
-        )[0]
-        assert isinstance(injector.run_fault(fault), FaultEffect)
 
 
 class TestClusterStraddle:

@@ -1,19 +1,26 @@
-"""Instrumented injection: strike-site observability and ablation knobs."""
+"""Strike-site observability on the injection engine, and cluster sizes."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 from repro.injection.campaign import (
-    run_golden,
-    run_instrumented_injection,
+    CampaignConfig,
+    prepare_image,
     run_single_injection,
 )
 from repro.injection.classify import FaultEffect
 from repro.injection.components import Component, component_bits
-from repro.injection.fault import Fault, generate_faults
+from repro.injection.fault import Fault, StrikeSite, generate_faults
+from repro.injection.journal import InjectionRecord
+from repro.injection.parallel import EngineOptions, ImageInjector
 from repro.microarch.config import SCALED_A9_CONFIG
 from repro.workloads import get_workload
+
+#: The reference engine: interpreter, full-sweep restores, no pruning.
+REFERENCE = EngineOptions(translate=False, early_exit=False)
 
 
 @pytest.fixture(scope="module")
@@ -22,31 +29,42 @@ def workload():
 
 
 @pytest.fixture(scope="module")
-def golden(workload):
-    return run_golden(workload, SCALED_A9_CONFIG)
+def prepared(workload):
+    return prepare_image(workload, CampaignConfig())
+
+
+@pytest.fixture(scope="module")
+def golden(prepared):
+    return prepared[0]
+
+
+@pytest.fixture(scope="module")
+def injector(prepared):
+    return ImageInjector(prepared[1])
+
+
+def _injector(workload, **config) -> ImageInjector:
+    return ImageInjector(prepare_image(workload, CampaignConfig(**config))[1])
 
 
 class TestObservability:
-    def test_observation_fields(self, workload, golden):
+    def test_observation_fields(self, injector, golden):
         fault = Fault(Component.L1D, bit_index=100, cycle=golden.cycles // 2)
-        observation = run_instrumented_injection(
-            workload, fault, SCALED_A9_CONFIG, golden
-        )
-        assert observation.fault == fault
-        assert observation.effect in set(FaultEffect)
-        assert observation.mode_at_injection in ("user", "kernel")
+        result = injector.run_fault_ex(fault)
+        assert result.effect in set(FaultEffect)
+        assert isinstance(result.site, StrikeSite)
+        assert result.site.mode in ("user", "kernel")
+        assert isinstance(result.site.live, bool)
 
-    def test_dead_cache_line_observed_and_masked(self, workload, golden):
+    def test_dead_cache_line_observed_and_masked(self, injector):
         """A strike at cycle 0 hits cold caches: not live, masked."""
         fault = Fault(Component.L2, bit_index=77, cycle=0)
-        observation = run_instrumented_injection(
-            workload, fault, SCALED_A9_CONFIG, golden
-        )
-        assert not observation.target_live
-        assert observation.target_region is None
-        assert observation.effect is FaultEffect.MASKED
+        result = injector.run_fault_ex(fault)
+        assert not result.site.live
+        assert result.site.region is None
+        assert result.effect is FaultEffect.MASKED
 
-    def test_effect_matches_plain_injection(self, workload, golden):
+    def test_effect_matches_plain_injection(self, workload, golden, injector):
         faults = generate_faults(
             Component.L1I,
             component_bits(SCALED_A9_CONFIG, Component.L1I),
@@ -56,12 +74,9 @@ class TestObservability:
         )
         for fault in faults:
             plain = run_single_injection(workload, fault, SCALED_A9_CONFIG, golden)
-            instrumented = run_instrumented_injection(
-                workload, fault, SCALED_A9_CONFIG, golden
-            )
-            assert instrumented.effect == plain
+            assert injector.run_fault_ex(fault).effect == plain
 
-    def test_regions_are_meaningful(self, workload, golden):
+    def test_regions_are_meaningful(self, injector, golden):
         regions = set()
         faults = generate_faults(
             Component.L1D,
@@ -71,11 +86,9 @@ class TestObservability:
             seed=17,
         )
         for fault in faults:
-            observation = run_instrumented_injection(
-                workload, fault, SCALED_A9_CONFIG, golden
-            )
-            if observation.target_region:
-                regions.add(observation.target_region)
+            site = injector.run_fault_ex(fault).site
+            if site.region:
+                regions.add(site.region)
         # A running system holds both user and kernel lines in L1D.
         assert regions  # at least something live was struck
         valid_names = {
@@ -84,6 +97,62 @@ class TestObservability:
             "check_text", "golden_buffer", "unmapped",
         }
         assert regions <= valid_names
+
+
+class TestEngineIndependence:
+    def test_site_identical_on_the_reference_engine(self, workload, golden, injector):
+        """The site comes from the machine state at the flip, not from the
+        engine: translation and early exit change nothing about it."""
+        reference = _injector(workload, translate=False, early_exit=False)
+        assert reference.image.engine.translate is False
+        faults = [Fault(Component.L2, bit_index=77, cycle=0)]
+        for component in (Component.L1D, Component.L2, Component.DTLB, Component.REGFILE):
+            faults += generate_faults(
+                component,
+                component_bits(SCALED_A9_CONFIG, component),
+                golden.cycles,
+                count=4,
+                seed=5,
+            )
+        for fault in faults:
+            fast = injector.run_fault_ex(fault)
+            slow = reference.run_fault_ex(fault)
+            assert fast.site == slow.site, fault
+            assert fast.effect is slow.effect, fault
+
+    def test_non_cache_site_has_no_region(self, injector, golden):
+        fault = Fault(Component.REGFILE, bit_index=3, cycle=golden.cycles // 3)
+        site = injector.run_fault_ex(fault).site
+        assert site.region is None
+        assert site.live  # register 0 is architectural
+
+
+class TestJournalSite:
+    def _record(self, site):
+        return InjectionRecord(
+            component=Component.L1D,
+            index=3,
+            bit_index=100,
+            cycle=2000,
+            effect=FaultEffect.SDC,
+            wall_time=0.01,
+            site=site,
+        )
+
+    def test_site_round_trips(self):
+        for site in (
+            StrikeSite("user", "user_data", True),
+            StrikeSite("kernel", None, False),
+        ):
+            line = json.loads(json.dumps(self._record(site).to_line()))
+            assert line["site"] == [site.mode, site.region, site.live]
+            assert InjectionRecord.from_line(line).site == site
+
+    def test_line_without_site_replays_as_none(self):
+        line = self._record(StrikeSite("user", "user_data", True)).to_line()
+        del line["site"]
+        assert InjectionRecord.from_line(line).site is None
+        assert "site" not in self._record(None).to_line()
 
 
 class TestClusterSizes:
@@ -109,21 +178,26 @@ class TestClusterSizes:
         assert effect in set(FaultEffect)
 
     def test_instrumented_cluster_matches_plain(self, workload, golden):
-        """run_instrumented_injection honours cluster_size: for every
-        cluster the observed effect equals the plain injector's (the
-        instrumentation changes what is observed, never what is flipped)."""
+        """The engine honours cluster_size: for every cluster the effect
+        equals the plain injector's, and the site is that of the first
+        struck bit whatever the cluster (observation never changes what
+        is flipped)."""
         faults = (
             Fault(Component.L1D, bit_index=8, cycle=golden.cycles // 2),
             Fault(Component.REGFILE, bit_index=3, cycle=golden.cycles // 3),
         )
+        injectors = {
+            cluster: _injector(workload, cluster_size=cluster)
+            for cluster in (1, 2, 4)
+        }
         for fault in faults:
-            for cluster in (1, 2, 4):
+            sites = set()
+            for cluster, injector in injectors.items():
                 plain = run_single_injection(
                     workload, fault, SCALED_A9_CONFIG, golden,
                     cluster_size=cluster,
                 )
-                observation = run_instrumented_injection(
-                    workload, fault, SCALED_A9_CONFIG, golden,
-                    cluster_size=cluster,
-                )
-                assert observation.effect is plain, (fault, cluster)
+                result = injector.run_fault_ex(fault)
+                assert result.effect is plain, (fault, cluster)
+                sites.add(result.site)
+            assert len(sites) == 1, (fault, sites)

@@ -19,7 +19,6 @@ from repro.injection.campaign import (
     InjectionCampaign,
     prepare_image,
     record_golden_observables,
-    record_golden_snapshots,
     run_golden,
     run_single_injection,
 )
@@ -60,7 +59,9 @@ def golden(workload):
 
 @pytest.fixture(scope="module")
 def snapshots(workload, golden):
-    return record_golden_snapshots(workload, SCALED_A9_CONFIG, golden, count=4)
+    return record_golden_observables(
+        workload, SCALED_A9_CONFIG, golden, snapshot_count=4, digest_count=0
+    )[0]
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +105,7 @@ class TestImageInjector:
                 legacy = run_single_injection(
                     workload, fault, SCALED_A9_CONFIG, golden, snapshots=snapshots
                 )
-                assert injector.run_fault(fault) == legacy, fault
+                assert injector.run_fault_ex(fault).effect == legacy, fault
 
     def test_pristine_restore_matches_fresh_boot(self, workload, golden, image):
         """A fault before the first checkpoint uses the pristine image."""
@@ -120,7 +121,7 @@ class TestImageInjector:
         for fault in early:
             assert fault.cycle < first_checkpoint
             legacy = run_single_injection(workload, fault, SCALED_A9_CONFIG, golden)
-            assert injector.run_fault(fault) == legacy
+            assert injector.run_fault_ex(fault).effect == legacy
 
     def test_injector_is_reusable_and_order_independent(self, golden, image):
         faults = generate_faults(
@@ -131,8 +132,10 @@ class TestImageInjector:
             seed=17,
         )
         injector = ImageInjector(image)
-        forward = [injector.run_fault(fault) for fault in faults]
-        backward = [injector.run_fault(fault) for fault in reversed(faults)]
+        forward = [injector.run_fault_ex(fault).effect for fault in faults]
+        backward = [
+            injector.run_fault_ex(fault).effect for fault in reversed(faults)
+        ]
         assert forward == list(reversed(backward))
 
 

@@ -19,7 +19,7 @@ from repro.errors import InjectionError
 from repro.injection.campaign import (
     CampaignConfig,
     InjectionCampaign,
-    record_golden_snapshots,
+    record_golden_observables,
     run_golden,
 )
 from repro.injection.classify import FaultEffect
@@ -64,7 +64,9 @@ def golden(workload):
 
 @pytest.fixture(scope="module")
 def image(workload, golden):
-    snapshots = record_golden_snapshots(workload, SCALED_A9_CONFIG, golden, count=4)
+    snapshots, _, _, _ = record_golden_observables(
+        workload, SCALED_A9_CONFIG, golden, snapshot_count=4, digest_count=0
+    )
     return MachineImage.capture(
         workload, SCALED_A9_CONFIG, golden, snapshots,
         engine=EngineOptions(lifetime_events=False),
@@ -237,7 +239,7 @@ class TestWorkerDeath:
     """Worker kills are detected, retried, and bounded by quarantine."""
 
     def _arm_killer(self, monkeypatch, target, sentinel=None):
-        real = ImageInjector.run_fault
+        real = ImageInjector.run_fault_ex
 
         def killer(self, fault):
             if fault == target:
@@ -248,7 +250,7 @@ class TestWorkerDeath:
                     os._exit(42)
             return real(self, fault)
 
-        monkeypatch.setattr(ImageInjector, "run_fault", killer)
+        monkeypatch.setattr(ImageInjector, "run_fault_ex", killer)
 
     def test_transient_death_is_retried_to_completion(
         self, image, plan, golden, reference, tmp_path, monkeypatch
@@ -305,14 +307,14 @@ class TestWorkerDeath:
         self, image, plan, monkeypatch
     ):
         target = plan[Component.DTLB][1]
-        real = ImageInjector.run_fault
+        real = ImageInjector.run_fault_ex
 
         def stall(self, fault):
             if fault == target:
                 time.sleep(60)
             return real(self, fault)
 
-        monkeypatch.setattr(ImageInjector, "run_fault", stall)
+        monkeypatch.setattr(ImageInjector, "run_fault_ex", stall)
         telemetry = CampaignTelemetry()
         quarantined = []
         start = time.monotonic()
@@ -446,14 +448,14 @@ class TestCampaignLevelResilience:
             count=4,
             seed=5,
         )[1]
-        real = ImageInjector.run_fault
+        real = ImageInjector.run_fault_ex
 
         def killer(self, fault):
             if fault == target:
                 os._exit(42)
             return real(self, fault)
 
-        monkeypatch.setattr(ImageInjector, "run_fault", killer)
+        monkeypatch.setattr(ImageInjector, "run_fault_ex", killer)
         result = InjectionCampaign(config, cache_dir=tmp_path).run_workload(
             workload, components=(Component.REGFILE,)
         )

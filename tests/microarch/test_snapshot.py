@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.injection.campaign import (
-    record_golden_snapshots,
+    record_golden_observables,
     run_golden,
     run_single_injection,
 )
@@ -39,7 +39,9 @@ def golden(workload):
 
 @pytest.fixture(scope="module")
 def snapshots(workload, golden):
-    return record_golden_snapshots(workload, SCALED_A9_CONFIG, golden, count=4)
+    return record_golden_observables(
+        workload, SCALED_A9_CONFIG, golden, snapshot_count=4, digest_count=0
+    )[0]
 
 
 class TestSnapshotMechanics:
