@@ -130,7 +130,7 @@ def _cmd_run(args) -> int:
         from repro.microarch.profile import enable_op_counts
         from repro.microarch.translate import attach_translator
 
-        # Tracing forces the interpreter loop, so a combined
+        # Traced runs run without the translator, so a combined
         # --trace --profile run reports everything as interpreted.
         translator = attach_translator(system, profile=True)
         enable_op_counts(system.core)
@@ -571,8 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("benchmark")
     run.add_argument("--trace", type=int, default=0, metavar="N",
                      help="keep a bounded instruction trace and print the "
-                     "last N instructions after the run (slower: forces "
-                     "the non-optimized interpreter loop)")
+                     "last N instructions after the run (slower: records "
+                     "every instruction)")
     run.add_argument("--profile", action="store_true",
                      help="run through the block translator with profiling "
                      "armed and print the execution profile: interpreted "
@@ -630,8 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
     inject.add_argument("--trace-on-crash", type=int, default=0,
                         metavar="N",
                         help="attach the last N executed instructions to "
-                        "Crash-classified journal records (forces the "
-                        "slow interpreter loop; default off)")
+                        "Crash-classified journal records (runs without "
+                        "the translator; default off)")
     inject.add_argument("--metrics", metavar="PATH", default=None,
                         help="export the telemetry summary as "
                         "machine-readable JSON (repro-metrics schema)")

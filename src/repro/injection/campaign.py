@@ -84,7 +84,8 @@ def read_json_cache(path: Path, parse: Callable, progress: Callable[[str], None]
         return None
     try:
         return parse(json.loads(path.read_text()))
-    except (ValueError, KeyError, InjectionError):
+    # TypeError/AttributeError: valid JSON of the wrong shape (null, [], ...).
+    except (ValueError, KeyError, TypeError, AttributeError, InjectionError):
         progress(f"cache: ignoring corrupt {path.name}, re-running")
         return None
 
@@ -145,7 +146,7 @@ class CampaignConfig:
     lifetime_events: bool = True
     #: When > 0, keep a bounded instruction trace during each injection and
     #: attach the last N entries to Crash-classified journal records.
-    #: Tracing forces the slow interpreter loop; 0 (the default) disables
+    #: Traced runs run without the translator; 0 (the default) disables
     #: it.  Observation-only, hence also excluded from the cache key.
     trace_on_crash: int = 0
     #: Execute injected and golden runs through the basic-block translator

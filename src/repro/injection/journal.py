@@ -219,29 +219,38 @@ def read_journal(
                 f"journal {path} line {number} is corrupt: {exc}"
             ) from None
 
+    def malformed(number: int, exc) -> InjectionError:
+        return InjectionError(f"journal {path} line {number} is malformed: {exc}")
+
     head = parsed[0]
+    if not isinstance(head, dict):
+        raise malformed(1, "not a JSON object")
     if head.get("type") != "meta" or head.get("version") != JOURNAL_VERSION:
         raise InjectionError(
             f"journal {path} has no valid meta header (found {head.get('type')!r} "
             f"version {head.get('version')!r}, expected meta v{JOURNAL_VERSION})"
         )
-    meta = JournalMeta.from_line(head)
+    try:
+        meta = JournalMeta.from_line(head)
+    except KeyError as exc:
+        raise malformed(1, exc) from None
 
     records: list[InjectionRecord] = []
     quarantines: list[QuarantineRecord] = []
     for number, payload in enumerate(parsed[1:], start=2):
-        kind = payload.get("type")
         try:
+            if not isinstance(payload, dict):
+                raise TypeError("not a JSON object")
+            kind = payload.get("type")
             if kind == "injection":
                 records.append(InjectionRecord.from_line(payload))
             elif kind == "quarantine":
                 quarantines.append(QuarantineRecord.from_line(payload))
             else:
                 raise KeyError(f"unknown record type {kind!r}")
-        except KeyError as exc:
-            raise InjectionError(
-                f"journal {path} line {number} is malformed: {exc}"
-            ) from None
+        # TypeError/ValueError: a field of the wrong type ("events": 5, ...).
+        except (KeyError, TypeError, ValueError) as exc:
+            raise malformed(number, exc) from None
     return meta, records, quarantines
 
 

@@ -147,7 +147,7 @@ class EngineOptions:
     #: Record per-injection fault-lifetime events (:mod:`repro.observability`).
     lifetime_events: bool = True
     #: When > 0, trace every injected run and attach the last N instructions
-    #: to Crash-classified results.  Forces the slow interpreter loop.
+    #: to Crash-classified results.  Traced runs run without the translator.
     trace_on_crash: int = 0
     #: Compile translator iteration counters and collect per-op dispatch
     #: counts (:mod:`repro.microarch.profile`).

@@ -66,6 +66,9 @@ _SIGN32 = 0x80000000
 _INT32_MIN = -(1 << 31)
 _INT32_MAX = (1 << 31) - 1
 
+#: ``next_event`` once no events remain: a cycle no run reaches.
+_NEVER = 1 << 62
+
 
 class Mode(enum.IntEnum):
     USER = 0
@@ -567,13 +570,6 @@ def _decode_slow(word: int):
     return entry
 
 
-def _decode_cached(word: int):
-    entry = _DECODE_CACHE.get(word)
-    if entry is None:
-        entry = _decode_slow(word)
-    return entry
-
-
 class Core:
     """A single simulated CPU core wired to a memory hierarchy."""
 
@@ -637,14 +633,14 @@ class Core:
 
         #: Optional basic-block translator
         #: (:class:`repro.microarch.translate.BlockTranslator`).  ``None``
-        #: means pure interpretation.  Both run loops consult it between
+        #: means pure interpretation.  The run loop consults it between
         #: instructions; it is ignored while a trace hook is installed
         #: (tracing is per-instruction by definition).
         self.translator = None
 
         #: Optional per-op dispatch histogram (handler -> count), enabled
         #: by :func:`repro.microarch.profile.enable_op_counts`.  ``None``
-        #: (the default) keeps the interpreter loops branch-cheap; when
+        #: (the default) keeps the interpreter loop branch-cheap; when
         #: set, every *interpreted* dispatch is tallied - translated
         #: instructions deliberately do not appear here, which is exactly
         #: what makes the histogram useful: it shows what still falls back.
@@ -859,58 +855,24 @@ class Core:
 
     # -- execution ---------------------------------------------------------------
 
-    def step(self) -> None:
-        """Fetch, decode, and execute one instruction."""
-        pc = self.pc
-        self.current_pc = pc
-        if pc & 3:
-            raise AlignmentFault(f"misaligned fetch at {pc:#010x}", pc=pc)
-        if pc >= MMIO_BASE:
-            raise SegmentationFault(f"fetch from device space {pc:#010x}", pc=pc)
-
-        if self.atomic:
-            if pc + 4 > self.memory.size:
-                raise SegmentationFault(f"fetch outside memory {pc:#010x}", pc=pc)
-            word = int.from_bytes(self.memory.data[pc : pc + 4], "little")
-            fetch_latency = 0
-        else:
-            paddr, tlb_latency = self._translate(pc, self.itlb, PTE_EXEC)
-            data, cache_latency = self.l1i.read(paddr, 4)
-            word = int.from_bytes(data, "little")
-            fetch_latency = tlb_latency + cache_latency
-
-        entry = _DECODE_CACHE.get(word)
-        if entry is None:
-            entry = _decode_slow(word)
-            if entry is None:
-                raise IllegalInstruction(
-                    f"illegal instruction {word:#010x} at {pc:#010x}", pc=pc
-                )
-        self.pc = pc + 4
-        handler, rd, rs1, rs2, imm = entry
-        counts = self.op_counts
-        if counts is not None:
-            counts[handler] = counts.get(handler, 0) + 1
-        cost = handler(self, rd, rs1, rs2, imm)
-        self.icount += 1
-        self.cycle += 1 + fetch_latency + cost
-
     def run(self, max_cycles: int, events=None, trace=None) -> None:
         """Execute until a :class:`SimulationTermination` is raised.
 
-        ``events`` is an optional list of ``(cycle, callable)`` pairs,
-        sorted by cycle, fired between instructions once the cycle counter
-        passes their timestamp (used by the fault injectors).
+        ``events`` is an optional list of ``(cycle, callable)`` pairs fired
+        between instructions once the cycle counter passes their timestamp
+        (used by the fault injectors).  Every event due at the current
+        cycle fires before the next instruction; ties fire in list order.
 
         ``trace``, if given, is called with the core before every
-        instruction (used by :mod:`repro.microarch.trace`).
+        instruction (used by :mod:`repro.microarch.trace`).  While it is
+        set the translator stays off: tracing is per-instruction by
+        definition.
 
-        Once no events remain to fire and no trace hook is installed,
-        execution switches to :meth:`_run_fast`, a fetch/decode/execute
-        loop with the per-instruction event and trace branches removed and
-        hot attribute lookups hoisted into locals.  Its semantics are
-        cycle-for-cycle identical to this loop (the injection equivalence
-        suite depends on that).
+        Each iteration runs, in order: due events, the timer interrupt, the
+        watchdog, the trace hook, then either a translated block or one
+        fetch/decode/execute.  The fetch inlines the ITLB and L1I hit paths
+        with invariant lookups (memory buffer, cache/TLB state, the decode
+        memo) bound to locals.
 
         This method always exits by raising: :class:`ProgramExit`,
         :class:`ApplicationAbort`, :class:`KernelPanic` or
@@ -918,83 +880,14 @@ class Core:
         """
         pending = sorted(events, key=lambda item: item[0]) if events else []
         pending.reverse()  # pop() from the end
-        next_event = pending[-1][0] if pending else None
-        translator = self.translator if trace is None else None
-
-        while True:
-            if next_event is None and trace is None:
-                self._run_fast(max_cycles)  # always exits by raising
-            cycle = self.cycle
-            if next_event is not None and cycle >= next_event:
-                _cycle, action = pending.pop()
-                action()
-                next_event = pending[-1][0] if pending else None
-                continue
-            if cycle >= self.next_timer:
-                if self.mode == Mode.USER:
-                    self.timer_irqs += 1
-                    self.enter_kernel(CAUSE_TIMER, epc=self.pc)
-                    self.next_timer = cycle + self.timer_interval
-                # In kernel mode the interrupt stays pending until eret.
-            if cycle >= max_cycles:
-                raise WatchdogTimeout(cycle)
-            if trace is not None:
-                trace(self)
-            if translator is not None:
-                # A translated block may run only up to the next boundary a
-                # per-instruction check would notice: the next event, the
-                # watchdog, and (in user mode) the pending timer.  All three
-                # checks above guarantee limit > cycle here.
-                limit = (
-                    next_event
-                    if next_event is not None and next_event < max_cycles
-                    else max_cycles
-                )
-                if self.mode == Mode.USER and self.next_timer < limit:
-                    limit = self.next_timer
-                try:
-                    if translator.execute(self, limit):
-                        continue
-                except ArchitecturalFault as fault:
-                    if self.mode == Mode.KERNEL:
-                        raise KernelPanic(
-                            str(fault), pc=self.current_pc
-                        ) from fault
-                    self.enter_kernel(
-                        fault.cause, epc=self.current_pc, faultaddr=fault.pc
-                    )
-                    self.cycle += 4
-                    continue
-            try:
-                self.step()
-            except ArchitecturalFault as fault:
-                if self.mode == Mode.KERNEL:
-                    raise KernelPanic(str(fault), pc=self.current_pc) from fault
-                self.enter_kernel(
-                    fault.cause, epc=self.current_pc, faultaddr=fault.pc
-                )
-                self.cycle += 4
-
-    def _run_fast(self, max_cycles: int) -> None:
-        """Event-free, trace-free interpreter loop (the campaign hot path).
-
-        This is :meth:`step` inlined into the run loop with invariant
-        lookups (memory buffer, cache/TLB methods, the decode memo) bound
-        to locals.  Any behavioural change here must keep it bit-exact
-        with the slow loop in :meth:`run`.
-        """
+        next_event = pending[-1][0] if pending else _NEVER
         atomic = self.atomic
         memory_data = self.memory.data
         memory_size = self.memory.size
         translate = self._translate
         itlb = self.itlb
         itlb_map = itlb._map
-        # Taint probes are installed by the flip event, which fires in the
-        # slow loop of run(); this loop is (re-)entered afterwards, so
-        # binding the probes to locals here always sees the current ones.
-        itlb_probe = itlb.probe
         l1i = self.l1i
-        l1i_probe = l1i.probe
         l1i_read = l1i.read
         l1i_sets = l1i.sets
         offset_bits = l1i._offset_bits
@@ -1009,132 +902,147 @@ class Core:
         int_from_bytes = int.from_bytes
         mode_user = Mode.USER
         mode_kernel = Mode.KERNEL
-        translator = self.translator
+        translator = self.translator if trace is None else None
         translator_execute = translator.execute if translator is not None else None
         op_counts = self.op_counts
 
         while True:
-            cycle = self.cycle
-            if cycle >= self.next_timer:
-                if self.mode is mode_user:
-                    self.timer_irqs += 1
-                    self.enter_kernel(CAUSE_TIMER, epc=self.pc)
-                    self.next_timer = cycle + self.timer_interval
-                # In kernel mode the interrupt stays pending until eret.
-            if cycle >= max_cycles:
-                raise WatchdogTimeout(cycle)
-            if translator_execute is not None:
-                # Same boundary rule as the slow loop: stop at the watchdog
-                # and, in user mode, at the pending timer.  The checks above
-                # guarantee limit > cycle here.
-                limit = self.next_timer if self.mode is mode_user else max_cycles
-                if limit > max_cycles:
-                    limit = max_cycles
-                try:
-                    if translator_execute(self, limit):
+            # Events install taint probes, so the probe locals are re-read
+            # every time the loop below is entered after an event fired.
+            itlb_probe = itlb.probe
+            l1i_probe = l1i.probe
+            while True:
+                cycle = self.cycle
+                if cycle >= next_event:
+                    break
+                if cycle >= self.next_timer:
+                    if self.mode is mode_user:
+                        self.timer_irqs += 1
+                        self.enter_kernel(CAUSE_TIMER, epc=self.pc)
+                        self.next_timer = cycle + self.timer_interval
+                    # In kernel mode the interrupt stays pending until eret.
+                if cycle >= max_cycles:
+                    raise WatchdogTimeout(cycle)
+                if trace is not None:
+                    trace(self)
+                if translator_execute is not None:
+                    # A translated block may run only up to the next boundary
+                    # a per-instruction check would notice: the next event,
+                    # the watchdog, and (in user mode) the pending timer.  The
+                    # checks above guarantee limit > cycle here.
+                    limit = next_event if next_event < max_cycles else max_cycles
+                    if self.mode is mode_user and self.next_timer < limit:
+                        limit = self.next_timer
+                    try:
+                        if translator_execute(self, limit):
+                            continue
+                    except ArchitecturalFault as fault:
+                        if self.mode is mode_kernel:
+                            raise KernelPanic(
+                                str(fault), pc=self.current_pc
+                            ) from fault
+                        self.enter_kernel(
+                            fault.cause, epc=self.current_pc, faultaddr=fault.pc
+                        )
+                        self.cycle += 4
                         continue
+                pc = self.pc
+                self.current_pc = pc
+                try:
+                    if pc & 3:
+                        raise AlignmentFault(
+                            f"misaligned fetch at {pc:#010x}", pc=pc
+                        )
+                    if pc >= MMIO_BASE:
+                        raise SegmentationFault(
+                            f"fetch from device space {pc:#010x}", pc=pc
+                        )
+                    if atomic:
+                        if pc + 4 > memory_size:
+                            raise SegmentationFault(
+                                f"fetch outside memory {pc:#010x}", pc=pc
+                            )
+                        word = int_from_bytes(memory_data[pc : pc + 4], "little")
+                        fetch_latency = 0
+                    else:
+                        # Inline ITLB-hit path.  Checks are pure reads; the
+                        # side effects (access/clock counters, the LRU stamp)
+                        # are applied only once the hit is certain, so falling
+                        # back to the full _translate() on any miss,
+                        # permission problem or bounds problem replays the
+                        # canonical sequence.
+                        vpn = pc >> page_shift
+                        tlb_entry = itlb_map.get(vpn)
+                        paddr = -1
+                        if (
+                            tlb_entry is not None
+                            and tlb_entry.valid
+                            and tlb_entry.vpn == vpn
+                        ):
+                            perms = tlb_entry.perms
+                            if (
+                                perms & pte_fetch_ok == pte_fetch_ok
+                                and (perms & pte_user or self.mode is not mode_user)
+                            ):
+                                candidate = (tlb_entry.ppn << page_shift) | (
+                                    pc & 0xFFF
+                                )
+                                if candidate < layout_memory_size:
+                                    itlb.accesses += 1
+                                    itlb._clock += 1
+                                    tlb_entry.stamp = itlb._clock
+                                    if itlb_probe is not None:
+                                        itlb_probe.on_lookup(itlb, tlb_entry)
+                                    paddr = candidate
+                                    tlb_latency = 0
+                        if paddr < 0:
+                            paddr, tlb_latency = translate(pc, itlb, PTE_EXEC)
+                        # Inline L1I-hit path, same discipline as above.
+                        tag = paddr >> offset_bits
+                        word = -1
+                        for line in l1i_sets[tag & set_mask]:
+                            if line.valid and line.tag == tag:
+                                l1i._clock += 1
+                                l1i.accesses += 1
+                                line.stamp = l1i._clock
+                                if l1i_probe is not None:
+                                    l1i_probe.on_read(l1i, line, paddr, 4)
+                                offset = paddr & offset_mask
+                                word = int_from_bytes(
+                                    line.data[offset : offset + 4], "little"
+                                )
+                                fetch_latency = tlb_latency + l1i_hit_latency
+                                break
+                        if word < 0:
+                            data, cache_latency = l1i_read(paddr, 4)
+                            word = int_from_bytes(data, "little")
+                            fetch_latency = tlb_latency + cache_latency
+
+                    entry = decode_get(word)
+                    if entry is None:
+                        entry = _decode_slow(word)
+                        if entry is None:
+                            raise IllegalInstruction(
+                                f"illegal instruction {word:#010x} at {pc:#010x}",
+                                pc=pc,
+                            )
+                    self.pc = pc + 4
+                    handler, rd, rs1, rs2, imm = entry
+                    if op_counts is not None:
+                        op_counts[handler] = op_counts.get(handler, 0) + 1
+                    cost = handler(self, rd, rs1, rs2, imm)
+                    self.icount += 1
+                    self.cycle = cycle + 1 + fetch_latency + cost
                 except ArchitecturalFault as fault:
                     if self.mode is mode_kernel:
-                        raise KernelPanic(
-                            str(fault), pc=self.current_pc
-                        ) from fault
+                        raise KernelPanic(str(fault), pc=self.current_pc) from fault
                     self.enter_kernel(
                         fault.cause, epc=self.current_pc, faultaddr=fault.pc
                     )
                     self.cycle += 4
-                    continue
-            pc = self.pc
-            self.current_pc = pc
-            try:
-                if pc & 3:
-                    raise AlignmentFault(f"misaligned fetch at {pc:#010x}", pc=pc)
-                if pc >= MMIO_BASE:
-                    raise SegmentationFault(
-                        f"fetch from device space {pc:#010x}", pc=pc
-                    )
-                if atomic:
-                    if pc + 4 > memory_size:
-                        raise SegmentationFault(
-                            f"fetch outside memory {pc:#010x}", pc=pc
-                        )
-                    word = int_from_bytes(memory_data[pc : pc + 4], "little")
-                    fetch_latency = 0
-                else:
-                    # Inline ITLB-hit fast path.  Checks are pure reads; the
-                    # side effects (access/clock counters, the LRU stamp) are
-                    # applied only once the hit is certain, so falling back
-                    # to the full _translate() on any miss, permission
-                    # problem or bounds problem replays the exact sequence
-                    # the slow path would have produced.
-                    vpn = pc >> page_shift
-                    tlb_entry = itlb_map.get(vpn)
-                    paddr = -1
-                    if (
-                        tlb_entry is not None
-                        and tlb_entry.valid
-                        and tlb_entry.vpn == vpn
-                    ):
-                        perms = tlb_entry.perms
-                        if (
-                            perms & pte_fetch_ok == pte_fetch_ok
-                            and (perms & pte_user or self.mode is not mode_user)
-                        ):
-                            candidate = (tlb_entry.ppn << page_shift) | (
-                                pc & 0xFFF
-                            )
-                            if candidate < layout_memory_size:
-                                itlb.accesses += 1
-                                itlb._clock += 1
-                                tlb_entry.stamp = itlb._clock
-                                if itlb_probe is not None:
-                                    itlb_probe.on_lookup(itlb, tlb_entry)
-                                paddr = candidate
-                                tlb_latency = 0
-                    if paddr < 0:
-                        paddr, tlb_latency = translate(pc, itlb, PTE_EXEC)
-                    # Inline L1I-hit fast path, same discipline as above.
-                    tag = paddr >> offset_bits
-                    word = -1
-                    for line in l1i_sets[tag & set_mask]:
-                        if line.valid and line.tag == tag:
-                            l1i._clock += 1
-                            l1i.accesses += 1
-                            line.stamp = l1i._clock
-                            if l1i_probe is not None:
-                                l1i_probe.on_read(l1i, line, paddr, 4)
-                            offset = paddr & offset_mask
-                            word = int_from_bytes(
-                                line.data[offset : offset + 4], "little"
-                            )
-                            fetch_latency = tlb_latency + l1i_hit_latency
-                            break
-                    if word < 0:
-                        data, cache_latency = l1i_read(paddr, 4)
-                        word = int_from_bytes(data, "little")
-                        fetch_latency = tlb_latency + cache_latency
-
-                entry = decode_get(word)
-                if entry is None:
-                    entry = _decode_slow(word)
-                    if entry is None:
-                        raise IllegalInstruction(
-                            f"illegal instruction {word:#010x} at {pc:#010x}",
-                            pc=pc,
-                        )
-                self.pc = pc + 4
-                handler, rd, rs1, rs2, imm = entry
-                if op_counts is not None:
-                    op_counts[handler] = op_counts.get(handler, 0) + 1
-                cost = handler(self, rd, rs1, rs2, imm)
-                self.icount += 1
-                self.cycle = cycle + 1 + fetch_latency + cost
-            except ArchitecturalFault as fault:
-                if self.mode is mode_kernel:
-                    raise KernelPanic(str(fault), pc=self.current_pc) from fault
-                self.enter_kernel(
-                    fault.cause, epc=self.current_pc, faultaddr=fault.pc
-                )
-                self.cycle += 4
+            _cycle, action = pending.pop()
+            action()
+            next_event = pending[-1][0] if pending else _NEVER
 
     # -- statistics ----------------------------------------------------------------
 

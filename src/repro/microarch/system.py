@@ -337,17 +337,6 @@ class System:
             check_done=devices.check_done,
         )
 
-    def state_digest(self) -> bytes:
-        """Canonical digest of all mutable machine state.
-
-        Two systems with equal digests continue bit-identically (see
-        :mod:`repro.microarch.digest`); the early-termination layer of the
-        injection engine compares these against the golden run's digests.
-        """
-        from repro.microarch.digest import system_digest  # avoids a cycle
-
-        return system_digest(self)
-
     # -- post-mortem inspection ------------------------------------------------
 
     def kernel_intact(self) -> bool:

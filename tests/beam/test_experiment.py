@@ -108,7 +108,17 @@ class TestLiveBeamCampaign:
 
 
 class TestBeamCache:
-    def test_truncated_cache_is_rerun_visibly(self, tmp_path):
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda intact: intact[: len(intact) // 2],
+            lambda intact: b"null",
+            lambda intact: b"[]",
+            lambda intact: json.dumps({**json.loads(intact), "counts": None}).encode(),
+        ],
+        ids=["truncated", "null", "array", "counts-null"],
+    )
+    def test_corrupt_cache_is_rerun_visibly(self, tmp_path, corrupt):
         messages: list[str] = []
         experiment = BeamExperiment(
             BeamCampaignConfig(beam_hours=5, seed=0),
@@ -119,7 +129,7 @@ class TestBeamCache:
         result = experiment.run_workload(workload)
         (path,) = tmp_path.glob("beam-*.json")
         intact = path.read_bytes()
-        path.write_bytes(intact[: len(intact) // 2])
+        path.write_bytes(corrupt(intact))
 
         again = experiment.run_workload(workload)
         assert again.to_dict() == result.to_dict()

@@ -147,6 +147,40 @@ class TestLiveCampaign:
         )
 
 
+class TestCorruptCache:
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda intact: intact[: len(intact) // 2],
+            lambda intact: b"null",
+            lambda intact: b"[]",
+            lambda intact: json.dumps(
+                {**json.loads(intact), "components": None}
+            ).encode(),
+        ],
+        ids=["truncated", "null", "array", "components-null"],
+    )
+    def test_corrupt_cache_is_rerun_visibly(self, tmp_path, corrupt):
+        messages: list[str] = []
+        campaign = InjectionCampaign(
+            CampaignConfig(faults_per_component=2, seed=5),
+            cache_dir=tmp_path,
+            progress=messages.append,
+        )
+        workload = get_workload("StringSearch")
+        components = (Component.REGFILE,)
+        result = campaign.run_workload(workload, components=components)
+        (path,) = tmp_path.glob("fi-*.json")
+        intact = path.read_bytes()
+        path.write_bytes(corrupt(intact))
+
+        again = campaign.run_workload(workload, components=components)
+        assert again.to_dict() == result.to_dict()
+        assert f"cache: ignoring corrupt {path.name}, re-running" in messages
+        assert path.read_bytes() == intact
+        assert list(tmp_path.glob("*.tmp")) == []
+
+
 class TestStaleGoldenCache:
     """A partial cache hit recorded against another golden run is not
     extended: every requested component is re-run against the new one."""

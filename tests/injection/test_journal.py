@@ -215,13 +215,34 @@ class TestTruncationTolerance:
         _meta, records, _q = read_journal(path)
         assert [r.index for r in records] == [0, 1]
 
-    def test_interior_corruption_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "number, edit, message",
+        [
+            (2, lambda line: line.replace('"type":"injection"', '"ty]]]'),
+             "line 2 is corrupt"),
+            (2, lambda line: "[]", "line 2 is malformed"),
+            (1, lambda line: "[]", "line 1 is malformed"),
+            (1, lambda line: json.dumps(
+                {k: v for k, v in json.loads(line).items() if k != "seed"}),
+             "line 1 is malformed"),
+            (2, lambda line: json.dumps({**json.loads(line), "events": 5}),
+             "line 2 is malformed"),
+            (2, lambda line: json.dumps({**json.loads(line), "site": [1]}),
+             "line 2 is malformed"),
+        ],
+        ids=[
+            "garbled", "record-array", "meta-array", "meta-no-seed",
+            "events-int", "site-short",
+        ],
+    )
+    def test_interior_corruption_is_rejected(self, tmp_path, number, edit, message):
         path = tmp_path / "j.jsonl"
         with InjectionJournal.create(path, META) as journal:
             journal.record(make_record(0))
-        raw = path.read_bytes().replace(b'"type":"injection"', b'"ty]]]')
-        path.write_bytes(raw)
-        with pytest.raises(InjectionError, match="corrupt|malformed"):
+        lines = path.read_text().splitlines()
+        lines[number - 1] = edit(lines[number - 1])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InjectionError, match=message):
             read_journal(path)
 
     def test_empty_file_is_rejected(self, tmp_path):

@@ -8,7 +8,9 @@ from repro.errors import ProgramExit, WatchdogTimeout
 from repro.isa.assembler import Assembler
 from repro.kernel.layout import DEFAULT_LAYOUT
 from repro.microarch.config import SCALED_A9_CONFIG
+from repro.microarch.digest import system_digest
 from repro.microarch.system import System
+from repro.microarch.translate import attach_translator
 
 SPIN = """
 _start:
@@ -66,6 +68,90 @@ class TestEvents:
         system = build("_start:\nloop:\n    b loop\n")
         with pytest.raises(WatchdogTimeout):
             system.core.run(max_cycles=5_000)
+
+
+class TestOneLoop:
+    """Events, the trace hook and the translator share the one run loop."""
+
+    def test_same_cycle_events_fire_in_list_order(self):
+        system = build()
+        core = system.core
+        fired = []
+        events = [
+            (20_000, lambda: fired.append(("second-cycle", core.icount))),
+            (10_000, lambda: fired.append(("a", core.icount))),
+            (10_000, lambda: fired.append(("b", core.icount))),
+        ]
+        with pytest.raises(ProgramExit):
+            core.run(max_cycles=10_000_000, events=events)
+        assert [name for name, _icount in fired] == ["a", "b", "second-cycle"]
+        assert fired[0][1] == fired[1][1]
+
+    @pytest.mark.parametrize("translated", [False, True], ids=["interp", "translated"])
+    def test_noop_events_change_nothing(self, translated):
+        def run(events):
+            system = build()
+            translator = attach_translator(system) if translated else None
+            result = system.run(max_cycles=10_000_000, events=events)
+            return system, result, translator
+
+        plain, plain_result, _ = run(None)
+        cycles = plain_result.cycles
+        spread = [(cycle, lambda: None) for cycle in range(0, cycles, 997)]
+        evented, evented_result, translator = run(spread)
+        assert evented_result.exited_cleanly
+        assert evented_result.cycles == cycles
+        assert (
+            evented_result.counters.instructions
+            == plain_result.counters.instructions
+        )
+        assert (
+            evented_result.counters.paper_counters()
+            == plain_result.counters.paper_counters()
+        )
+        assert system_digest(evented) == system_digest(plain)
+        if translated:
+            assert translator.block_runs > 0
+
+    def test_probe_installed_by_an_event_sees_later_fetches(self):
+        system = build()
+        core = system.core
+        reads = []
+
+        class ReadProbe:
+            def on_read(self, cache, line, paddr, size):
+                reads.append(paddr)
+
+            def on_fill(self, cache, line, paddr):
+                pass
+
+            def on_write(self, cache, line, paddr, size):
+                pass
+
+            def on_flush(self, cache):
+                pass
+
+        at_install = {}
+
+        def install():
+            at_install["icount"] = core.icount
+            system.l1i.probe = ReadProbe()
+
+        with pytest.raises(ProgramExit):
+            core.run(max_cycles=10_000_000, events=[(10_000, install)])
+        # One L1I read per fetch after the install, the terminal halt
+        # (which raises before icount increments) included.
+        assert len(reads) == core.icount - at_install["icount"] + 1
+
+    def test_trace_hook_runs_per_instruction_untranslated(self):
+        system = build()
+        translator = attach_translator(system)
+        calls = []
+        result = system.run(max_cycles=10_000_000, trace=calls.append)
+        assert result.exited_cleanly
+        # The terminal halt is traced but raises before icount increments.
+        assert len(calls) == result.counters.instructions + 1
+        assert translator.dispatches == 0
 
 
 class TestAtomicMode:
