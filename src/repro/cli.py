@@ -296,23 +296,22 @@ def _cmd_inject(args) -> int:
         print(f"  WARNING: {quarantined} fault(s) quarantined and excluded "
               f"from the tallies (see journal/progress log)")
     if args.target_margin is not None:
-        diagnostics = campaign.diagnostics.get(workload.name)
-        if diagnostics is not None:
-            print(adaptive_margins_table(diagnostics))
-            calibration = calibration_table(diagnostics)
-            if calibration:
-                print(calibration)
-            fixed = sum(
-                fixed_equivalent_faults(
-                    tally.population_bits, args.target_margin, args.confidence
-                )
-                for tally in result.components.values()
+        diagnostics = campaign.diagnostics[workload.name]
+        print(adaptive_margins_table(diagnostics))
+        calibration = calibration_table(diagnostics)
+        if calibration:
+            print(calibration)
+        fixed = sum(
+            fixed_equivalent_faults(
+                tally.population_bits, args.target_margin, args.confidence
             )
-            executed = diagnostics.total_executed
-            if fixed and executed < fixed:
-                print(f"  adaptive ran {executed} injections vs {fixed} for "
-                      f"a fixed plan at the same target "
-                      f"({100.0 * (1 - executed / fixed):.0f}% saved)")
+            for tally in result.components.values()
+        )
+        executed = diagnostics.total_executed
+        if fixed and executed < fixed:
+            print(f"  adaptive ran {executed} injections vs {fixed} for "
+                  f"a fixed plan at the same target "
+                  f"({100.0 * (1 - executed / fixed):.0f}% saved)")
     fits = injection_fit(result)
     print(f"  predicted FIT: SDC {fits.sdc:.2f}  App {fits.app_crash:.2f}  "
           f"Sys {fits.sys_crash:.2f}  total {fits.total:.2f}")
@@ -461,17 +460,7 @@ def _cmd_stats(args) -> int:
         seen_components |= {record.component for record in quarantines}
         for component in sorted(seen_components, key=lambda c: c.name):
             telemetry.register_plan(component, meta.faults_per_component)
-        for record in records:
-            telemetry.record(
-                record.component,
-                record.effect,
-                record.wall_time,
-                replayed=True,
-                ended_by=record.ended_by,
-                events=record.events,
-            )
-        for record in quarantines:
-            telemetry.record_quarantine(record.component)
+        telemetry.replay(records, quarantines)
     summary = telemetry.summary()
     print(telemetry_table(summary))
     propagation = propagation_table(summary)

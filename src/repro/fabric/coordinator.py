@@ -72,7 +72,6 @@ from repro.injection.fault import Fault
 from repro.injection.journal import (
     InjectionJournal,
     InjectionRecord,
-    JournalMeta,
     QuarantineRecord,
 )
 from repro.injection.telemetry import CampaignTelemetry
@@ -235,14 +234,7 @@ class Coordinator:
                 self.store.register(base, component.name, faults)
             journal = InjectionJournal.open(
                 self.journal_dir / f"{spec.campaign_id}.jsonl",
-                JournalMeta(
-                    workload=spec.workload,
-                    machine=spec.machine,
-                    faults_per_component=spec.faults_per_component,
-                    seed=spec.seed,
-                    cluster_size=spec.cluster_size,
-                    golden_cycles=spec.golden_cycles,
-                ),
+                config.journal_meta(spec.workload, spec.golden_cycles),
             )
             campaign = _ActiveCampaign(spec, config, plan, journal)
             if self.trace:
@@ -266,16 +258,7 @@ class Coordinator:
             if self.telemetry is not None:
                 for component, faults in plan.items():
                     self.telemetry.register_plan(component, len(faults))
-                for record in journal.records:
-                    self.telemetry.record(
-                        record.component,
-                        record.effect,
-                        replayed=True,
-                        ended_by=record.ended_by,
-                        events=record.events,
-                    )
-                for quarantine in journal.quarantines:
-                    self.telemetry.record_quarantine(quarantine.component)
+                self.telemetry.replay(journal.records, journal.quarantines)
             for record in journal.records:
                 self._count_record(spec.campaign_id, record, replayed=True)
             if self.trace:
@@ -600,26 +583,21 @@ class Coordinator:
             )
             machine = campaign.config.machine
             for component in campaign.plan:
-                counts: dict[FaultEffect, int] = {}
-                quarantined = 0
                 rows = self.store.records(
                     campaign.base,
                     component.name,
                     campaign.limits[component.name],
                 )
-                for _index, row_status, payload, _reason in rows:
-                    if row_status == QUARANTINED:
-                        quarantined += 1
-                        continue
-                    effect = FaultEffect[payload["effect"]]
-                    counts[effect] = counts.get(effect, 0) + 1
-                result.components[component] = ComponentResult(
-                    component=component,
-                    injections=sum(counts.values()),
-                    population_bits=component_bits(machine, component),
-                    counts=counts,
-                    confidence=campaign.spec.confidence,
-                    quarantined=quarantined,
+                result.components[component] = ComponentResult.from_effects(
+                    component,
+                    (
+                        None
+                        if row_status == QUARANTINED
+                        else FaultEffect[payload["effect"]]
+                        for _index, row_status, payload, _reason in rows
+                    ),
+                    component_bits(machine, component),
+                    campaign.spec.confidence,
                 )
             return {"ready": True, "result": result.to_dict()}
 

@@ -36,7 +36,7 @@ from repro.injection.parallel import EngineOptions
 from repro.microarch.config import MACHINE_CONFIGS, MachineConfig
 
 #: Bump when the wire format changes incompatibly.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 
 class FabricError(ReproError):
@@ -102,14 +102,6 @@ class CampaignSpec:
         default_factory=lambda: tuple(c.name for c in Component)
     )
     engine: EngineOptions = EngineOptions()
-    use_checkpoints: bool = True
-    checkpoint_count: int = 8
-    #: Learned importance sampling (adaptive-only today; carried so a
-    #: fabric campaign's identity stays faithful to its config and so
-    #: the field needs no wire-format change when adaptive campaigns
-    #: become fabric-aware).  Dataclass default keeps old payloads
-    #: parseable without a protocol bump.
-    learned_sampling: bool = False
     version: int = PROTOCOL_VERSION
 
     @classmethod
@@ -137,9 +129,6 @@ class CampaignSpec:
             confidence=config.confidence,
             components=tuple(component.name for component in components),
             engine=config.engine,
-            use_checkpoints=config.use_checkpoints,
-            checkpoint_count=config.checkpoint_count,
-            learned_sampling=config.learned_sampling,
         )
 
     def to_config(self) -> CampaignConfig:
@@ -154,11 +143,8 @@ class CampaignSpec:
             seed=self.seed,
             confidence=self.confidence,
             machine=resolve_machine(self.machine, self.machine_digest),
-            use_checkpoints=self.use_checkpoints,
-            checkpoint_count=self.checkpoint_count,
             cluster_size=self.cluster_size,
             **asdict(self.engine),
-            learned_sampling=self.learned_sampling,
         )
 
     def component_list(self) -> tuple[Component, ...]:

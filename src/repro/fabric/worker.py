@@ -13,9 +13,11 @@ disappear, or be duplicated at will.  Its loop:
    drift is an error, not a silently different campaign;
 3. regenerate the component's fault list, slice the leased window, and
    run it through :func:`~repro.injection.parallel.run_injection_plan`
-   with ``index_base`` (so indices are global) and a
-   :class:`~repro.injection.journal.RecordBuffer` (so records are
-   collected, not written - the coordinator owns the journal);
+   with ``indices={component: range(start, stop)}`` - the same explicit
+   global-index window every windowed plan passes, so journal indices
+   are global - and a :class:`~repro.injection.journal.RecordBuffer` (so
+   records are collected, not written - the coordinator owns the
+   journal);
 4. ``POST /report`` the records and lease the next window.
 
 The image, fault plan and a long-lived
@@ -183,7 +185,7 @@ class FabricWorker:
             window,
             jobs=1,
             journal=buffer,
-            index_base={component: start},
+            indices={component: range(start, stop)},
             injector=context.injector,
             quarantined=[],
             tracer=tracer,

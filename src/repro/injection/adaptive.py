@@ -40,12 +40,17 @@ to make that true:
    injections - executed because a batch ran past the cut - stay in the
    journal but are excluded from the tallies.
 
-Batches are streamed through
-:func:`~repro.injection.parallel.run_injection_plan` with windowed index
-bases, so the worker farm, early Masked termination, fault-lifetime
-events, and crash-safe journaling all compose unchanged.  With
-``resume=True`` the already-journaled prefix is replayed (and any holes a
-mid-batch kill left are filled) before new batches are scheduled.
+:class:`AdaptiveCampaign` runs inside the one campaign skeleton of
+:class:`~repro.injection.campaign.InjectionCampaign` (cache, stale check,
+image, journal, ``campaign`` span, result store) and contributes only its
+rounds loop.  Every round is one
+:func:`~repro.injection.parallel.run_injection_plan` call whose
+``indices`` list each window's global stream indices - ``range(start,
+stop)`` in stream order, a permutation under learned sampling - so the
+worker farm, early Masked termination, fault-lifetime events, and
+crash-safe journaling all compose unchanged.  With ``resume=True`` the
+already-journaled prefix is replayed (and any holes a mid-batch kill left
+are filled) before new batches are scheduled.
 
 Learned importance sampling (``CampaignConfig.learned_sampling``; see
 :mod:`repro.injection.learned` and ``docs/SAMPLING.md``) reorders each
@@ -69,7 +74,8 @@ stream order itself until the pilot completes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from functools import partial
+from typing import Callable, Iterable, Mapping
 
 from repro.errors import ConfigurationError
 from repro.injection.campaign import (
@@ -77,18 +83,18 @@ from repro.injection.campaign import (
     ComponentResult,
     InjectionCampaign,
     WorkloadResult,
-    prepare_image,
 )
 from repro.injection.classify import ERROR_CLASSES, FaultEffect
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import FaultStream
+from repro.injection.journal import InjectionJournal
 from repro.injection.learned import (
     CalibrationBuckets,
     FeatureExtractor,
     LearnedPlan,
     LearnedPlanner,
 )
-from repro.injection.parallel import QuarantinedFault, run_injection_plan
+from repro.injection.parallel import MachineImage
 from repro.injection.sampling import (
     error_margin,
     projected_trials_wilson,
@@ -293,24 +299,19 @@ class _StratumState:
 
     def __init__(
         self,
-        component: Component,
-        population: int,
         stream: FaultStream,
-        target_margin: float,
-        confidence: float,
-        min_faults: int,
-        max_faults: int,
+        config: CampaignConfig,
         planner: LearnedPlanner | None = None,
     ):
-        self.component = component
-        self.population = population
+        self.component = stream.component
+        self.population = stream.component_bits
         self.stream = stream
-        self.target = target_margin
-        self.confidence = confidence
-        self.min_faults = min_faults
-        self.max_faults = max_faults
+        self.target = config.target_margin
+        self.confidence = config.confidence
+        self.min_faults = config.min_faults
+        self.max_faults = config.max_faults
         self.planner = planner
-        self.pilot_n = min(min_faults, max_faults)
+        self.pilot_n = min(self.min_faults, self.max_faults)
         #: Effects by plan position (None = quarantined slot).  Position
         #: equals the global stream index until a plan exists.
         self.effects: dict[int, FaultEffect | None] = {}
@@ -619,8 +620,8 @@ class AdaptiveCampaign(InjectionCampaign):
     return the same :class:`WorkloadResult` shape (so AVF breakdowns, FIT
     models and the report drivers compose unchanged), with per-component
     sample sizes chosen by the stopping rule instead of
-    ``faults_per_component``.  Convergence details of the last live run
-    are kept in :attr:`diagnostics` (by workload name).
+    ``faults_per_component``.  Convergence details of the last run are
+    kept in :attr:`diagnostics` (by workload name).
     """
 
     def __init__(self, config: CampaignConfig, **kwargs):
@@ -640,8 +641,9 @@ class AdaptiveCampaign(InjectionCampaign):
                 f"(got {config.min_faults}/{config.max_faults})"
             )
         super().__init__(config, **kwargs)
-        #: Convergence diagnostics by workload name (live runs only;
-        #: cache hits get a recomputed entry with ``rounds == 0``).
+        #: Convergence diagnostics of the last run, by workload name;
+        #: strata served from the cache get recomputed entries, and a
+        #: full cache hit has ``rounds == 0``.
         self.diagnostics: dict[str, AdaptiveDiagnostics] = {}
 
     # -- diagnostics -----------------------------------------------------------
@@ -691,130 +693,97 @@ class AdaptiveCampaign(InjectionCampaign):
         components: Iterable[Component] = tuple(Component),
         use_cache: bool = True,
     ) -> WorkloadResult:
-        """Adaptive campaign for one workload (cached like the fixed one)."""
-        components = tuple(components)
-        cached = self._load_cached(workload.name) if use_cache else None
-        missing = [
-            component
-            for component in components
-            if cached is None or component not in cached.components
-        ]
-        if cached is not None and not missing:
-            self.diagnostics[workload.name] = self._diagnostics_from_result(cached)
-            return cached
-        if cached is not None:
-            self._progress(
-                f"{workload.name}: cache missing "
-                + ",".join(component.name for component in missing)
-            )
+        """Adaptive campaign for one workload (cached like the fixed one).
 
+        Strata served from the cache report the precision their stored
+        tallies achieve (:meth:`_diagnostics_from_result`); strata run
+        now report their live convergence.
+        """
+        live = AdaptiveDiagnostics(
+            workload.name, self.config.target_margin, self.config.confidence, rounds=0
+        )
+        result = self._run_campaign(
+            workload, components, use_cache, partial(self._run_rounds, live=live)
+        )
+        diagnostics = self._diagnostics_from_result(result)
+        diagnostics.rounds = live.rounds
+        diagnostics.strata.update(live.strata)
+        self.diagnostics[workload.name] = diagnostics
+        return result
+
+    def _run_rounds(
+        self,
+        image: MachineImage,
+        components: list[Component],
+        journal: InjectionJournal | None,
+        run_plan: Callable[..., dict[Component, list[FaultEffect | None]]],
+        live: AdaptiveDiagnostics,
+    ) -> dict[Component, ComponentResult]:
+        """Inject round after round until every stratum stops.
+
+        Each round's windows come from :meth:`_next_windows` and run as
+        one plan whose ``indices`` are the windows' global stream indices
+        (the identity order until a learned plan reorders a stratum).
+        Records the rounds and final stratum progress into ``live``.
+        """
         config = self.config
-        golden, image = prepare_image(workload, config)
-        cached = self._unless_stale(cached, golden.cycles)
-        if cached is None:
-            missing = list(components)
         machine = config.machine
         planner = None
         if config.learned_sampling:
             planner = LearnedPlanner(
                 extractor=FeatureExtractor(
-                    machine, golden.cycles, activity=image.activity
+                    machine, image.golden_cycles, activity=image.activity
                 ),
                 pilot_n=min(config.min_faults, config.max_faults),
                 max_faults=config.max_faults,
             )
         states = {
             component: _StratumState(
-                component=component,
-                population=component_bits(machine, component),
-                stream=FaultStream(
+                FaultStream(
                     component,
                     component_bits(machine, component),
-                    golden.cycles,
+                    image.golden_cycles,
                     seed=config.seed,
                 ),
-                target_margin=config.target_margin,
-                confidence=config.confidence,
-                min_faults=config.min_faults,
-                max_faults=config.max_faults,
-                planner=planner,
+                config,
+                planner,
             )
-            for component in missing
+            for component in components
         }
-        journal = self._open_journal(workload.name, golden.cycles)
-        quarantined: list[QuarantinedFault] = []
-        rounds = 0
-        try:
-            with self._campaign_span(workload.name) as span_parent:
-                while True:
-                    windows = self._next_windows(states, journal, first=rounds == 0)
-                    if not windows:
-                        break
-                    rounds += 1
-                    plan = {}
-                    bases = {}
-                    index_map = {}
-                    for component, (start, stop) in windows.items():
-                        state = states[component]
-                        if state.plan is None:
-                            # Identity order: positions are stream indices.
-                            plan[component] = state.stream.window(start, stop)
-                            bases[component] = start
-                        else:
-                            # Importance order: positions map through the
-                            # learned plan; journal with true stream indices.
-                            globals_ = [
-                                state.global_for(position)
-                                for position in range(start, stop)
-                            ]
-                            plan[component] = state.stream.at(globals_)
-                            index_map[component] = globals_
-                    effects = run_injection_plan(
-                        image,
-                        plan,
-                        jobs=config.jobs,
-                        progress=self._progress,
-                        journal=journal,
-                        telemetry=self.telemetry,
-                        timeout=config.injection_timeout,
-                        max_retries=config.max_retries,
-                        quarantined=quarantined,
-                        index_base=bases,
-                        index_map=index_map or None,
-                        tracer=self.tracer,
-                        span_parent=span_parent,
-                    )
-                    for component, (start, _stop) in windows.items():
-                        states[component].absorb(start, effects[component])
-                    self._report_round(workload.name, rounds, states)
-        finally:
-            if journal is not None:
-                journal.close()
+        while True:
+            windows = self._next_windows(states, journal, first=live.rounds == 0)
+            if not windows:
+                break
+            live.rounds += 1
+            indices = {
+                component: [
+                    states[component].global_for(position)
+                    for position in range(start, stop)
+                ]
+                for component, (start, stop) in windows.items()
+            }
+            plan = {
+                component: states[component].stream.at(globals_)
+                for component, globals_ in indices.items()
+            }
+            effects = run_plan(plan, indices=indices)
+            for component, (start, _stop) in windows.items():
+                states[component].absorb(start, effects[component])
+            self._report_round(image.name, live.rounds, states)
 
-        result = cached if cached is not None else WorkloadResult(
-            workload_name=workload.name, golden_cycles=golden.cycles
-        )
         for component, state in states.items():
             if state.capped:
                 self._progress(
-                    f"{workload.name}/{component.name}: target margin "
+                    f"{image.name}/{component.name}: target margin "
                     f"{config.target_margin:.3f} not reached at the "
                     f"max_faults cap ({config.max_faults}); reporting "
                     f"{state.prefix_n} injections"
                 )
-            result.components[component] = state.result(config.confidence)
-        if use_cache:
-            self._store(result)
-        diagnostics = AdaptiveDiagnostics(
-            workload_name=workload.name,
-            target_margin=config.target_margin,
-            confidence=config.confidence,
-            rounds=rounds,
-        )
-        for component, state in states.items():
-            diagnostics.strata[component] = state.progress()
-        self.diagnostics[workload.name] = diagnostics
-        return result
+            live.strata[component] = state.progress()
+        return {
+            component: state.result(config.confidence)
+            for component, state in states.items()
+        }
 
     def _next_windows(
         self,

@@ -15,6 +15,10 @@ function of (image, fault) and tallies are accumulated in fault order.
 
 Results are cached on disk keyed by (machine, workload, sample size, seed)
 so analyses and benchmark harnesses can share one expensive campaign.
+Caching, the image, the journal and the result store live in one
+skeleton, :meth:`InjectionCampaign._run_campaign`; a fixed campaign runs
+one plan over ``[0, n)`` inside it, and
+:class:`~repro.injection.adaptive.AdaptiveCampaign` its rounds loop.
 
 With a ``journal_dir``, every completed injection is additionally appended
 to a per-workload JSONL journal (:mod:`repro.injection.journal`), and
@@ -27,7 +31,9 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
+from collections import Counter
+from contextlib import nullcontext
+from functools import partial
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable
@@ -78,6 +84,11 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
 
 
+#: Golden checkpoints per image: injections fast-forward from the latest
+#: one before their cycle (results are bit-identical to a run from boot).
+CHECKPOINT_COUNT = 8
+
+
 def read_json_cache(path: Path, parse: Callable, progress: Callable[[str], None]):
     """``parse`` a cache file; ``None`` on a miss or (visibly) a corrupt one."""
     if not path.exists():
@@ -106,9 +117,6 @@ class CampaignConfig:
     seed: int = 0
     confidence: float = 0.99
     machine: MachineConfig = SCALED_A9_CONFIG
-    #: Checkpoint-accelerated injection (results are bit-identical).
-    use_checkpoints: bool = True
-    checkpoint_count: int = 8
     #: Fault model: number of adjacent bits flipped per injection.  The
     #: paper uses the single-bit model and discusses multi-cell upsets in
     #: recent technologies as a source of underestimation (Section II);
@@ -204,6 +212,18 @@ class CampaignConfig:
         if self.target_margin is not None:
             return self.max_faults
         return self.faults_per_component
+
+    def journal_meta(self, workload_name: str, golden_cycles: int) -> JournalMeta:
+        """The fingerprint a journal of this campaign carries and resumes
+        against (local and fabric journals alike)."""
+        return JournalMeta(
+            workload=workload_name,
+            machine=self.machine.name,
+            faults_per_component=self.planned_faults,
+            seed=self.seed,
+            cluster_size=self.cluster_size,
+            golden_cycles=golden_cycles,
+        )
 
     def cache_key(self, workload_name: str) -> str:
         """Filename stem identifying this exact campaign configuration."""
@@ -335,6 +355,26 @@ class ComponentResult:
         return payload
 
     @classmethod
+    def from_effects(
+        cls,
+        component: Component,
+        effects: Iterable[FaultEffect | None],
+        population_bits: int,
+        confidence: float,
+    ) -> "ComponentResult":
+        """Tally a component's effects; a ``None`` is a quarantined slot."""
+        effects = list(effects)
+        counts = Counter(effect for effect in effects if effect is not None)
+        return cls(
+            component=component,
+            injections=sum(counts.values()),
+            population_bits=population_bits,
+            counts=dict(counts),
+            confidence=confidence,
+            quarantined=effects.count(None),
+        )
+
+    @classmethod
     def from_dict(cls, payload: dict) -> "ComponentResult":
         """Rebuild a tally from :meth:`to_dict`, validating the counts."""
         counts = {
@@ -455,7 +495,7 @@ def record_golden_observables(
     workload: Workload,
     machine: MachineConfig,
     golden: RunResult,
-    snapshot_count: int = 8,
+    snapshot_count: int = CHECKPOINT_COUNT,
     digest_count: int = 24,
     record_activity: bool = False,
     system: System | None = None,
@@ -523,8 +563,8 @@ def prepare_image(
 ) -> tuple[RunResult, MachineImage]:
     """Golden run plus the shippable machine image the farm injects into.
 
-    One golden prefix run captures checkpoints, full-state digests and
-    architectural digests together (whichever of them ``config`` needs);
+    One golden prefix run captures the :data:`CHECKPOINT_COUNT`
+    checkpoints plus whichever digests and activity ``config`` needs;
     the image bundles them for the workers.  This is the shared seam
     between :class:`InjectionCampaign` and the fabric worker
     (:mod:`repro.fabric.worker`) - both build *exactly* the same image
@@ -533,11 +573,6 @@ def prepare_image(
     """
     machine = config.machine
     golden = run_golden(workload, machine, translate=config.translate)
-    snapshots: list | None = None
-    digests: dict[int, bytes] = {}
-    arch_digests: dict[int, bytes] = {}
-    activity = None
-    snapshot_count = config.checkpoint_count if config.use_checkpoints else 0
     # The probe grid serves both early termination and fault-lifetime
     # divergence stamping, so either feature keeps it alive.
     digest_count = (
@@ -545,17 +580,16 @@ def prepare_image(
         if (config.early_exit or config.lifetime_events)
         else 0
     )
-    record_activity = config.learned_sampling and config.target_margin is not None
-    if snapshot_count or digest_count or record_activity:
-        snapshots, digests, arch_digests, activity = record_golden_observables(
-            workload,
-            machine,
-            golden,
-            snapshot_count=snapshot_count,
-            digest_count=digest_count,
-            record_activity=record_activity,
-            translate=config.translate,
-        )
+    snapshots, digests, arch_digests, activity = record_golden_observables(
+        workload,
+        machine,
+        golden,
+        digest_count=digest_count,
+        record_activity=(
+            config.learned_sampling and config.target_margin is not None
+        ),
+        translate=config.translate,
+    )
     image = MachineImage.capture(
         workload,
         machine,
@@ -632,13 +666,7 @@ class InjectionCampaign:
         #: ``jobs == 1`` (the profiled machine must live in this process).
         self.profiles: dict[str, dict] = {}
 
-    # -- caching -------------------------------------------------------------
-
-    def _cache_path(self, workload_name: str) -> Path:
-        return self.cache_dir / (self.config.cache_key(workload_name) + ".json")
-
-    def _load_cached(self, workload_name: str) -> WorkloadResult | None:
-        path = self._cache_path(workload_name)
+    def _load_cached(self, path: Path) -> WorkloadResult | None:
         result = read_json_cache(path, WorkloadResult.from_dict, self._progress)
         if result is None:
             return None
@@ -650,57 +678,14 @@ class InjectionCampaign:
             component_result.confidence = self.config.confidence
         return result
 
-    def _store(self, result: WorkloadResult) -> None:
-        write_json_atomic(self._cache_path(result.workload_name), result.to_dict())
-
-    def _unless_stale(
-        self, cached: WorkloadResult | None, golden_cycles: int
-    ) -> WorkloadResult | None:
-        """``cached``, or ``None`` (re-run it all) when another golden run
-        produced it: extending it would mix two golden runs."""
-        if cached is None or cached.golden_cycles == golden_cycles:
-            return cached
-        self._progress(
-            f"cache: {self._cache_path(cached.workload_name).name} was "
-            f"recorded against {cached.golden_cycles} golden cycles, now "
-            f"{golden_cycles}; re-running"
-        )
-        return None
-
-    # -- journaling ------------------------------------------------------------
-
-    def _journal_path(self, workload_name: str) -> Path:
-        assert self.journal_dir is not None
-        return self.journal_dir / (self.config.cache_key(workload_name) + ".jsonl")
-
     def _open_journal(
         self, workload_name: str, golden_cycles: int
     ) -> InjectionJournal | None:
         if self.journal_dir is None:
             return None
-        meta = JournalMeta(
-            workload=workload_name,
-            machine=self.config.machine.name,
-            faults_per_component=self.config.planned_faults,
-            seed=self.config.seed,
-            cluster_size=self.config.cluster_size,
-            golden_cycles=golden_cycles,
-        )
-        path = self._journal_path(workload_name)
-        if self.resume:
-            return InjectionJournal.open(path, meta)
-        return InjectionJournal.create(path, meta)
-
-    # -- execution -------------------------------------------------------------
-
-    @contextmanager
-    def _campaign_span(self, workload_name: str):
-        """Open a workload's root span; yields the ``window`` spans' parent."""
-        if self.tracer is None:
-            yield None
-            return
-        with self.tracer.span("campaign", workload=workload_name) as span:
-            yield span.span_id
+        path = self.journal_dir / (self.config.cache_key(workload_name) + ".jsonl")
+        opener = InjectionJournal.open if self.resume else InjectionJournal.create
+        return opener(path, self.config.journal_meta(workload_name, golden_cycles))
 
     def run_workload(
         self,
@@ -714,8 +699,28 @@ class InjectionCampaign:
         is extended in place: only the missing components are campaigned,
         and the merged result is stored back.
         """
+        return self._run_campaign(workload, components, use_cache, self._run_fixed)
+
+    def _run_campaign(
+        self,
+        workload: Workload,
+        components: Iterable[Component],
+        use_cache: bool,
+        execute: Callable[..., dict[Component, ComponentResult]],
+    ) -> WorkloadResult:
+        """The campaign skeleton every sampling strategy runs in.
+
+        Loads the cache, builds the image for the components it lacks,
+        opens the journal and the ``campaign`` span, hands
+        ``execute(image, components, journal, run_plan)`` the missing
+        components, and merges the tallies it returns into the stored
+        result.  ``run_plan(plan, indices=None, injector=None)`` is
+        :func:`run_injection_plan` bound to this campaign's image,
+        journal, farm and tracing settings.
+        """
         components = tuple(components)
-        cached = self._load_cached(workload.name) if use_cache else None
+        path = self.cache_dir / (self.config.cache_key(workload.name) + ".json")
+        cached = self._load_cached(path) if use_cache else None
         missing = [
             component
             for component in components
@@ -730,26 +735,28 @@ class InjectionCampaign:
             )
 
         golden, image = prepare_image(workload, self.config)
-        cached = self._unless_stale(cached, golden.cycles)
+        if cached is not None and cached.golden_cycles != golden.cycles:
+            # Extending it would mix two golden runs: re-run it all.
+            self._progress(
+                f"cache: {path.name} was recorded against "
+                f"{cached.golden_cycles} golden cycles, now {golden.cycles}; "
+                f"re-running"
+            )
+            cached = None
         if cached is None:
             missing = list(components)
-        machine = self.config.machine
-        plan = build_fault_plan(self.config, golden.cycles, missing)
         journal = self._open_journal(workload.name, golden.cycles)
         quarantined: list[QuarantinedFault] = []
-        # Profiling keeps the injector in our hands: the op histogram and
-        # translator counters live on its machine, which run_injection_plan
-        # would otherwise build and discard internally.
-        injector = (
-            ImageInjector(image)
-            if self.config.profile and self.config.jobs == 1
-            else None
+        root = (
+            self.tracer.span("campaign", workload=workload.name)
+            if self.tracer is not None
+            else nullcontext()
         )
         try:
-            with self._campaign_span(workload.name) as span_parent:
-                effects = run_injection_plan(
+            with root as span:
+                run_plan = partial(
+                    run_injection_plan,
                     image,
-                    plan,
                     jobs=self.config.jobs,
                     progress=self._progress,
                     journal=journal,
@@ -757,24 +764,14 @@ class InjectionCampaign:
                     timeout=self.config.injection_timeout,
                     max_retries=self.config.max_retries,
                     quarantined=quarantined,
-                    injector=injector,
                     tracer=self.tracer,
-                    span_parent=span_parent,
+                    span_parent=span.span_id if span is not None else None,
                 )
+                tallies = execute(image, missing, journal, run_plan)
         finally:
             if journal is not None:
                 journal.close()
-        if injector is not None:
-            from repro.microarch.profile import execution_profile
-
-            self.profiles[workload.name] = execution_profile(
-                injector.system.core, injector.translator
-            )
-        quarantine_tally: dict[Component, int] = {}
         for entry in quarantined:
-            quarantine_tally[entry.component] = (
-                quarantine_tally.get(entry.component, 0) + 1
-            )
             self._progress(
                 f"{workload.name}/{entry.component.name}: fault "
                 f"{entry.fault_index} quarantined ({entry.reason})"
@@ -783,23 +780,44 @@ class InjectionCampaign:
         result = cached if cached is not None else WorkloadResult(
             workload_name=workload.name, golden_cycles=golden.cycles
         )
-        for component in missing:
-            counts: dict[FaultEffect, int] = {}
-            for effect in effects[component]:
-                if effect is None:
-                    continue  # quarantined slot: reported above, not tallied
-                counts[effect] = counts.get(effect, 0) + 1
-            result.components[component] = ComponentResult(
-                component=component,
-                injections=sum(counts.values()),
-                population_bits=component_bits(machine, component),
-                counts=counts,
-                confidence=self.config.confidence,
-                quarantined=quarantine_tally.get(component, 0),
-            )
+        result.components.update(tallies)
         if use_cache:
-            self._store(result)
+            write_json_atomic(path, result.to_dict())
         return result
+
+    def _run_fixed(
+        self,
+        image: MachineImage,
+        components: list[Component],
+        journal: InjectionJournal | None,
+        run_plan: Callable[..., dict[Component, list[FaultEffect | None]]],
+    ) -> dict[Component, ComponentResult]:
+        """The fixed-size sample: one plan over ``[0, n)``, tallied whole."""
+        plan = build_fault_plan(self.config, image.golden_cycles, components)
+        # Profiling keeps the injector in our hands: the op histogram and
+        # translator counters live on its machine, which run_injection_plan
+        # would otherwise build and discard internally.
+        injector = (
+            ImageInjector(image)
+            if self.config.profile and self.config.jobs == 1
+            else None
+        )
+        effects = run_plan(plan, injector=injector)
+        if injector is not None:
+            from repro.microarch.profile import execution_profile
+
+            self.profiles[image.name] = execution_profile(
+                injector.system.core, injector.translator
+            )
+        return {
+            component: ComponentResult.from_effects(
+                component,
+                effects[component],
+                component_bits(self.config.machine, component),
+                self.config.confidence,
+            )
+            for component in components
+        }
 
     def run_suite(
         self, workloads: Iterable[Workload], use_cache: bool = True

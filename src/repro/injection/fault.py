@@ -5,6 +5,7 @@ from __future__ import annotations
 import binascii
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.errors import InjectionError
 from repro.injection.components import Component
@@ -106,16 +107,13 @@ class FaultStream:
             )
         return self._faults[:count]
 
-    def window(self, start: int, stop: int) -> list[Fault]:
-        """Faults ``[start, stop)`` of the stream (one adaptive batch)."""
-        return self.take(stop)[start:stop]
-
-    def at(self, indices: list[int]) -> list[Fault]:
+    def at(self, indices: Sequence[int]) -> list[Fault]:
         """Faults at arbitrary stream indices, in the order given.
 
-        Used by learned importance sampling, whose execution order is a
-        permutation of the stream: the *set* of faults at any prefix of
-        stream indices is unchanged, only the visit order differs.
+        One adaptive batch is ``at(range(start, stop))``; learned
+        importance sampling passes a permutation of the stream, whose
+        *set* of faults at any prefix of stream indices is unchanged, only
+        the visit order differs.
         """
         if not indices:
             return []

@@ -826,6 +826,20 @@ def _validate_effects(
         )
 
 
+def _plan_slot(
+    slots: Mapping[int, int] | None, component: Component, index: int, length: int
+) -> int | None:
+    """Plan slot of journaled fault ``index`` (``None``: another window's)."""
+    if slots is not None:
+        return slots.get(index)
+    if index >= length:
+        raise InjectionError(
+            f"journal records fault index {index} for "
+            f"{component.name}, beyond the plan of {length}"
+        )
+    return index
+
+
 def _replay_journal(
     journal: InjectionJournal,
     plan: Mapping[Component, Sequence[Fault]],
@@ -833,8 +847,7 @@ def _replay_journal(
     telemetry: CampaignTelemetry | None,
     quarantined: list[QuarantinedFault] | None,
     quarantined_slots: set[tuple[Component, int]],
-    bases: Mapping[Component, int] | None = None,
-    index_map: Mapping[Component, Sequence[int]] | None = None,
+    indices: Mapping[Component, Sequence[int]] | None = None,
 ) -> int:
     """Prefill effect slots from a journal; returns replayed count.
 
@@ -842,39 +855,22 @@ def _replay_journal(
     list (bit and cycle must match) so a journal from a drifted seed or
     simulator version cannot silently corrupt the tallies.
 
-    With ``bases`` (a windowed plan; see :func:`run_injection_plan`), a
-    journal index outside ``[base, base + len(faults))`` belongs to another
-    batch of the same campaign and is skipped rather than rejected.  An
-    ``index_map`` entry overrides the base window with an explicit global
-    index per plan slot (importance-sampled windows are permutations, not
-    contiguous ranges); journal indices not in the map are likewise
-    another batch's work.
+    Without ``indices`` the plan is the stream's head ``[0, n)`` and a
+    journal index past it is an error.  With ``indices`` (a window of the
+    stream; see :func:`run_injection_plan`) a journal index the window
+    does not list belongs to another batch of the same campaign and is
+    skipped rather than rejected.
     """
-
-    def _locator(component, length):
-        mapped = (index_map or {}).get(component)
-        if mapped is not None:
-            position = {g: i for i, g in enumerate(mapped)}
-            return position.get
-        base = (bases or {}).get(component, 0)
-
-        def from_base(index):
-            if index < base or (bases is not None and index >= base + length):
-                return None  # another batch's record (windowed plans only)
-            if index - base >= length:
-                raise InjectionError(
-                    f"journal records fault index {index} for "
-                    f"{component.name}, beyond the plan of {length}"
-                )
-            return index - base
-
-        return from_base
-
-    replayed = 0
+    replayed_records: list[InjectionRecord] = []
+    replayed_quarantines: list[QuarantineRecord] = []
     for component, faults in plan.items():
-        locate = _locator(component, len(faults))
+        slots = (
+            None
+            if indices is None
+            else {index: slot for slot, index in enumerate(indices[component])}
+        )
         for index, record in journal.completed(component).items():
-            slot = locate(index)
+            slot = _plan_slot(slots, component, index, len(faults))
             if slot is None:
                 continue
             fault = faults[slot]
@@ -886,18 +882,9 @@ def _replay_journal(
                     f"{fault.bit_index} cycle {fault.cycle})"
                 )
             effects[component][slot] = record.effect
-            replayed += 1
-            if telemetry is not None:
-                telemetry.record(
-                    component,
-                    record.effect,
-                    record.wall_time,
-                    replayed=True,
-                    ended_by=record.ended_by,
-                    events=record.events,
-                )
+            replayed_records.append(record)
         for index, record in journal.quarantined(component).items():
-            slot = locate(index)
+            slot = _plan_slot(slots, component, index, len(faults))
             if slot is None:
                 continue
             entry = QuarantinedFault(component, index, faults[slot], record.reason)
@@ -909,9 +896,10 @@ def _replay_journal(
                 )
             quarantined.append(entry)
             quarantined_slots.add((component, slot))
-            if telemetry is not None:
-                telemetry.record_quarantine(component)
-    return replayed
+            replayed_quarantines.append(record)
+    if telemetry is not None:
+        telemetry.replay(replayed_records, replayed_quarantines)
+    return len(replayed_records)
 
 
 def run_injection_plan(
@@ -924,8 +912,7 @@ def run_injection_plan(
     timeout: float | None = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
     quarantined: list[QuarantinedFault] | None = None,
-    index_base: Mapping[Component, int] | None = None,
-    index_map: Mapping[Component, Sequence[int]] | None = None,
+    indices: Mapping[Component, Sequence[int]] | None = None,
     injector: ImageInjector | None = None,
     tracer=None,
     span_parent: str | None = None,
@@ -938,21 +925,17 @@ def run_injection_plan(
     effects keyed by component, listed in fault order, independent of
     scheduling.
 
-    ``index_base`` declares the plan to be a *window* of a larger fault
-    stream: ``plan[c][i]`` is fault ``index_base[c] + i`` of component
-    ``c``.  Journal records are written with (and replayed against) those
-    global indices, which is how the adaptive campaign streams batch after
-    batch into one shared journal - a record outside the window is simply
-    another batch's work, not corruption.  The fabric worker leases such
-    windows too, pairing them with a
-    :class:`~repro.injection.journal.RecordBuffer` journal.
-
-    ``index_map`` generalizes ``index_base`` for *permuted* windows:
-    ``plan[c][i]`` is fault ``index_map[c][i]`` of the stream, in any
-    order - how learned importance sampling executes a reordered frame
-    while journaling true stream indices.  For components present in the
-    map it overrides ``index_base``; journal records whose index is not
-    in the map are another batch's work.
+    ``indices`` names the global fault-stream index of every plan slot:
+    ``plan[c][i]`` is fault ``indices[c][i]`` of component ``c``'s
+    stream, in any order.  Journal records are written with (and replayed
+    against) those indices, and a journaled index the window does not list
+    is another batch's work, not corruption.  This is how every windowed
+    plan runs: the adaptive campaign streams its batches (permuted ones
+    under learned sampling) into one shared journal, and a fabric worker
+    runs a leased ``range(start, stop)`` into a
+    :class:`~repro.injection.journal.RecordBuffer`.  Without ``indices``
+    the plan is the stream's head, ``plan[c][i]`` is fault ``i``, and a
+    journal index past the plan raises :class:`InjectionError`.
 
     ``injector`` (``jobs == 1`` only) reuses a caller-owned
     :class:`ImageInjector` instead of building a fresh one - the lease
@@ -996,17 +979,8 @@ def run_injection_plan(
         for component in components:
             telemetry.register_plan(component, len(plan[component]))
 
-    bases = dict(index_base or {})
-    maps = {
-        component: list(indices)
-        for component, indices in (index_map or {}).items()
-    }
-
     def global_index(component: Component, fault_index: int) -> int:
-        mapped = maps.get(component)
-        if mapped is not None:
-            return mapped[fault_index]
-        return bases.get(component, 0) + fault_index
+        return fault_index if indices is None else indices[component][fault_index]
 
     quarantined_slots: set[tuple[Component, int]] = set()
     if journal is not None:
@@ -1017,8 +991,7 @@ def run_injection_plan(
             telemetry,
             quarantined,
             quarantined_slots,
-            bases=index_base,
-            index_map=index_map,
+            indices,
         )
         if replayed or quarantined_slots:
             progress(
@@ -1048,7 +1021,7 @@ def run_injection_plan(
                 parent_id=span_parent,
                 attributes={
                     "component": component.name,
-                    "base": bases.get(component, 0),
+                    "base": global_index(component, 0) if totals[component] else 0,
                     "count": totals[component],
                 },
             )

@@ -15,10 +15,11 @@ with an injected clock.
 from __future__ import annotations
 
 import time
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.injection.classify import FaultEffect
 from repro.injection.components import Component
+from repro.injection.journal import InjectionRecord, QuarantineRecord
 from repro.observability.events import (
     EV_DIVERGE,
     EV_FLIP,
@@ -133,6 +134,26 @@ class CampaignTelemetry:
             self.replayed += 1
         else:
             self.injection_seconds += wall_time
+
+    def replay(
+        self,
+        records: Iterable[InjectionRecord],
+        quarantines: Iterable[QuarantineRecord],
+    ) -> None:
+        """Tally journaled injections and quarantines as *replayed*: they
+        count toward the class tallies and propagation aggregates, never
+        toward live throughput."""
+        for record in records:
+            self.record(
+                record.component,
+                record.effect,
+                record.wall_time,
+                replayed=True,
+                ended_by=record.ended_by,
+                events=record.events,
+            )
+        for record in quarantines:
+            self.record_quarantine(record.component)
 
     def record_retry(self) -> None:
         """Count one re-dispatch of a failed injection."""

@@ -95,17 +95,6 @@ class TestCampaignSpec:
         spec = make_spec(components=("L1D", "REGFILE"))
         assert spec.component_list() == (Component.L1D, Component.REGFILE)
 
-    def test_learned_sampling_travels_and_round_trips(self):
-        config = CampaignConfig(
-            faults_per_component=10, seed=7, learned_sampling=True
-        )
-        spec = CampaignSpec.from_config("CRC32", config, golden_cycles=999)
-        assert spec.learned_sampling is True
-        assert spec.to_config().learned_sampling is True
-        assert CampaignSpec.from_payload(spec.to_payload()) == spec
-        # A flipped flag is a different campaign identity.
-        assert spec.campaign_id != make_spec().campaign_id
-
     def test_engine_travels_nested_and_round_trips(self):
         config = CampaignConfig(
             faults_per_component=10, seed=7, translate=False, digest_probes=5
@@ -120,7 +109,7 @@ class TestCampaignSpec:
     def test_protocol_v1_payload_names_both_versions(self):
         payload = make_spec().to_payload()
         payload["version"] = 1
-        with pytest.raises(FabricError, match="protocol v1.*speaks v2"):
+        with pytest.raises(FabricError, match="protocol v1.*speaks v3"):
             CampaignSpec.from_payload(payload)
 
     @pytest.mark.parametrize(
@@ -150,14 +139,6 @@ class TestCampaignSpec:
     def test_non_object_payloads_raise_fabric_errors(self, payload):
         with pytest.raises(FabricError, match="JSON object"):
             CampaignSpec.from_payload(payload)
-
-    def test_pre_learned_payloads_still_parse(self):
-        """Specs serialized before the learned_sampling field existed
-        must keep parsing (dataclass default, no protocol bump)."""
-        payload = make_spec().to_payload()
-        del payload["learned_sampling"]
-        spec = CampaignSpec.from_payload(payload)
-        assert spec.learned_sampling is False
 
 
 class TestFaultIdentity:

@@ -327,6 +327,33 @@ class TestAdaptiveLive:
         assert any("not reached" in message for message in messages)
 
 
+class TestAdaptivePartialCacheHit:
+    def test_cached_strata_keep_their_diagnostics(self, tmp_path):
+        """Extending a cached result to more components reports every
+        stratum: the cached ones exactly as a full cache hit would."""
+        config = _adaptive_config(min_faults=5, max_faults=15, batch_size=5)
+        workload = get_workload("CRC32")
+        AdaptiveCampaign(config, cache_dir=tmp_path).run_workload(
+            workload, components=(Component.REGFILE,)
+        )
+        campaign = AdaptiveCampaign(config, cache_dir=tmp_path)
+        result = campaign.run_workload(
+            workload, components=(Component.REGFILE, Component.L1D)
+        )
+        diagnostics = campaign.diagnostics["CRC32"]
+        assert set(result.components) == {Component.REGFILE, Component.L1D}
+        assert set(diagnostics.strata) == {Component.REGFILE, Component.L1D}
+        assert diagnostics.rounds >= 1  # L1D ran live
+
+        hit = AdaptiveCampaign(config, cache_dir=tmp_path)
+        hit.run_workload(workload, components=(Component.REGFILE,))
+        assert hit.diagnostics["CRC32"].rounds == 0
+        assert (
+            diagnostics.strata[Component.REGFILE]
+            == hit.diagnostics["CRC32"].strata[Component.REGFILE]
+        )
+
+
 @pytest.mark.slow
 class TestAdaptiveResume:
     def test_resume_replays_journal_and_continues(

@@ -86,18 +86,18 @@ class TestFaultStream:
     def test_window_is_a_slice_of_the_stream(self):
         stream = FaultStream(Component.L2, 10_000, 1_000, seed=7)
         full = stream.take(50)
-        assert stream.window(10, 30) == full[10:30]
-        assert stream.window(0, 50) == full
+        assert stream.at(range(10, 30)) == full[10:30]
+        assert stream.at(range(50)) == full
         # Windows can extend the stream on demand.
         fresh = FaultStream(Component.L2, 10_000, 1_000, seed=7)
-        assert fresh.window(20, 40) == full[20:40]
+        assert fresh.at(range(20, 40)) == full[20:40]
 
     def test_len_tracks_draws(self):
         stream = FaultStream(Component.ITLB, 4096, 1_000, seed=1)
         assert len(stream) == 0
         stream.take(7)
         assert len(stream) == 7
-        stream.window(3, 5)
+        stream.at(range(3, 5))
         assert len(stream) == 7
 
     def test_invalid_parameters_rejected(self):

@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+from repro.errors import InjectionError
 from repro.injection import parallel as parallel_module
 from repro.injection.campaign import (
     CampaignConfig,
@@ -22,8 +23,10 @@ from repro.injection.campaign import (
     run_golden,
     run_single_injection,
 )
+from repro.injection.classify import FaultEffect
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import generate_faults
+from repro.injection.journal import InjectionJournal, InjectionRecord, JournalMeta
 from repro.injection.parallel import (
     EngineOptions,
     ImageInjector,
@@ -32,6 +35,7 @@ from repro.injection.parallel import (
     run_injection_plan,
     watchdog_budget,
 )
+from repro.injection.telemetry import CampaignTelemetry
 from repro.microarch import translate as translate_module
 from repro.microarch.config import SCALED_A9_CONFIG
 from repro.microarch.digest import system_digest
@@ -170,6 +174,98 @@ class TestPlanExecution:
         messages = []
         run_injection_plan(image, plan, jobs=1, progress=messages.append)
         assert any("REGFILE: 2/2" in message for message in messages)
+
+
+class TestJournalReplay:
+    """The one replay branch: a plan without ``indices`` is the stream's
+    head, a plan with ``indices`` is one window of it."""
+
+    @pytest.fixture
+    def faults(self, golden):
+        return generate_faults(
+            Component.REGFILE,
+            component_bits(SCALED_A9_CONFIG, Component.REGFILE),
+            golden.cycles,
+            count=4,
+            seed=2,
+        )
+
+    @staticmethod
+    def journal(tmp_path, golden, *records):
+        journal = InjectionJournal.create(
+            tmp_path / "campaign.jsonl",
+            JournalMeta(
+                workload=WORKLOAD,
+                machine=SCALED_A9_CONFIG.name,
+                faults_per_component=4,
+                seed=2,
+                cluster_size=1,
+                golden_cycles=golden.cycles,
+            ),
+        )
+        for index, bit_index, cycle, effect in records:
+            journal.record(
+                InjectionRecord(
+                    component=Component.REGFILE,
+                    index=index,
+                    bit_index=bit_index,
+                    cycle=cycle,
+                    effect=effect,
+                    wall_time=0.0,
+                )
+            )
+        return journal
+
+    def test_index_past_a_fixed_plan_raises(self, tmp_path, golden, image, faults):
+        fault = faults[0]
+        journal = self.journal(
+            tmp_path, golden, (3, fault.bit_index, fault.cycle, FaultEffect.MASKED)
+        )
+        with journal, pytest.raises(InjectionError, match="beyond the plan"):
+            run_injection_plan(
+                image, {Component.REGFILE: faults[:3]}, journal=journal
+            )
+
+    def test_record_outside_a_leased_window_is_skipped(
+        self, tmp_path, golden, image, faults
+    ):
+        # Index 0 would not even match the window's first slot: replaying
+        # it would raise instead of being skipped.
+        inside = faults[2]
+        journal = self.journal(
+            tmp_path,
+            golden,
+            (0, inside.bit_index + 1, inside.cycle, FaultEffect.MASKED),
+            (2, inside.bit_index, inside.cycle, FaultEffect.SYS_CRASH),
+        )
+        telemetry = CampaignTelemetry()
+        with journal:
+            effects = run_injection_plan(
+                image,
+                {Component.REGFILE: faults[2:4]},
+                journal=journal,
+                telemetry=telemetry,
+                indices={Component.REGFILE: range(2, 4)},
+            )
+        assert effects[Component.REGFILE][0] is FaultEffect.SYS_CRASH
+        assert telemetry.replayed == 1
+        assert telemetry.completed == 2  # one replayed, one run live
+        assert sorted(r.index for r in journal.records) == [0, 2, 3]
+
+    @pytest.mark.parametrize("field", ["bit_index", "cycle"])
+    def test_record_that_disagrees_with_the_plan_raises(
+        self, tmp_path, golden, image, faults, field
+    ):
+        fault = faults[1]
+        coordinates = {"bit_index": fault.bit_index, "cycle": fault.cycle}
+        coordinates[field] += 1
+        journal = self.journal(
+            tmp_path,
+            golden,
+            (1, coordinates["bit_index"], coordinates["cycle"], FaultEffect.SDC),
+        )
+        with journal, pytest.raises(InjectionError, match="does not match"):
+            run_injection_plan(image, {Component.REGFILE: faults}, journal=journal)
 
 
 class TestAccelerationEquivalence:
