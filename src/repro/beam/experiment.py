@@ -37,6 +37,7 @@ from repro.injection.campaign import (
 from repro.injection.classify import FaultEffect
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import Fault
+from repro.injection.identity import result_key
 from repro.injection.parallel import EngineOptions, ImageInjector, MachineImage
 from repro.microarch.config import MachineConfig, SCALED_A9_CONFIG
 from repro.microarch.snapshot import SystemSnapshot
@@ -59,11 +60,12 @@ class BeamCampaignConfig:
     facility: BeamFacility = LANSCE
     board: BoardModel = ZEDBOARD
 
-    def cache_key(self, workload_name: str) -> str:
-        return (
-            f"beam-{self.machine.name}-{self.board.name}"
-            f"-{workload_name.replace(' ', '_')}"
-            f"-h{self.beam_hours:g}-s{self.seed}"
+    def cache_key(self, workload: Workload) -> str:
+        """Filename stem identifying this exact beam campaign."""
+        return result_key(
+            "beam", workload, self.machine,
+            beam_hours=self.beam_hours, seed=self.seed,
+            facility=self.facility, board=self.board,
         )
 
 
@@ -141,16 +143,6 @@ class BeamExperiment:
         self.config = config or BeamCampaignConfig()
         self.cache_dir = cache_dir if cache_dir is not None else default_cache_dir()
         self._progress = progress or (lambda message: None)
-
-    # -- caching -----------------------------------------------------------
-
-    def _cache_path(self, workload_name: str) -> Path:
-        return self.cache_dir / (self.config.cache_key(workload_name) + ".json")
-
-    def _load_cached(self, workload_name: str) -> BeamResult | None:
-        return read_json_cache(
-            self._cache_path(workload_name), BeamResult.from_dict, self._progress
-        )
 
     # -- machine construction -------------------------------------------------
 
@@ -241,8 +233,9 @@ class BeamExperiment:
 
     def run_workload(self, workload: Workload, use_cache: bool = True) -> BeamResult:
         """Simulate one workload's full beam campaign."""
+        path = self.cache_dir / (self.config.cache_key(workload) + ".json")
         if use_cache:
-            cached = self._load_cached(workload.name)
+            cached = read_json_cache(path, BeamResult.from_dict, self._progress)
             if cached is not None:
                 return cached
 
@@ -297,7 +290,7 @@ class BeamExperiment:
         result.platform_strikes = platform_strikes
 
         if use_cache:
-            write_json_atomic(self._cache_path(workload.name), result.to_dict())
+            write_json_atomic(path, result.to_dict())
         return result
 
     def run_suite(

@@ -11,7 +11,7 @@ This package breaks the farm out of a single process:
   completed injections exactly as a local run would, and assembles the
   final :class:`~repro.injection.campaign.WorkloadResult`;
 - a **fault store** (:mod:`repro.fabric.store`) - one sqlite database
-  keyed by fault identity ``(workload, machine digest, component,
+  keyed by fault identity ``(workload, program digest, component,
   cluster, index, seed)`` - provides dedup (a fault completed by any
   prior or concurrent campaign is never re-executed), resume (the store
   survives a coordinator SIGKILL), and a shared pool many campaigns can
@@ -35,7 +35,7 @@ from repro.fabric.metrics import (
     start_metrics_server,
     telemetry_collector,
 )
-from repro.fabric.protocol import CampaignSpec, machine_digest
+from repro.fabric.protocol import CampaignSpec
 from repro.fabric.store import FaultStore
 from repro.fabric.worker import FabricWorker
 
@@ -46,7 +46,6 @@ __all__ = [
     "FabricWorker",
     "FaultStore",
     "MetricsRegistry",
-    "machine_digest",
     "parse_exposition",
     "render_dashboard",
     "serve_forever",

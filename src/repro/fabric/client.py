@@ -113,7 +113,7 @@ class FabricClient:
         components = tuple(components)
         golden = run_golden(workload, config.machine, translate=config.translate)
         spec = CampaignSpec.from_config(
-            workload.name, config, golden.cycles, components
+            workload, config, golden.cycles, components
         )
         span = (
             self.tracer.start_span(

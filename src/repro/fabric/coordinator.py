@@ -229,14 +229,15 @@ class Coordinator:
             plan = build_fault_plan(
                 config, spec.golden_cycles, spec.component_list()
             )
-            base = identity_base(spec)
-            for component, faults in plan.items():
-                self.store.register(base, component.name, faults)
             journal = InjectionJournal.open(
                 self.journal_dir / f"{spec.campaign_id}.jsonl",
-                config.journal_meta(spec.workload, spec.golden_cycles),
+                config.journal_meta(
+                    spec.workload, spec.program_digest, spec.golden_cycles
+                ),
             )
             campaign = _ActiveCampaign(spec, config, plan, journal)
+            for component, faults in plan.items():
+                self.store.register(campaign.base, component.name, faults)
             if self.trace:
                 context = unpack_trace(trace_context)
                 campaign.tracer = Tracer(

@@ -8,17 +8,16 @@ sides regenerate the heavy artifacts (golden run, checkpoints, digests,
 fault lists) from the spec, and cross-check the invariants that make the
 regeneration sound:
 
-- :func:`machine_digest` fingerprints the full machine geometry, so a
-  worker whose named config drifted from the coordinator's refuses the
-  campaign instead of silently injecting into a different machine;
+- ``program_digest`` (:func:`~repro.injection.identity.program_digest`)
+  pins the machine, program and kernel, so a drifted worker refuses the
+  campaign instead of silently injecting into a different run;
 - ``golden_cycles`` pins the golden run duration (fault cycles are drawn
-  from it), guarding against simulator drift the same way the journal's
-  fingerprint does.
+  from it), guarding against simulator drift.
 
 Fault identity - the store's primary key and the dedup/equivalence unit -
-is the tuple ``(workload, machine digest, component, cluster, index,
+is the tuple ``(workload, program digest, component, cluster, index,
 seed)``: everything that determines which bit is flipped at which cycle
-of which machine.
+of which program on which machine.
 """
 
 from __future__ import annotations
@@ -27,16 +26,19 @@ import hashlib
 import json
 import urllib.error
 import urllib.request
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from repro.errors import ReproError
 from repro.injection.campaign import CampaignConfig
 from repro.injection.components import Component
+from repro.injection.identity import program_digest
 from repro.injection.parallel import EngineOptions
-from repro.microarch.config import MACHINE_CONFIGS, MachineConfig
+from repro.microarch.config import MACHINE_CONFIGS
+from repro.workloads.base import Workload
+from repro.workloads.suite import MIBENCH_SUITE
 
 #: Bump when the wire format changes incompatibly.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 
 class FabricError(ReproError):
@@ -47,43 +49,13 @@ class FabricUnavailable(FabricError):
     """The coordinator could not be reached (down, restarting, or gone)."""
 
 
-def machine_digest(machine: MachineConfig) -> str:
-    """Stable structural fingerprint of a machine configuration.
-
-    Hashes the frozen-dataclass ``repr`` - every geometry, latency and
-    policy field in declaration order - so two configs share a digest iff
-    they are field-for-field identical.  Part of every fault identity:
-    the same (workload, component, index, seed) on a different machine is
-    a *different* fault (different population, different cycle range).
-    """
-    return hashlib.blake2b(repr(machine).encode(), digest_size=8).hexdigest()
-
-
-def resolve_machine(name: str, digest: str) -> MachineConfig:
-    """Look up a named machine config and verify its structural digest."""
-    machine = MACHINE_CONFIGS.get(name)
-    if machine is None:
-        raise FabricError(
-            f"unknown machine config {name!r} (known: "
-            f"{', '.join(sorted(MACHINE_CONFIGS))})"
-        )
-    found = machine_digest(machine)
-    if found != digest:
-        raise FabricError(
-            f"machine config {name!r} drifted: local digest {found}, "
-            f"campaign expects {digest} - refusing to inject into a "
-            f"different machine"
-        )
-    return machine
-
-
 @dataclass(frozen=True)
 class CampaignSpec:
     """Everything a worker needs to regenerate one campaign's work.
 
     A pure-JSON recipe: workload and machine are referenced by name (plus
-    the machine's structural digest), and the execution knobs mirror the
-    result-affecting and image-shaping fields of
+    the digest of the program and machine that run), and the execution
+    knobs mirror the result-affecting and image-shaping fields of
     :class:`~repro.injection.campaign.CampaignConfig`, with its
     result-neutral engine settings nested as ``engine``.  ``jobs``,
     timeouts and the disk-cache knobs deliberately do not travel - they
@@ -92,7 +64,7 @@ class CampaignSpec:
 
     workload: str
     machine: str
-    machine_digest: str
+    program_digest: str
     faults_per_component: int
     seed: int
     cluster_size: int
@@ -104,10 +76,36 @@ class CampaignSpec:
     engine: EngineOptions = EngineOptions()
     version: int = PROTOCOL_VERSION
 
+    def __post_init__(self):
+        """Refuse a spec no worker could run (a 400, never a 500 or a
+        silently empty campaign)."""
+        _check_types(self, "")
+        _check_types(self.engine, "engine.")
+        problems = [
+            f"{name} must be positive"
+            for name in ("faults_per_component", "cluster_size", "golden_cycles")
+            if getattr(self, name) < 1
+        ]
+        if not 0 < self.confidence < 1:
+            problems.append("confidence must lie in (0, 1)")
+        if self.engine.digest_probes < 0 or self.engine.trace_on_crash < 0:
+            problems.append("engine counts must not be negative")
+        if self.workload not in MIBENCH_SUITE:
+            problems.append(f"unknown workload {self.workload!r}")
+        if self.machine not in MACHINE_CONFIGS:
+            problems.append(f"unknown machine config {self.machine!r}")
+        unknown = [
+            name for name in self.components if name not in Component.__members__
+        ]
+        if unknown or not self.components:
+            problems.append(f"components must be known names, got {unknown}")
+        if problems:
+            raise FabricError(f"malformed campaign spec: {'; '.join(problems)}")
+
     @classmethod
     def from_config(
         cls,
-        workload_name: str,
+        workload: Workload,
         config: CampaignConfig,
         golden_cycles: int,
         components: tuple[Component, ...] = tuple(Component),
@@ -119,9 +117,9 @@ class CampaignSpec:
                 "fixed-sample campaign (no --target-margin)"
             )
         return cls(
-            workload=workload_name,
+            workload=workload.name,
             machine=config.machine.name,
-            machine_digest=machine_digest(config.machine),
+            program_digest=program_digest(workload, config.machine),
             faults_per_component=config.faults_per_component,
             seed=config.seed,
             cluster_size=config.cluster_size,
@@ -134,15 +132,16 @@ class CampaignSpec:
     def to_config(self) -> CampaignConfig:
         """Rebuild the local campaign configuration this spec describes.
 
-        The machine is resolved by name and digest-verified; execution
-        policy fields (``jobs``, timeouts) take their defaults - the
-        caller decides those locally.
+        The machine is looked up by name (the worker checks the program
+        digest once it has the program); execution policy fields
+        (``jobs``, timeouts) take their defaults - the caller decides
+        those locally.
         """
         return CampaignConfig(
             faults_per_component=self.faults_per_component,
             seed=self.seed,
             confidence=self.confidence,
-            machine=resolve_machine(self.machine, self.machine_digest),
+            machine=MACHINE_CONFIGS[self.machine],
             cluster_size=self.cluster_size,
             **asdict(self.engine),
         )
@@ -160,7 +159,8 @@ class CampaignSpec:
         """Parse a spec payload.
 
         Incompatible protocol versions and malformed payloads (not an
-        object, unknown or missing fields) raise :class:`FabricError`.
+        object, unknown or missing fields, wrong types or values) raise
+        :class:`FabricError`.
         """
         if not isinstance(payload, dict):
             raise FabricError(
@@ -175,7 +175,10 @@ class CampaignSpec:
                 f"speaks v{PROTOCOL_VERSION}"
             )
         try:
-            data["components"] = tuple(data.get("components", ()))
+            if "components" in data:
+                if not isinstance(data["components"], (list, tuple)):
+                    raise TypeError("components must be a list of names")
+                data["components"] = tuple(data["components"])
             data["engine"] = EngineOptions(**data.get("engine", {}))
             return cls(**data)
         except TypeError as exc:
@@ -188,11 +191,30 @@ class CampaignSpec:
         return hashlib.blake2b(canonical.encode(), digest_size=6).hexdigest()
 
 
+#: JSON type of each scalar field annotation a spec carries.
+_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
+
+
+def _check_types(value, prefix: str) -> None:
+    for item in fields(value):
+        expected = _JSON_TYPES.get(item.type)
+        found = getattr(value, item.name)
+        if expected is not None and (
+            not isinstance(found, expected)
+            or (isinstance(found, bool) and expected is not bool)
+        ):
+            raise FabricError(
+                f"malformed campaign spec: {prefix}{item.name} must be "
+                f"{item.type}, got {found!r}"
+            )
+
+
 def identity_base(spec: CampaignSpec) -> dict:
-    """The campaign-invariant part of its faults' identity tuples."""
+    """The campaign-invariant part of its faults' identity tuples (the
+    store's ``machine`` column holds the program digest)."""
     return {
         "workload": spec.workload,
-        "machine": spec.machine_digest,
+        "machine": spec.program_digest,
         "cluster": spec.cluster_size,
         "seed": spec.seed,
     }

@@ -1,8 +1,9 @@
 """Central sqlite fault store: dedup, leases, and durable campaign state.
 
 One database holds every fault the fabric has ever been asked to run,
-keyed by fault identity ``(workload, machine digest, component, cluster,
-index, seed)``.  That key is the whole design:
+keyed by fault identity ``(workload, program digest, component, cluster,
+index, seed)`` (``machine`` column: the program digest).  That key is the
+whole design:
 
 - **dedup**: registering a campaign is ``INSERT OR IGNORE`` - a fault
   already completed by any prior or concurrent campaign keeps its row

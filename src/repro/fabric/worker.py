@@ -8,9 +8,9 @@ disappear, or be duplicated at will.  Its loop:
    ``{"idle": true}``;
 2. rebuild the campaign's machine image from the spec (golden run,
    checkpoints, digests - :func:`~repro.injection.campaign.prepare_image`,
-   the exact seam the local campaign uses), verifying the regenerated
-   golden duration against the spec's ``golden_cycles`` so simulator
-   drift is an error, not a silently different campaign;
+   the exact seam the local campaign uses), verifying the program digest
+   and the regenerated golden duration against the spec's, so machine,
+   program or simulator drift is an error, not a different campaign;
 3. regenerate the component's fault list, slice the leased window, and
    run it through :func:`~repro.injection.parallel.run_injection_plan`
    with ``indices={component: range(start, stop)}`` - the same explicit
@@ -51,6 +51,7 @@ from repro.fabric.protocol import (
 )
 from repro.injection.campaign import build_fault_plan, prepare_image
 from repro.injection.components import Component
+from repro.injection.identity import program_digest
 from repro.injection.journal import RecordBuffer
 from repro.injection.parallel import ImageInjector, run_injection_plan
 from repro.microarch.profile import process_stats, translator_stats
@@ -73,6 +74,11 @@ class _CampaignContext:
         self.spec = spec
         config = spec.to_config()
         workload = get_workload(spec.workload)
+        if program_digest(workload, config.machine) != spec.program_digest:
+            raise FabricUnavailable(
+                f"{spec.workload} on {spec.machine} is not the program the "
+                f"campaign was submitted for - refusing the campaign"
+            )
         golden, self.image = prepare_image(workload, config)
         if golden.cycles != spec.golden_cycles:
             raise FabricUnavailable(

@@ -13,7 +13,7 @@ over ``CampaignConfig.jobs`` worker processes.  Results are deterministic -
 bit-identical for any ``jobs`` value - because every injection is a pure
 function of (image, fault) and tallies are accumulated in fault order.
 
-Results are cached on disk keyed by (machine, workload, sample size, seed)
+Results are cached on disk under :func:`~repro.injection.identity.result_key`
 so analyses and benchmark harnesses can share one expensive campaign.
 Caching, the image, the journal and the result store live in one
 skeleton, :meth:`InjectionCampaign._run_campaign`; a fixed campaign runs
@@ -42,6 +42,7 @@ from repro.errors import InjectionError
 from repro.injection.classify import FaultEffect, classify_run
 from repro.injection.components import Component, component_bits, component_target
 from repro.injection.fault import Fault, generate_faults
+from repro.injection.identity import program_digest, result_key
 from repro.injection.journal import InjectionJournal, JournalMeta
 from repro.injection.parallel import (
     DEFAULT_MAX_RETRIES,
@@ -135,40 +136,15 @@ class CampaignConfig:
     #: Bound on re-dispatches of a fault whose worker died, timed out, or
     #: raised; past it the fault is quarantined (reported, not tallied).
     max_retries: int = DEFAULT_MAX_RETRIES
-    #: Early Masked termination (golden-state digest convergence + dead-cell
-    #: short-circuit; see :mod:`repro.injection.parallel`).  Deliberately
-    #: *not* part of the cache key: both prunings are provably sound, so
-    #: they cannot change any injection's effect - only how long it takes
-    #: to reach it (enforced by the early-exit equivalence suite).
+    #: The result-neutral engine settings, bundled as :attr:`engine` and
+    #: documented on :class:`~repro.injection.parallel.EngineOptions`.  None
+    #: can change an injection's effect (the early-exit, observability and
+    #: translator equivalence suites pin it), so none is in the cache key.
     early_exit: bool = True
-    #: Number of evenly spaced golden-state digest probes; more probes
-    #: bound the post-convergence simulation tail more tightly but cost
-    #: one state hash each on runs that never converge.  Also excluded
-    #: from the cache key (same reason as ``early_exit``).
     digest_probes: int = 24
-    #: Record per-injection fault-lifetime events (flip -> first read /
-    #: overwrite / eviction -> architectural divergence -> outcome; see
-    #: :mod:`repro.observability`).  Pure observation - the equivalence
-    #: suite pins that it changes no classification - so it is excluded
-    #: from the cache key like ``early_exit``.
     lifetime_events: bool = True
-    #: When > 0, keep a bounded instruction trace during each injection and
-    #: attach the last N entries to Crash-classified journal records.
-    #: Traced runs run without the translator; 0 (the default) disables
-    #: it.  Observation-only, hence also excluded from the cache key.
     trace_on_crash: int = 0
-    #: Execute injected and golden runs through the basic-block translator
-    #: (:mod:`repro.microarch.translate`) with copy-on-write restores
-    #: (:class:`~repro.microarch.snapshot.DeltaRestorer`).  Bit-identical
-    #: by construction to the reference engine, the interpreter with
-    #: full-sweep restores (enforced by the translator equivalence suite),
-    #: so like ``early_exit`` it is deliberately *not* part of the cache
-    #: key; ``--no-translate`` selects the reference for audits.
     translate: bool = True
-    #: Compile per-superblock iteration counters into translated blocks and
-    #: collect per-op dispatch + translator statistics for the
-    #: ``repro-metrics/1`` envelope (see :mod:`repro.microarch.profile`).
-    #: Observation-only; excluded from the cache key.
     profile: bool = False
     #: Adaptive (sequential) stopping: when set, the campaign ignores
     #: ``faults_per_component`` and instead injects batch after batch until
@@ -194,7 +170,7 @@ class CampaignConfig:
     #: stratum train a Masked-outcome predictor, and the rest of the
     #: stream is reordered toward uncertain faults with a stratified
     #: post-corrected estimator.  Changes which injections are tallied,
-    #: so it *is* part of the adaptive cache key (``-L``).
+    #: so it *is* part of the adaptive cache key.
     learned_sampling: bool = False
 
     @property
@@ -213,37 +189,37 @@ class CampaignConfig:
             return self.max_faults
         return self.faults_per_component
 
-    def journal_meta(self, workload_name: str, golden_cycles: int) -> JournalMeta:
+    def journal_meta(
+        self, workload: str, digest: str, golden_cycles: int
+    ) -> JournalMeta:
         """The fingerprint a journal of this campaign carries and resumes
         against (local and fabric journals alike)."""
         return JournalMeta(
-            workload=workload_name,
+            workload=workload,
             machine=self.machine.name,
             faults_per_component=self.planned_faults,
             seed=self.seed,
             cluster_size=self.cluster_size,
             golden_cycles=golden_cycles,
+            program_digest=digest,
         )
 
-    def cache_key(self, workload_name: str) -> str:
+    def cache_key(self, workload: Workload) -> str:
         """Filename stem identifying this exact campaign configuration."""
-        cluster = f"-c{self.cluster_size}" if self.cluster_size != 1 else ""
-        workload = workload_name.replace(" ", "_")
-        if self.target_margin is not None:
-            # Everything that determines an adaptive result's raw counts:
-            # target, confidence, floor/cap and seed - but *not* batch_size
-            # or jobs, which are execution granularity with bit-identical
-            # results (enforced by the adaptive equivalence suite).
-            learned = "-L" if self.learned_sampling else ""
-            return (
-                f"fi-{self.machine.name}-{workload}"
-                f"-adapt-t{self.target_margin:g}-cf{self.confidence:g}"
-                f"-f{self.min_faults}-F{self.max_faults}-s{self.seed}"
-                f"{cluster}{learned}"
+        if self.target_margin is None:
+            return result_key(
+                "fi", workload, self.machine, seed=self.seed,
+                faults_per_component=self.faults_per_component,
+                cluster_size=self.cluster_size,
             )
-        return (
-            f"fi-{self.machine.name}-{workload}"
-            f"-n{self.faults_per_component}-s{self.seed}{cluster}"
+        # Everything that determines an adaptive result's raw counts - but
+        # *not* batch_size or jobs, which are execution granularity with
+        # bit-identical results (enforced by the adaptive equivalence suite).
+        return result_key(
+            "fi-adapt", workload, self.machine, seed=self.seed,
+            target_margin=self.target_margin, confidence=self.confidence,
+            min_faults=self.min_faults, max_faults=self.max_faults,
+            cluster_size=self.cluster_size, learned_sampling=self.learned_sampling,
         )
 
 
@@ -678,15 +654,6 @@ class InjectionCampaign:
             component_result.confidence = self.config.confidence
         return result
 
-    def _open_journal(
-        self, workload_name: str, golden_cycles: int
-    ) -> InjectionJournal | None:
-        if self.journal_dir is None:
-            return None
-        path = self.journal_dir / (self.config.cache_key(workload_name) + ".jsonl")
-        opener = InjectionJournal.open if self.resume else InjectionJournal.create
-        return opener(path, self.config.journal_meta(workload_name, golden_cycles))
-
     def run_workload(
         self,
         workload: Workload,
@@ -719,7 +686,9 @@ class InjectionCampaign:
         journal, farm and tracing settings.
         """
         components = tuple(components)
-        path = self.cache_dir / (self.config.cache_key(workload.name) + ".json")
+        config = self.config
+        key = config.cache_key(workload)
+        path = self.cache_dir / (key + ".json")
         cached = self._load_cached(path) if use_cache else None
         missing = [
             component
@@ -734,7 +703,7 @@ class InjectionCampaign:
                 + ",".join(component.name for component in missing)
             )
 
-        golden, image = prepare_image(workload, self.config)
+        golden, image = prepare_image(workload, config)
         if cached is not None and cached.golden_cycles != golden.cycles:
             # Extending it would mix two golden runs: re-run it all.
             self._progress(
@@ -745,7 +714,12 @@ class InjectionCampaign:
             cached = None
         if cached is None:
             missing = list(components)
-        journal = self._open_journal(workload.name, golden.cycles)
+        journal = None
+        if self.journal_dir is not None:
+            opener = InjectionJournal.open if self.resume else InjectionJournal.create
+            digest = program_digest(workload, config.machine)
+            meta = config.journal_meta(workload.name, digest, golden.cycles)
+            journal = opener(self.journal_dir / (key + ".jsonl"), meta)
         quarantined: list[QuarantinedFault] = []
         root = (
             self.tracer.span("campaign", workload=workload.name)
@@ -757,12 +731,12 @@ class InjectionCampaign:
                 run_plan = partial(
                     run_injection_plan,
                     image,
-                    jobs=self.config.jobs,
+                    jobs=config.jobs,
                     progress=self._progress,
                     journal=journal,
                     telemetry=self.telemetry,
-                    timeout=self.config.injection_timeout,
-                    max_retries=self.config.max_retries,
+                    timeout=config.injection_timeout,
+                    max_retries=config.max_retries,
                     quarantined=quarantined,
                     tracer=self.tracer,
                     span_parent=span.span_id if span is not None else None,

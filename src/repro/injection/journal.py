@@ -7,10 +7,11 @@ node, an OOM-killed worker - loses at most the experiments that were still
 in flight.  This module provides that substrate as a JSONL journal:
 
 - line 1 is a ``meta`` record fingerprinting the campaign (workload,
-  machine, sample size, seed, cluster size, golden duration).  Resuming
-  against a journal whose fingerprint does not match the active
-  configuration raises :class:`~repro.errors.InjectionError` instead of
-  silently mixing incompatible samples;
+  machine, program digest, sample size, seed, cluster size, golden
+  duration).  Resuming against a journal whose fingerprint does not
+  match the active configuration raises
+  :class:`~repro.errors.InjectionError` instead of silently mixing
+  incompatible samples;
 - every completed injection appends one ``injection`` record (component,
   fault index, bit, cycle, effect, wall-time) with a single ``os.write``
   on an ``O_APPEND`` descriptor followed by ``fsync`` - a crash can
@@ -28,7 +29,7 @@ from __future__ import annotations
 import errno
 import json
 import os
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from pathlib import Path
 
 from repro.errors import InjectionError
@@ -47,8 +48,9 @@ class JournalMeta:
     A journal is only replayable against the exact campaign that wrote
     it: the fault lists are regenerated from (seed, component population,
     golden duration), so any drift in these knobs silently remaps fault
-    indices.  ``golden_cycles`` additionally guards against simulator
-    changes that alter the golden run itself.
+    indices.  ``program_digest`` pins the machine, program and kernel
+    (older journals read back with ``""`` and never resume);
+    ``golden_cycles`` guards against simulator changes.
     """
 
     workload: str
@@ -57,6 +59,7 @@ class JournalMeta:
     seed: int
     cluster_size: int
     golden_cycles: int
+    program_digest: str = ""
     version: int = JOURNAL_VERSION
 
     def to_line(self) -> dict:
@@ -67,16 +70,13 @@ class JournalMeta:
 
     @classmethod
     def from_line(cls, payload: dict) -> "JournalMeta":
-        """Parse the journal's header line."""
-        return cls(
-            workload=payload["workload"],
-            machine=payload["machine"],
-            faults_per_component=payload["faults_per_component"],
-            seed=payload["seed"],
-            cluster_size=payload["cluster_size"],
-            golden_cycles=payload["golden_cycles"],
-            version=payload["version"],
-        )
+        """Parse the journal's header line (a missing required field is a
+        ``KeyError``; a missing defaulted one takes its default)."""
+        return cls(**{
+            field.name: payload[field.name]
+            for field in fields(cls)
+            if field.name in payload or field.default is MISSING
+        })
 
 
 @dataclass(frozen=True)
@@ -332,10 +332,7 @@ class InjectionJournal:
         if found != meta:
             mismatched = [
                 f"{name}: journal={getattr(found, name)!r} active={getattr(meta, name)!r}"
-                for name in (
-                    "workload", "machine", "faults_per_component",
-                    "seed", "cluster_size", "golden_cycles",
-                )
+                for name in (field.name for field in fields(JournalMeta))
                 if getattr(found, name) != getattr(meta, name)
             ]
             raise InjectionError(

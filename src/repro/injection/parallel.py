@@ -142,7 +142,8 @@ class EngineOptions:
     #: Master switch for the provably-sound early-Masked terminations.
     early_exit: bool = True
     #: Evenly spaced golden-state digest probes recorded for early exit
-    #: and fault-lifetime divergence stamping.
+    #: and fault-lifetime divergence stamping.  More probes bound the
+    #: post-convergence tail tighter but cost one state hash each.
     digest_probes: int = 24
     #: Record per-injection fault-lifetime events (:mod:`repro.observability`).
     lifetime_events: bool = True

@@ -155,8 +155,9 @@ SCALED_A9_CONFIG = MachineConfig(
 )
 
 #: Named configurations resolvable across process and host boundaries.
-#: The fabric protocol ships a machine by *name* plus a structural digest
-#: (see :func:`repro.fabric.protocol.machine_digest`); workers look the
+#: The fabric protocol ships a machine by *name* plus a digest of the
+#: machine and its program (see
+#: :func:`repro.injection.identity.program_digest`); workers look the
 #: name up here and verify the digest, so a drifted geometry on either
 #: side is an error instead of a silently different campaign.
 MACHINE_CONFIGS: dict[str, MachineConfig] = {

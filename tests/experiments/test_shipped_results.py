@@ -1,35 +1,61 @@
 """Integration: the shipped campaign cache reproduces the paper's shapes.
 
 These tests read the default-scale campaign results from ``.repro_cache``
-(shipped with the repository).  They skip when the cache is absent
-(fresh checkout with the cache deleted) - the benchmark harness is the
-place that re-runs campaigns.
+(shipped with the repository).  They skip when the cache directory is
+absent (fresh checkout with the cache deleted) - the benchmark harness is
+the place that re-runs campaigns - but fail when it exists without a
+file under the current key of every campaign they read: a silent skip
+there would hide a result-identity change that orphaned the shipped
+files.
 """
 
 from __future__ import annotations
 
+import json
 from statistics import median
 
 import pytest
 
 from repro.experiments import fig6, fig7, fig8, fig9, fig10
 from repro.experiments.runner import ExperimentContext
-from repro.injection.campaign import CampaignConfig
-from repro.workloads import MIBENCH_SUITE
+from repro.injection.campaign import default_cache_dir, run_golden
+from repro.microarch.config import SCALED_A9_CONFIG
+from repro.workloads import MIBENCH_SUITE, get_workload
 
 
 @pytest.fixture(scope="module")
 def context():
     ctx = ExperimentContext(faults_per_component=100, beam_hours=300)
-    config = CampaignConfig(faults_per_component=100)
+    cache_dir = ctx._injection.cache_dir
+    if not cache_dir.is_dir():
+        pytest.skip(f"shipped campaign cache {cache_dir} absent")
     missing = [
-        name
-        for name in MIBENCH_SUITE
-        if not (ctx._injection.cache_dir / (config.cache_key(name) + ".json")).exists()
+        f"{config.cache_key(workload)}.json ({name})"
+        for name, workload in MIBENCH_SUITE.items()
+        for config in (ctx._injection.config, ctx._beam.config)
+        if not (cache_dir / f"{config.cache_key(workload)}.json").exists()
     ]
-    if missing:
-        pytest.skip(f"shipped campaign cache absent for {missing[:3]}...")
+    assert not missing, f"{cache_dir} lacks current keys: {missing}"
     return ctx
+
+
+def test_shipped_golden_cycles_match_a_fresh_golden_run():
+    """Every shipped injection result was recorded against the golden run
+    the simulator produces today (the guard the cache key leaves to the
+    golden-cycle checks)."""
+    shipped = sorted(default_cache_dir().glob("fi-*.json"))
+    if not shipped:
+        pytest.skip("shipped campaign cache absent")
+    fresh = {}
+    stale = []
+    for path in shipped:
+        payload = json.loads(path.read_text())
+        name = payload["workload"]
+        if name not in fresh:
+            fresh[name] = run_golden(get_workload(name), SCALED_A9_CONFIG).cycles
+        if payload["golden_cycles"] != fresh[name]:
+            stale.append((path.name, payload["golden_cycles"], fresh[name]))
+    assert not stale, f"shipped results recorded against other golden runs: {stale}"
 
 
 class TestPaperShapes:

@@ -225,7 +225,7 @@ class TestCoordinatorKillAndResume:
         early = FabricWorker(fabric.url, name="early", poll_interval=0.05)
         summary = client.submit(
             CampaignSpec.from_config(
-                workload.name, config, serial["golden"].cycles, COMPONENTS
+                workload, config, serial["golden"].cycles, COMPONENTS
             )
         )
         campaign_id = summary["campaign_id"]

@@ -1,9 +1,10 @@
-"""Fabric wire protocol: specs, machine digests, fault identity."""
+"""Fabric wire protocol: specs, program digests, fault identity."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import sqlite3
 import threading
 import urllib.error
 import urllib.request
@@ -15,23 +16,28 @@ from repro.fabric.coordinator import Coordinator, create_server
 from repro.fabric.protocol import (
     CampaignSpec,
     FabricError,
+    FabricUnavailable,
     identity_base,
-    machine_digest,
-    resolve_machine,
 )
 from repro.fabric.store import FaultStore
-from repro.injection.campaign import CampaignConfig
+from repro.fabric.worker import _CampaignContext
+from repro.injection.campaign import CampaignConfig, build_fault_plan
 from repro.injection.components import Component
+from repro.injection.identity import machine_digest, program_digest
 from repro.injection.parallel import EngineOptions
 from repro.microarch.config import (
     CORTEX_A9_CONFIG,
     SCALED_A9_CONFIG,
 )
+from repro.workloads import get_workload
+from tests.injection.test_identity import edited
+
+CRC32 = get_workload("CRC32")
 
 
 def make_spec(**overrides) -> CampaignSpec:
     config = CampaignConfig(faults_per_component=10, seed=7)
-    spec = CampaignSpec.from_config("CRC32", config, golden_cycles=123_456)
+    spec = CampaignSpec.from_config(CRC32, config, golden_cycles=123_456)
     return dataclasses.replace(spec, **overrides) if overrides else spec
 
 
@@ -50,13 +56,12 @@ class TestMachineDigest:
             CORTEX_A9_CONFIG
         )
 
-    def test_resolve_verifies_the_digest(self):
-        digest = machine_digest(SCALED_A9_CONFIG)
-        assert resolve_machine("cortex-a9-scaled", digest) is SCALED_A9_CONFIG
-        with pytest.raises(FabricError, match="drifted"):
-            resolve_machine("cortex-a9-scaled", "0" * 16)
+    def test_worker_refuses_a_spec_for_another_program(self):
+        assert make_spec().to_config().machine is SCALED_A9_CONFIG
+        with pytest.raises(FabricUnavailable, match="not the program"):
+            _CampaignContext(make_spec(program_digest="0" * 32))
         with pytest.raises(FabricError, match="unknown machine"):
-            resolve_machine("cortex-m0", digest)
+            make_spec(machine="cortex-m0")
 
 
 class TestCampaignSpec:
@@ -68,7 +73,7 @@ class TestCampaignSpec:
         config = CampaignConfig(
             faults_per_component=10, seed=7, cluster_size=2, early_exit=False
         )
-        spec = CampaignSpec.from_config("CRC32", config, golden_cycles=999)
+        spec = CampaignSpec.from_config(CRC32, config, golden_cycles=999)
         rebuilt = spec.to_config()
         assert rebuilt.faults_per_component == 10
         assert rebuilt.seed == 7
@@ -83,7 +88,7 @@ class TestCampaignSpec:
     def test_adaptive_configs_are_rejected(self):
         config = CampaignConfig(target_margin=0.02)
         with pytest.raises(FabricError, match="adaptive"):
-            CampaignSpec.from_config("CRC32", config, golden_cycles=1)
+            CampaignSpec.from_config(CRC32, config, golden_cycles=1)
 
     def test_foreign_protocol_version_is_rejected(self):
         payload = make_spec().to_payload()
@@ -99,7 +104,7 @@ class TestCampaignSpec:
         config = CampaignConfig(
             faults_per_component=10, seed=7, translate=False, digest_probes=5
         )
-        spec = CampaignSpec.from_config("CRC32", config, golden_cycles=999)
+        spec = CampaignSpec.from_config(CRC32, config, golden_cycles=999)
         assert spec.engine == config.engine
         assert spec.to_payload()["engine"]["translate"] is False
         assert CampaignSpec.from_payload(spec.to_payload()) == spec
@@ -109,7 +114,7 @@ class TestCampaignSpec:
     def test_protocol_v1_payload_names_both_versions(self):
         payload = make_spec().to_payload()
         payload["version"] = 1
-        with pytest.raises(FabricError, match="protocol v1.*speaks v3"):
+        with pytest.raises(FabricError, match="protocol v1.*speaks v4"):
             CampaignSpec.from_payload(payload)
 
     @pytest.mark.parametrize(
@@ -140,6 +145,30 @@ class TestCampaignSpec:
         with pytest.raises(FabricError, match="JSON object"):
             CampaignSpec.from_payload(payload)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("components", ["BOGUS"], "known names"),
+            ("components", "L1D", "list of names"),
+            ("components", [], "known names"),
+            ("faults_per_component", -5, "must be positive"),
+            ("faults_per_component", 2.5, "must be int"),
+            ("golden_cycles", 0, "must be positive"),
+            ("seed", True, "must be int"),
+            ("confidence", 1.5, r"\(0, 1\)"),
+            ("workload", "Nope", "unknown workload"),
+            ("machine", "cortex-m0", "unknown machine"),
+            ("program_digest", 7, "must be str"),
+            ("engine", {"translate": "yes"}, "engine.translate must be bool"),
+            ("engine", {"digest_probes": -1}, "must not be negative"),
+        ],
+    )
+    def test_invalid_values_raise_fabric_errors(self, field, value, message):
+        payload = make_spec().to_payload()
+        payload[field] = value
+        with pytest.raises(FabricError, match=message):
+            CampaignSpec.from_payload(payload)
+
 
 class TestFaultIdentity:
     def test_identity_base_carries_the_campaign_invariants(self):
@@ -147,7 +176,7 @@ class TestFaultIdentity:
         base = identity_base(spec)
         assert base == {
             "workload": "CRC32",
-            "machine": machine_digest(SCALED_A9_CONFIG),
+            "machine": program_digest(CRC32, SCALED_A9_CONFIG),
             "cluster": 1,
             "seed": 7,
         }
@@ -158,6 +187,39 @@ class TestFaultIdentity:
         small = identity_base(make_spec(faults_per_component=5))
         large = identity_base(make_spec(faults_per_component=50))
         assert small == large
+
+    @pytest.mark.parametrize("faults", [50, 1000])
+    def test_an_edited_workload_registers_new_rows(self, tmp_path, faults):
+        """The same name with another program (and so another golden
+        duration) must never reuse, or collide with, the old rows."""
+        store_path = tmp_path / "faults.sqlite"
+        coordinator = Coordinator(FaultStore(store_path), tmp_path / "journals")
+        config = CampaignConfig(faults_per_component=faults, seed=0)
+        for workload, golden_cycles in ((CRC32, 274_908), (edited(CRC32), 275_726)):
+            spec = CampaignSpec.from_config(workload, config, golden_cycles)
+            summary = coordinator.submit(spec.to_payload())
+            assert summary["already_done"] == 0
+        coordinator.close()
+        with sqlite3.connect(store_path) as conn:
+            ((rows,),) = conn.execute("SELECT COUNT(*) FROM faults")
+        assert rows == 2 * faults * len(Component)
+
+    def test_rows_of_an_older_store_match_no_new_identity(self, tmp_path):
+        """A store written before identities covered the program opens,
+        and its machine-digest rows never answer a new campaign."""
+        store = FaultStore(tmp_path / "faults.sqlite")
+        spec = make_spec()
+        plan = build_fault_plan(spec.to_config(), 999, (Component.L1D,))
+        old_base = {**identity_base(spec), "machine": machine_digest(SCALED_A9_CONFIG)}
+        store.register(old_base, "L1D", plan[Component.L1D])
+        store.complete(old_base, "L1D", 0, {}, "SDC", "full", 0.1, worker="old")
+        store.close()
+        store = FaultStore(tmp_path / "faults.sqlite")
+        base = identity_base(spec)
+        assert sum(store.counts(base, {"L1D": 10}).values()) == 0
+        fresh = build_fault_plan(spec.to_config(), spec.golden_cycles, (Component.L1D,))
+        assert store.register(base, "L1D", fresh[Component.L1D]) == 10
+        store.close()
 
 
 def _post(url: str, body: bytes) -> tuple[int, dict]:
@@ -202,6 +264,32 @@ class TestBadRequests:
             server.shutdown()
             server.server_close()
             coordinator.close()
+
+    def test_submit_answers_400_to_invalid_specs(self, tmp_path):
+        store = FaultStore(tmp_path / "faults.sqlite")
+        coordinator = Coordinator(store, tmp_path / "journals")
+        server = create_server(coordinator)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        url = f"http://127.0.0.1:{server.server_address[1]}/submit"
+        try:
+            for field, value in (
+                ("components", ["BOGUS"]),
+                ("components", "L1D"),
+                ("faults_per_component", -5),
+                ("workload", "Nope"),
+                ("engine", {"translate": "yes"}),
+            ):
+                spec = {**make_spec().to_payload(), field: value}
+                code, reply = _post(url, json.dumps({"spec": spec}).encode())
+                assert code == 400, (field, reply)
+                assert "malformed campaign spec" in reply["error"]
+            assert store.campaigns() == {}
+        finally:
+            server.shutdown()
+            server.server_close()
+            coordinator.close()
+        with sqlite3.connect(tmp_path / "faults.sqlite") as conn:
+            assert conn.execute("SELECT COUNT(*) FROM faults").fetchone() == (0,)
 
     def test_coordinator_refuses_a_store_with_a_malformed_spec(self, tmp_path):
         store = FaultStore(tmp_path / "faults.sqlite")

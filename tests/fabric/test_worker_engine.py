@@ -40,7 +40,7 @@ def golden_cycles():
 def _spec(golden_cycles, **overrides):
     config = CampaignConfig(faults_per_component=2, seed=7, **overrides)
     return CampaignSpec.from_config(
-        WORKLOAD, config, golden_cycles, (Component.REGFILE,)
+        get_workload(WORKLOAD), config, golden_cycles, (Component.REGFILE,)
     )
 
 
@@ -57,7 +57,7 @@ def test_spec_roundtrip_preserves_engine_fields(golden_cycles):
     )
     assert config.engine != EngineOptions()
     spec = CampaignSpec.from_config(
-        WORKLOAD, config, golden_cycles, (Component.REGFILE,)
+        get_workload(WORKLOAD), config, golden_cycles, (Component.REGFILE,)
     )
     wire = CampaignSpec.from_payload(spec.to_payload())
     assert wire.to_config().engine == config.engine

@@ -162,13 +162,14 @@ class TestConfigValidation:
             )
 
     def test_adaptive_cache_key_ignores_execution_granularity(self):
+        crc32 = get_workload("CRC32")
         base = CampaignConfig(target_margin=0.02, batch_size=50, jobs=1)
         other = CampaignConfig(target_margin=0.02, batch_size=7, jobs=8)
-        assert base.cache_key("X") == other.cache_key("X")
+        assert base.cache_key(crc32) == other.cache_key(crc32)
         fixed = CampaignConfig(faults_per_component=100)
-        assert base.cache_key("X") != fixed.cache_key("X")
+        assert base.cache_key(crc32) != fixed.cache_key(crc32)
         tighter = CampaignConfig(target_margin=0.01)
-        assert base.cache_key("X") != tighter.cache_key("X")
+        assert base.cache_key(crc32) != tighter.cache_key(crc32)
 
 
 def _adaptive_config(**overrides) -> CampaignConfig:

@@ -217,7 +217,7 @@ class TestStaleGoldenCache:
                 )
             },
         )
-        cache_file = tmp_path / (config.cache_key(workload.name) + ".json")
+        cache_file = tmp_path / (config.cache_key(workload) + ".json")
         cache_file.write_text(json.dumps(stale.to_dict()))
         messages: list[str] = []
         campaign = campaign_class(

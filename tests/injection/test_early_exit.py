@@ -213,7 +213,8 @@ class TestCampaignIntegration:
         pruned = CampaignConfig(
             faults_per_component=4, seed=7, early_exit=False, digest_probes=3
         )
-        assert base.cache_key("X") == pruned.cache_key("X")
+        crc32 = get_workload("CRC32")
+        assert base.cache_key(crc32) == pruned.cache_key(crc32)
 
     def test_plan_feeds_termination_telemetry(self, prepared):
         workload, golden, _snapshots, _digests = prepared

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import json
 import os
@@ -171,6 +172,24 @@ class TestResume:
         )
         with pytest.raises(InjectionError, match="seed"):
             InjectionJournal.resume(path, drifted)
+
+    def test_headers_without_a_program_digest_read_but_never_resume(
+        self, tmp_path
+    ):
+        """Journals written before the header carried the program digest
+        still replay (``repro stats``), but no new campaign resumes them."""
+        path = tmp_path / "old.jsonl"
+        header = META.to_line()
+        del header["program_digest"]
+        path.write_text(
+            json.dumps(header) + "\n" + json.dumps(make_record(0).to_line()) + "\n"
+        )
+        meta, records, _q = read_journal(path)
+        assert meta == META and meta.program_digest == ""
+        assert [r.index for r in records] == [0]
+        active = dataclasses.replace(META, program_digest="ab" * 16)
+        with pytest.raises(InjectionError, match="program_digest"):
+            InjectionJournal.resume(path, active)
 
     def test_open_creates_then_resumes(self, tmp_path):
         path = tmp_path / "j.jsonl"

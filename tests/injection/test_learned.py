@@ -318,8 +318,8 @@ class TestCacheKey:
     def test_learned_campaigns_get_their_own_cache_key(self):
         plain = _learned_config(learned_sampling=False)
         learned = _learned_config()
-        assert plain.cache_key("X") != learned.cache_key("X")
-        assert learned.cache_key("X").endswith("-L")
+        crc32 = get_workload("CRC32")
+        assert plain.cache_key(crc32) != learned.cache_key(crc32)
 
 
 COMPONENTS = (Component.L1D,)
@@ -415,7 +415,11 @@ class TestLearnedResume:
             get_workload("CRC32"), components=COMPONENTS
         )
         journal_path = next(journal_dir.glob("*.jsonl"))
-        assert journal_path.stem.endswith("-L")  # learned-specific journal
+        # A learned-specific journal: plain campaigns key another file.
+        assert journal_path.stem == _learned_config().cache_key(get_workload("CRC32"))
+        assert journal_path.stem != _learned_config(learned_sampling=False).cache_key(
+            get_workload("CRC32")
+        )
         lines = journal_path.read_text().splitlines(keepends=True)
         assert len(lines) - 1 > keep
         journal_path.write_text("".join(lines[: keep + 1]))

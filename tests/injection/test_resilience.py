@@ -393,7 +393,7 @@ class TestCampaignLevelResilience:
         process.start()
         # Kill once the journal shows real progress (mid-campaign).
         journal_path = journal_dir / (
-            config.cache_key(workload.name) + ".jsonl"
+            config.cache_key(workload) + ".jsonl"
         )
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline and process.is_alive():
@@ -419,7 +419,7 @@ class TestCampaignLevelResilience:
         )
         # Same cache key (same n/seed/machine/cluster) but the golden
         # duration is fingerprinted too - simulate drift by rewriting it.
-        journal_path = journal_dir / (config.cache_key(workload.name) + ".jsonl")
+        journal_path = journal_dir / (config.cache_key(workload) + ".jsonl")
         lines = journal_path.read_text().splitlines()
         import json as _json
 

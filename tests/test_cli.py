@@ -51,8 +51,11 @@ class TestCommands:
         from pathlib import Path
 
         from repro.injection.campaign import CampaignConfig, default_cache_dir
+        from repro.workloads import get_workload
 
-        key = CampaignConfig(faults_per_component=100).cache_key("CRC32")
+        key = CampaignConfig(faults_per_component=100).cache_key(
+            get_workload("CRC32")
+        )
         if not (default_cache_dir() / f"{key}.json").exists():
             pytest.skip("shipped campaign cache absent")
         assert main(["report", "fig10"]) == 0
