@@ -226,7 +226,7 @@ def _cmd_inject(args) -> int:
     metrics_server = None
     registry = None
     if args.metrics_port is not None:
-        from repro.fabric.metrics import (
+        from repro.observability.metrics import (
             MetricsRegistry,
             start_metrics_server,
             telemetry_collector,

@@ -29,12 +29,6 @@ suite in ``tests/fabric`` enforces it per fault, not just per tally.
 from repro.fabric.client import FabricClient
 from repro.fabric.coordinator import Coordinator, serve_forever
 from repro.fabric.dashboard import render_dashboard, top
-from repro.fabric.metrics import (
-    MetricsRegistry,
-    parse_exposition,
-    start_metrics_server,
-    telemetry_collector,
-)
 from repro.fabric.protocol import CampaignSpec
 from repro.fabric.store import FaultStore
 from repro.fabric.worker import FabricWorker
@@ -45,11 +39,7 @@ __all__ = [
     "FabricClient",
     "FabricWorker",
     "FaultStore",
-    "MetricsRegistry",
-    "parse_exposition",
     "render_dashboard",
     "serve_forever",
-    "start_metrics_server",
-    "telemetry_collector",
     "top",
 ]

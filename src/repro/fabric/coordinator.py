@@ -30,9 +30,14 @@ dependencies, same-machine and cross-host alike.
 Observability (all off the hot path):
 
 - ``GET /metrics`` renders a Prometheus text exposition from the
-  coordinator's :class:`~repro.fabric.metrics.MetricsRegistry` -
-  event-time counters fed as reports land plus collect-time gauges
-  snapshotting store counts, worker health and telemetry throughput;
+  coordinator's :class:`~repro.observability.metrics.MetricsRegistry` -
+  event-time counters for submits, leases, reports and heartbeats, and
+  collect-time samples for store counts and worker health;
+- each campaign owns a :class:`~repro.injection.telemetry.CampaignTelemetry`
+  that replays its journal at activation and records every accepted
+  report; :func:`~repro.observability.metrics.telemetry_collector`
+  exports it exactly as a local ``--metrics-port`` run does, so the
+  campaign counts are the journal's across restarts;
 - ``POST /heartbeat`` lets idle workers stay visible; a worker silent
   for ``worker_ttl`` seconds is flagged *stale* in ``/status`` (leases
   already self-heal via the store's TTL - staleness is a monitoring
@@ -53,7 +58,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable
 
-from repro.fabric.metrics import MetricsRegistry
 from repro.fabric.protocol import (
     CampaignSpec,
     FabricError,
@@ -75,6 +79,7 @@ from repro.injection.journal import (
     QuarantineRecord,
 )
 from repro.injection.telemetry import CampaignTelemetry
+from repro.observability.metrics import MetricsRegistry, telemetry_collector
 from repro.observability.tracing import (
     TraceLog,
     Tracer,
@@ -91,7 +96,8 @@ DEFAULT_WORKER_TTL = 30.0
 
 
 class _ActiveCampaign:
-    """One submitted campaign: spec, regenerated plan, journal, scope."""
+    """One submitted campaign: spec, regenerated plan, journal, scope,
+    and the telemetry its ``/metrics`` samples are read from."""
 
     def __init__(
         self,
@@ -105,6 +111,7 @@ class _ActiveCampaign:
         self.plan = plan
         self.journal = journal
         self.base = identity_base(spec)
+        self.telemetry = CampaignTelemetry()
         #: Store-scope bounds: component name -> this campaign's index cap.
         self.limits = {
             component.name: len(faults) for component, faults in plan.items()
@@ -131,7 +138,6 @@ class Coordinator:
         journal_dir: Path,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         lease_size: int = DEFAULT_LEASE_SIZE,
-        telemetry: CampaignTelemetry | None = None,
         progress: Callable[[str], None] | None = None,
         worker_ttl: float = DEFAULT_WORKER_TTL,
         trace: bool = False,
@@ -141,7 +147,6 @@ class Coordinator:
         self.journal_dir = Path(journal_dir)
         self.lease_ttl = lease_ttl
         self.lease_size = lease_size
-        self.telemetry = telemetry
         self.worker_ttl = worker_ttl
         self.trace = trace
         self._progress = progress or (lambda message: None)
@@ -153,11 +158,11 @@ class Coordinator:
         self._campaigns: dict[str, _ActiveCampaign] = {}
         #: Per-worker progress: name -> {completed, quarantined, leases,
         #: last_seen, health} (the per-worker-host view the status
-        #: endpoint and telemetry render).
+        #: endpoint and ``/metrics`` render).
         self.workers: dict[str, dict] = {}
         #: The Prometheus registry behind ``GET /metrics``: counters fed
-        #: at event time (submit/lease/report), gauges snapshotted by
-        #: :meth:`_collect_gauges` at scrape time.
+        #: at event time (submit/lease/report), campaign telemetry and
+        #: gauges snapshotted by :meth:`_collect_gauges` at scrape time.
         self.registry = MetricsRegistry()
         self.registry.register_collector(self._collect_gauges)
         for campaign_id, spec_payload in self.store.campaigns().items():
@@ -217,9 +222,9 @@ class Coordinator:
         row (``INSERT OR IGNORE`` - the dedup), opens the journal, and
         reconciles journal and store so each contains everything the
         other does.  Everything already terminal at activation time is
-        fed to telemetry and the metrics registry as *replayed*, so the
-        exported tallies always equal the journal's and replays never
-        pollute live throughput/ETA.
+        fed to the campaign's telemetry as *replayed*, so the exported
+        tallies always equal the journal's and replays never pollute
+        live throughput.
         """
         with self._lock:
             campaign = self._campaigns.get(spec.campaign_id)
@@ -256,12 +261,7 @@ class Coordinator:
                 )
                 campaign.submit_span_id = span.span_id
             self._reconcile(campaign)
-            if self.telemetry is not None:
-                for component, faults in plan.items():
-                    self.telemetry.register_plan(component, len(faults))
-                self.telemetry.replay(journal.records, journal.quarantines)
-            for record in journal.records:
-                self._count_record(spec.campaign_id, record, replayed=True)
+            campaign.telemetry.replay(journal.records, journal.quarantines)
             if self.trace:
                 campaign.tracer.end_span(
                     span, reconciled=len(journal.records)
@@ -401,16 +401,14 @@ class Coordinator:
                     campaign.journal.record(record)
                     accepted += 1
                     entry["completed"] += 1
-                    self._count_record(campaign.spec.campaign_id, record)
-                    if self.telemetry is not None:
-                        self.telemetry.record(
-                            record.component,
-                            record.effect,
-                            wall_time=record.wall_time,
-                            ended_by=record.ended_by,
-                            events=record.events,
-                        )
-                        self.telemetry.record_fabric_worker(worker)
+                    campaign.telemetry.record(
+                        record.component,
+                        record.effect,
+                        wall_time=record.wall_time,
+                        ended_by=record.ended_by,
+                        cycles_saved=record.cycles_saved,
+                        events=record.events,
+                    )
                 else:
                     duplicates += 1
             for line in payload.get("quarantines", ()):
@@ -425,11 +423,7 @@ class Coordinator:
                 ):
                     campaign.journal.record_quarantine(record)
                     entry["quarantined"] += 1
-                    self.registry.counter(
-                        "repro_quarantines_total", "Faults quarantined"
-                    ).inc(campaign=campaign.spec.campaign_id)
-                    if self.telemetry is not None:
-                        self.telemetry.record_quarantine(record.component)
+                    campaign.telemetry.record_quarantine(record.component)
                 else:
                     duplicates += 1
             if duplicates:
@@ -495,35 +489,6 @@ class Coordinator:
         with self._lock:
             if isinstance(health, dict):
                 entry["health"] = dict(health)
-
-    def _count_record(
-        self, campaign_id: str, record: InjectionRecord, replayed: bool = False
-    ) -> None:
-        """Feed one journaled record into the event-time counters.
-
-        Called for both live reports and activation-time journal replays,
-        so the exported per-class tallies always equal the journal's -
-        the invariant the observability e2e test pins.
-        """
-        self.registry.counter(
-            "repro_injections_total", "Completed injections"
-        ).inc(campaign=campaign_id)
-        if replayed:
-            self.registry.counter(
-                "repro_injections_replayed_total",
-                "Completions replayed from journal/store (not re-simulated)",
-            ).inc(campaign=campaign_id)
-        self.registry.counter(
-            "repro_fault_effects_total",
-            "Completed injections by component and classified effect",
-        ).inc(
-            campaign=campaign_id,
-            component=record.component.name,
-            effect=record.effect.name,
-        )
-        self.registry.counter(
-            "repro_early_exit_total", "Injections by termination mechanism"
-        ).inc(campaign=campaign_id, mechanism=record.ended_by or "full")
 
     # -- introspection -------------------------------------------------------
 
@@ -603,14 +568,18 @@ class Coordinator:
             return {"ready": True, "result": result.to_dict()}
 
     def _collect_gauges(self, registry: MetricsRegistry) -> None:
-        """Scrape-time snapshot: store counts, worker health, telemetry.
+        """Scrape-time snapshot: campaign telemetry, store counts, workers.
 
         Registered as a registry collector; runs on every ``/metrics``
         render (and :meth:`MetricsRegistry.snapshot`), never on the
-        report path.
+        report path.  Campaign telemetry is read under the lock the
+        report threads record it under.
         """
         with self._lock:
             campaigns = dict(self._campaigns)
+            for campaign_id, campaign in campaigns.items():
+                collect = telemetry_collector(campaign.telemetry, campaign_id)
+                collect(registry)
             now = time.time()
             workers = {
                 name: dict(entry) for name, entry in self.workers.items()
@@ -685,15 +654,6 @@ class Coordinator:
                 blocks.set(translator.get("blocks_compiled", 0), worker=name)
         connected.set(live_count)
         stale.set(stale_count)
-        if self.telemetry is not None:
-            registry.gauge(
-                "repro_injections_per_second",
-                "Live injection throughput (replays excluded)",
-            ).set(self.telemetry.injections_per_second(), campaign="fabric")
-            registry.counter(
-                "repro_cycles_saved_total",
-                "Golden cycles not simulated thanks to early termination",
-            ).peg(self.telemetry.cycles_saved, campaign="fabric")
 
     def close(self) -> None:
         """Close every journal, trace log, and the store."""
@@ -854,7 +814,6 @@ def serve_forever(
             Path(journal_dir),
             lease_ttl=lease_ttl,
             lease_size=lease_size,
-            telemetry=CampaignTelemetry(),
             progress=progress,
             worker_ttl=worker_ttl,
             trace=trace,

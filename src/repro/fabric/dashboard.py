@@ -18,8 +18,8 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-from repro.fabric.metrics import parse_exposition
 from repro.fabric.protocol import FabricUnavailable, get_json, get_text
+from repro.observability.metrics import parse_exposition
 
 #: Progress-bar glyphs (ASCII so any terminal renders them).
 BAR_WIDTH = 30
@@ -49,7 +49,7 @@ def render_dashboard(
 ) -> str:
     """One dashboard frame from a ``/status`` payload (+ parsed metrics).
 
-    ``metrics`` is the :func:`~repro.fabric.metrics.parse_exposition`
+    ``metrics`` is the :func:`~repro.observability.metrics.parse_exposition`
     sample dict (or ``None`` when the scrape failed); ``rates`` maps
     worker name to injections/sec computed by the caller from successive
     ``/status`` deltas.

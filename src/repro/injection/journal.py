@@ -95,7 +95,8 @@ class InjectionRecord:
     fields existed replay cleanly as empty.  ``site`` (the
     :class:`~repro.injection.fault.StrikeSite`) is serialized as
     ``[mode, region, live]`` when set; older journals replay it as
-    ``None``.
+    ``None``.  ``cycles_saved`` (golden cycles an early exit skipped) is
+    serialized as ``saved`` when non-zero; older journals replay it as 0.
     """
 
     component: Component
@@ -108,6 +109,7 @@ class InjectionRecord:
     events: tuple = ()
     trace: tuple = ()
     site: StrikeSite | None = None
+    cycles_saved: int = 0
 
     def to_line(self) -> dict:
         """JSONL payload for one completed injection."""
@@ -127,12 +129,17 @@ class InjectionRecord:
             line["trace"] = list(self.trace)
         if self.site is not None:
             line["site"] = list(astuple(self.site))
+        if self.cycles_saved:
+            line["saved"] = self.cycles_saved
         return line
 
     @classmethod
     def from_line(cls, payload: dict) -> "InjectionRecord":
         """Parse one journaled injection line."""
         site = payload.get("site")
+        saved = payload.get("saved", 0)
+        if type(saved) is not int:
+            raise TypeError(f"saved must be an int, not {saved!r}")
         return cls(
             component=Component[payload["component"]],
             index=payload["index"],
@@ -147,6 +154,7 @@ class InjectionRecord:
             ),
             trace=tuple(str(entry) for entry in payload.get("trace", ())),
             site=None if site is None else StrikeSite(*site),
+            cycles_saved=saved,
         )
 
 

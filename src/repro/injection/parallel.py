@@ -1060,6 +1060,7 @@ def run_injection_plan(
                     events=result.events,
                     trace=result.trace,
                     site=result.site,
+                    cycles_saved=result.cycles_saved,
                 )
             )
         if telemetry is not None:

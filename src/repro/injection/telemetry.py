@@ -90,10 +90,6 @@ class CampaignTelemetry:
         #: snapshot - this is a live progress view, not an archive).
         self.adaptive_rounds = 0
         self.adaptive_strata: dict[str, dict] = {}
-        #: Fabric campaigns only: completions credited per worker name
-        #: (worker names embed the host, so this is the per-worker-host
-        #: progress view the coordinator's status endpoint renders).
-        self.fabric_workers: dict[str, int] = {}
 
     # -- feeding -------------------------------------------------------------
 
@@ -150,6 +146,7 @@ class CampaignTelemetry:
                 record.wall_time,
                 replayed=True,
                 ended_by=record.ended_by,
+                cycles_saved=record.cycles_saved,
                 events=record.events,
             )
         for record in quarantines:
@@ -172,10 +169,6 @@ class CampaignTelemetry:
         self.quarantined += 1
         self.quarantined_by[component] = self.quarantined_by.get(component, 0) + 1
         self.class_counts.setdefault(component, {})
-
-    def record_fabric_worker(self, worker: str) -> None:
-        """Credit one fabric-reported completion to ``worker``."""
-        self.fabric_workers[worker] = self.fabric_workers.get(worker, 0) + 1
 
     def record_adaptive_round(self, round_index: int, strata: list[dict]) -> None:
         """Record one adaptive round's per-stratum interval-width progress.
@@ -270,12 +263,6 @@ class CampaignTelemetry:
             parts.append(f"{self.retries} retries")
         if self.quarantined:
             parts.append(f"{self.quarantined} quarantined")
-        if self.fabric_workers:
-            busiest = max(self.fabric_workers, key=self.fabric_workers.get)
-            parts.append(
-                f"{len(self.fabric_workers)} fabric worker(s), busiest "
-                f"{busiest}={self.fabric_workers[busiest]}"
-            )
         if self.adaptive_strata:
             pending = [
                 status
@@ -320,7 +307,6 @@ class CampaignTelemetry:
             },
             "cycles_saved": self.cycles_saved,
             "events_observed": self.events_observed,
-            "fabric_workers": dict(self.fabric_workers),
             "propagation": self._propagation_summary(),
             "adaptive": (
                 {

@@ -31,9 +31,13 @@ from repro.observability.jsonlog import JsonLogger, text_events
 from repro.observability.metrics import (
     METRICS_SCHEMA,
     SUPPORTED_SCHEMAS,
+    MetricsRegistry,
     campaign_metrics,
     metrics_payload,
+    parse_exposition,
     read_metrics,
+    start_metrics_server,
+    telemetry_collector,
     write_metrics,
 )
 from repro.observability.tracing import (
@@ -82,6 +86,10 @@ __all__ = [
     "write_metrics",
     "read_metrics",
     "campaign_metrics",
+    "MetricsRegistry",
+    "parse_exposition",
+    "start_metrics_server",
+    "telemetry_collector",
     "JsonLogger",
     "text_events",
     "Span",

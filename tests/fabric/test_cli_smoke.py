@@ -12,7 +12,7 @@ local serial run.
 
 Observability rides along: ``/status`` and ``/metrics`` are curled
 mid-campaign, the exposition is validated with
-:func:`repro.fabric.metrics.parse_exposition` (the tiny in-repo
+:func:`repro.observability.metrics.parse_exposition` (the tiny in-repo
 validator), and the final scrape is written as a ``repro-metrics/2``
 envelope - CI uploads it as an artifact next to ``metrics.json``
 (``REPRO_FABRIC_METRICS`` overrides the output path).
@@ -33,8 +33,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.fabric.metrics import parse_exposition
-from repro.observability.metrics import metrics_payload, write_metrics
+from repro.observability.metrics import (
+    metrics_payload,
+    parse_exposition,
+    write_metrics,
+)
 
 REPO = Path(__file__).resolve().parent.parent.parent
 BENCHMARK = "CRC32"

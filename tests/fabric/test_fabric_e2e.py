@@ -33,7 +33,6 @@ from repro.injection.campaign import (
 from repro.injection.components import Component, component_bits
 from repro.injection.journal import read_journal
 from repro.injection.parallel import run_injection_plan
-from repro.injection.telemetry import CampaignTelemetry
 from repro.workloads import get_workload
 
 WORKLOAD = "StringSearch"
@@ -63,9 +62,8 @@ def serial(workload, config):
 class _Fabric:
     """One in-process coordinator + HTTP server on a private store."""
 
-    def __init__(self, tmp_path, telemetry=None):
+    def __init__(self, tmp_path):
         self.tmp_path = tmp_path
-        self.telemetry = telemetry
         self.coordinator = None
         self.server = None
         self.url = None
@@ -76,7 +74,6 @@ class _Fabric:
             FaultStore(self.tmp_path / "faults.sqlite"),
             self.tmp_path / "journals",
             lease_size=2,
-            telemetry=self.telemetry,
         )
         self.server = create_server(self.coordinator)
         self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
@@ -126,17 +123,9 @@ def run_client_and_workers(
 class TestDistributedEqualsSerial:
     @pytest.fixture(scope="class")
     def outcome(self, tmp_path_factory, workload, config, serial):
-        telemetry = CampaignTelemetry()
-        fabric = _Fabric(
-            tmp_path_factory.mktemp("fabric"), telemetry=telemetry
-        )
+        fabric = _Fabric(tmp_path_factory.mktemp("fabric"))
         result, workers = run_client_and_workers(fabric, workload, config)
-        yield {
-            "result": result,
-            "workers": workers,
-            "fabric": fabric,
-            "telemetry": telemetry,
-        }
+        yield {"result": result, "workers": workers, "fabric": fabric}
         fabric.stop()
 
     def test_tallies_are_bit_identical_to_serial(
@@ -195,15 +184,6 @@ class TestDistributedEqualsSerial:
         # out (each worker had time to lease at least one window).
         assert all(worker.executed > 0 for worker in outcome["workers"])
 
-    def test_telemetry_credits_workers(self, outcome):
-        telemetry = outcome["telemetry"]
-        assert sum(telemetry.fabric_workers.values()) == FAULTS * len(
-            COMPONENTS
-        )
-        assert set(telemetry.fabric_workers) <= {"w0", "w1"}
-        summary = telemetry.summary()
-        assert summary["fabric_workers"] == telemetry.fabric_workers
-
     def test_status_reports_completion(self, outcome):
         coordinator = outcome["fabric"].coordinator
         status = coordinator.status()
@@ -211,6 +191,10 @@ class TestDistributedEqualsSerial:
         assert campaign_status["complete"]
         assert status["executed_total"] == FAULTS * len(COMPONENTS)
         assert set(status["workers"]) == {"w0", "w1"}
+        completed = sum(
+            entry["completed"] for entry in status["workers"].values()
+        )
+        assert completed == FAULTS * len(COMPONENTS)
 
 
 class TestCoordinatorKillAndResume:

@@ -7,7 +7,7 @@ import urllib.request
 import pytest
 
 from repro.fabric.dashboard import render_dashboard
-from repro.fabric.metrics import (
+from repro.observability.metrics import (
     MetricsRegistry,
     parse_exposition,
     start_metrics_server,

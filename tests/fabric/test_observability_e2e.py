@@ -25,7 +25,6 @@ import pytest
 
 from repro.fabric.client import FabricClient
 from repro.fabric.coordinator import Coordinator, create_server
-from repro.fabric.metrics import parse_exposition
 from repro.fabric.protocol import get_text, post_json
 from repro.fabric.store import FaultStore
 from repro.fabric.worker import FabricWorker
@@ -37,7 +36,7 @@ from repro.injection.campaign import (
 from repro.injection.components import Component
 from repro.injection.journal import read_journal
 from repro.injection.parallel import run_injection_plan
-from repro.injection.telemetry import CampaignTelemetry
+from repro.observability.metrics import parse_exposition
 from repro.observability.tracing import read_spans, span_path
 from repro.workloads import get_workload
 
@@ -72,12 +71,10 @@ def serial(workload, config):
 def outcome(tmp_path_factory, workload, config, serial):
     """One traced campaign over two workers, scraped while it runs."""
     tmp_path = tmp_path_factory.mktemp("obs_fabric")
-    telemetry = CampaignTelemetry()
     coordinator = Coordinator(
         FaultStore(tmp_path / "faults.sqlite"),
         tmp_path / "journals",
         lease_size=LEASE_SIZE,
-        telemetry=telemetry,
         worker_ttl=WORKER_TTL,
         trace=True,
     )

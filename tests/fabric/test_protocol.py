@@ -1,4 +1,5 @@
-"""Fabric wire protocol: specs, program digests, fault identity."""
+"""Fabric wire protocol: specs, program digests, fault identity, and the
+campaign counts a coordinator exports."""
 
 from __future__ import annotations
 
@@ -22,13 +23,20 @@ from repro.fabric.protocol import (
 from repro.fabric.store import FaultStore
 from repro.fabric.worker import _CampaignContext
 from repro.injection.campaign import CampaignConfig, build_fault_plan
+from repro.injection.classify import FaultEffect
 from repro.injection.components import Component
 from repro.injection.identity import machine_digest, program_digest
+from repro.injection.journal import (
+    InjectionRecord,
+    QuarantineRecord,
+    read_journal,
+)
 from repro.injection.parallel import EngineOptions
 from repro.microarch.config import (
     CORTEX_A9_CONFIG,
     SCALED_A9_CONFIG,
 )
+from repro.observability.metrics import parse_exposition
 from repro.workloads import get_workload
 from tests.injection.test_identity import edited
 
@@ -220,6 +228,71 @@ class TestFaultIdentity:
         fresh = build_fault_plan(spec.to_config(), spec.golden_cycles, (Component.L1D,))
         assert store.register(base, "L1D", fresh[Component.L1D]) == 10
         store.close()
+
+
+class TestCampaignMetrics:
+    """A coordinator exports each campaign's counts from its telemetry,
+    which replays the journal at activation - as a local run does."""
+
+    @staticmethod
+    def _sample(coordinator, name: str, campaign_id: str):
+        samples = parse_exposition(coordinator.registry.render())
+        return samples.get((name, frozenset({("campaign", campaign_id)})))
+
+    def test_quarantines_survive_a_restart(self, tmp_path):
+        store_path = tmp_path / "faults.sqlite"
+        coordinator = Coordinator(FaultStore(store_path), tmp_path / "journals")
+        campaign_id = coordinator.submit(make_spec().to_payload())["campaign_id"]
+        fault = coordinator._campaigns[campaign_id].plan[Component.L1D][0]
+        quarantine = QuarantineRecord(
+            Component.L1D, 0, fault.bit_index, fault.cycle, "worker died"
+        )
+        coordinator.report({
+            "campaign_id": campaign_id,
+            "worker": "w0",
+            "quarantines": [quarantine.to_line()],
+        })
+        assert self._sample(coordinator, "repro_quarantines_total", campaign_id) == 1
+        coordinator.close()
+
+        restarted = Coordinator(FaultStore(store_path), tmp_path / "journals")
+        try:
+            _meta, _records, quarantines = read_journal(
+                tmp_path / "journals" / f"{campaign_id}.jsonl"
+            )
+            assert len(quarantines) == 1
+            assert self._sample(
+                restarted, "repro_quarantines_total", campaign_id
+            ) == len(quarantines)
+        finally:
+            restarted.close()
+
+    def test_reported_cycles_saved_reach_the_counter(self, tmp_path):
+        coordinator = Coordinator(FaultStore(), tmp_path / "journals")
+        try:
+            campaign_id = coordinator.submit(make_spec().to_payload())[
+                "campaign_id"
+            ]
+            faults = coordinator._campaigns[campaign_id].plan[Component.L2]
+            saved = (1000, 0, 2345)
+            records = [
+                InjectionRecord(
+                    Component.L2, index, fault.bit_index, fault.cycle,
+                    FaultEffect.MASKED, 0.01, ended_by="digest",
+                    cycles_saved=cycles,
+                )
+                for index, (fault, cycles) in enumerate(zip(faults, saved))
+            ]
+            coordinator.report({
+                "campaign_id": campaign_id,
+                "worker": "w0",
+                "records": [record.to_line() for record in records],
+            })
+            assert self._sample(
+                coordinator, "repro_cycles_saved_total", campaign_id
+            ) == sum(saved)
+        finally:
+            coordinator.close()
 
 
 def _post(url: str, body: bytes) -> tuple[int, dict]:

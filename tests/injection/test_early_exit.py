@@ -22,6 +22,12 @@ from repro.injection.campaign import (
 from repro.injection.classify import FaultEffect
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import Fault, generate_faults
+from repro.injection.journal import (
+    InjectionJournal,
+    InjectionRecord,
+    JournalMeta,
+    read_journal,
+)
 from repro.injection.parallel import (
     ENDED_DEAD_CELL,
     ENDED_DIGEST,
@@ -250,6 +256,36 @@ class TestCampaignIntegration:
         assert "early exit" in rendered
         assert "digest-converged" in rendered
 
+    def test_journal_replay_reproduces_live_termination_telemetry(
+        self, prepared, tmp_path
+    ):
+        """``repro stats`` rebuilds telemetry from the journal alone, so
+        the journal must carry each injection's cycles saved."""
+        workload, golden, _snapshots, _digests = prepared
+        pruned_image, _full = _image_pair(prepared, 1)
+        plan = {
+            Component.L2: generate_faults(
+                Component.L2,
+                component_bits(MACHINE, Component.L2),
+                golden.cycles,
+                count=8,
+                seed=31,
+            )
+        }
+        live = CampaignTelemetry()
+        path = tmp_path / "journal.jsonl"
+        meta = JournalMeta(workload.name, MACHINE.name, 8, 31, 1, golden.cycles)
+        with InjectionJournal.create(path, meta) as journal:
+            run_injection_plan(
+                pruned_image, plan, jobs=1, journal=journal, telemetry=live
+            )
+        assert live.cycles_saved > 0
+        _meta, records, quarantines = read_journal(path)
+        replayed = CampaignTelemetry()
+        replayed.replay(records, quarantines)
+        assert replayed.cycles_saved == live.cycles_saved
+        assert replayed.summary()["ended_by"] == live.summary()["ended_by"]
+
     def test_summary_without_pruning_renders_no_early_exit_line(self):
         telemetry = CampaignTelemetry()
         telemetry.register_plan(Component.L1D, 1)
@@ -260,8 +296,6 @@ class TestCampaignIntegration:
 
 class TestJournalEndedBy:
     def test_record_round_trips_termination_mechanism(self):
-        from repro.injection.journal import InjectionRecord
-
         record = InjectionRecord(
             component=Component.L2,
             index=3,
@@ -270,13 +304,14 @@ class TestJournalEndedBy:
             effect=FaultEffect.MASKED,
             wall_time=0.5,
             ended_by=ENDED_DIGEST,
+            cycles_saved=4321,
         )
+        assert record.to_line()["saved"] == 4321
         assert InjectionRecord.from_line(record.to_line()) == record
 
     def test_pre_early_exit_journal_lines_default_to_full(self):
-        """Journals written before the field existed must replay cleanly."""
-        from repro.injection.journal import InjectionRecord
-
+        """Journals written before the fields existed must replay cleanly;
+        a record that saved nothing writes no ``saved`` key."""
         line = InjectionRecord(
             component=Component.L1D,
             index=0,
@@ -285,8 +320,11 @@ class TestJournalEndedBy:
             effect=FaultEffect.SDC,
             wall_time=0.1,
         ).to_line()
+        assert "saved" not in line
         del line["ended"]
-        assert InjectionRecord.from_line(line).ended_by == ENDED_FULL
+        record = InjectionRecord.from_line(line)
+        assert record.ended_by == ENDED_FULL
+        assert record.cycles_saved == 0
 
 
 class TestResultType:

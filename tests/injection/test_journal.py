@@ -248,10 +248,12 @@ class TestTruncationTolerance:
              "line 2 is malformed"),
             (2, lambda line: json.dumps({**json.loads(line), "site": [1]}),
              "line 2 is malformed"),
+            (2, lambda line: json.dumps({**json.loads(line), "saved": 1.5}),
+             "line 2 is malformed"),
         ],
         ids=[
             "garbled", "record-array", "meta-array", "meta-no-seed",
-            "events-int", "site-short",
+            "events-int", "site-short", "saved-float",
         ],
     )
     def test_interior_corruption_is_rejected(self, tmp_path, number, edit, message):

@@ -1,4 +1,4 @@
-"""Metrics envelopes: schema stamping, round-trips, validation."""
+"""Metrics envelopes and the telemetry collector behind ``/metrics``."""
 
 from __future__ import annotations
 
@@ -7,12 +7,19 @@ from pathlib import Path
 
 import pytest
 
+from repro.injection.classify import FaultEffect
+from repro.injection.components import Component
+from repro.injection.telemetry import CampaignTelemetry
 from repro.observability.metrics import (
     METRICS_SCHEMA,
     SUPPORTED_SCHEMAS,
+    Counter,
+    MetricsRegistry,
     campaign_metrics,
     metrics_payload,
+    parse_exposition,
     read_metrics,
+    telemetry_collector,
     write_metrics,
 )
 
@@ -127,3 +134,35 @@ class TestSchemaV2:
             assert payload["schema"] in SUPPORTED_SCHEMAS
             assert payload["kind"] == "benchmark"
             assert "values" in payload
+
+
+class TestTelemetryCollectorRace:
+    def test_scrape_survives_tallies_growing_mid_render(self, monkeypatch):
+        """A ``--metrics-port`` scrape runs while the campaign thread
+        records: a first SDC and a first L2 result landing mid-render
+        must not break the scrape."""
+        telemetry = CampaignTelemetry()
+        telemetry.record(Component.L1D, FaultEffect.MASKED)
+        registry = MetricsRegistry()
+        registry.register_collector(telemetry_collector(telemetry, "camp"))
+        peg = Counter.peg
+        landed = []
+
+        def racing_peg(counter, total, **labels):
+            if counter.name == "repro_fault_effects_total" and not landed:
+                landed.append(True)
+                telemetry.record(Component.L1D, FaultEffect.SDC)
+                telemetry.record(Component.L2, FaultEffect.MASKED)
+            peg(counter, total, **labels)
+
+        monkeypatch.setattr(Counter, "peg", racing_peg)
+        registry.render()
+        assert landed
+        samples = parse_exposition(registry.render())
+        sdc = frozenset(
+            {("campaign", "camp"), ("component", "L1D"), ("effect", "SDC")}
+        )
+        assert samples[("repro_fault_effects_total", sdc)] == 1.0
+        assert samples[
+            ("repro_injections_total", frozenset({("campaign", "camp")}))
+        ] == 3.0
