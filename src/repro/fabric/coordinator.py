@@ -6,10 +6,13 @@ deterministic fault lists (a :class:`CampaignSpec` plus
 :func:`~repro.injection.campaign.build_fault_plan` is all it takes - no
 simulation happens here), registers them in the store, and hands out
 contiguous index-window leases to whichever workers ask.  Completed
-records flow back, are committed to the store first, and are then
-appended to the campaign's journal - the same JSONL journal, with the
-same :class:`~repro.injection.journal.JournalMeta` fingerprint, that a
-local ``jobs=1`` run would write.
+records flow back as journal lines; each is parsed once into an
+:class:`~repro.injection.journal.InjectionRecord` (or
+:class:`~repro.injection.journal.QuarantineRecord`), and that one object
+is committed to the store first, then appended to the campaign's journal
+and tallied by its telemetry - the same JSONL journal, with the same
+:class:`~repro.injection.journal.JournalMeta` fingerprint, that a local
+``jobs=1`` run would write.
 
 Crash story (the DAVOS posture: the harness itself is fault-tolerant):
 
@@ -70,7 +73,6 @@ from repro.injection.campaign import (
     WorkloadResult,
     build_fault_plan,
 )
-from repro.injection.classify import FaultEffect
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import Fault
 from repro.injection.journal import (
@@ -281,40 +283,31 @@ class Coordinator:
         """
         journal = campaign.journal
         for record in journal.records:
-            self.store.complete(
-                campaign.base,
-                record.component.name,
-                record.index,
-                record.to_line(),
-                record.effect.name,
-                record.ended_by,
-                record.wall_time,
-                worker="journal",
-            )
+            self.store.complete(campaign.base, record, worker="journal")
         for record in journal.quarantines:
-            self.store.quarantine(
-                campaign.base,
-                record.component.name,
-                record.index,
-                record.to_line(),
-                record.reason,
-                worker="journal",
-            )
+            self.store.quarantine(campaign.base, record, worker="journal")
         for component in campaign.plan:
             journaled = journal.completed(component)
             quarantined = journal.quarantined(component)
-            rows = self.store.records(
+            for record in self._stored(campaign, component):
+                if isinstance(record, QuarantineRecord):
+                    if record.index not in quarantined:
+                        journal.record_quarantine(record)
+                elif record.index not in journaled:
+                    journal.record(record)
+
+    def _stored(
+        self, campaign: _ActiveCampaign, component: Component
+    ) -> list[InjectionRecord | QuarantineRecord]:
+        """One component's terminal store rows as records, by index."""
+        return [
+            (InjectionRecord if status == DONE else QuarantineRecord).from_line(
+                payload
+            )
+            for _index, status, payload, _reason in self.store.records(
                 campaign.base, component.name, campaign.limits[component.name]
             )
-            for index, status, payload, reason in rows:
-                if payload is None:
-                    continue
-                if status == DONE and index not in journaled:
-                    journal.record(InjectionRecord.from_line(payload))
-                elif status == QUARANTINED and index not in quarantined:
-                    journal.record_quarantine(
-                        QuarantineRecord.from_line(payload)
-                    )
+        ]
 
     # -- work queue ----------------------------------------------------------
 
@@ -388,42 +381,19 @@ class Coordinator:
         with self._lock:
             for line in payload.get("records", ()):
                 record = InjectionRecord.from_line(line)
-                if self.store.complete(
-                    campaign.base,
-                    record.component.name,
-                    record.index,
-                    record.to_line(),
-                    record.effect.name,
-                    record.ended_by,
-                    record.wall_time,
-                    worker=worker,
-                ):
+                if self.store.complete(campaign.base, record, worker):
                     campaign.journal.record(record)
+                    campaign.telemetry.record(record)
                     accepted += 1
                     entry["completed"] += 1
-                    campaign.telemetry.record(
-                        record.component,
-                        record.effect,
-                        wall_time=record.wall_time,
-                        ended_by=record.ended_by,
-                        cycles_saved=record.cycles_saved,
-                        events=record.events,
-                    )
                 else:
                     duplicates += 1
             for line in payload.get("quarantines", ()):
                 record = QuarantineRecord.from_line(line)
-                if self.store.quarantine(
-                    campaign.base,
-                    record.component.name,
-                    record.index,
-                    record.to_line(),
-                    record.reason,
-                    worker=worker,
-                ):
+                if self.store.quarantine(campaign.base, record, worker):
                     campaign.journal.record_quarantine(record)
+                    campaign.telemetry.record_quarantine(record)
                     entry["quarantined"] += 1
-                    campaign.telemetry.record_quarantine(record.component)
                 else:
                     duplicates += 1
             if duplicates:
@@ -549,18 +519,13 @@ class Coordinator:
             )
             machine = campaign.config.machine
             for component in campaign.plan:
-                rows = self.store.records(
-                    campaign.base,
-                    component.name,
-                    campaign.limits[component.name],
-                )
                 result.components[component] = ComponentResult.from_effects(
                     component,
                     (
                         None
-                        if row_status == QUARANTINED
-                        else FaultEffect[payload["effect"]]
-                        for _index, row_status, payload, _reason in rows
+                        if isinstance(record, QuarantineRecord)
+                        else record.effect
+                        for record in self._stored(campaign, component)
                     ),
                     component_bits(machine, component),
                     campaign.spec.confidence,

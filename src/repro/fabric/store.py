@@ -19,6 +19,12 @@ whole design:
   so the store survives a coordinator SIGKILL and the restarted
   coordinator continues from exactly the completed set.
 
+A terminal row keeps the :class:`~repro.injection.journal.InjectionRecord`
+or :class:`~repro.injection.journal.QuarantineRecord` it was finished
+with as its ``payload``: the record's ``to_line()`` as JSON, the same
+line the campaign journal appends.  The schema's ``effect``/``ended``/
+``wall`` columns stay empty; nothing reads them.
+
 The store is deliberately passive - no HTTP, no campaign logic - so the
 coordinator owns all policy and tests can drive the store directly.
 
@@ -39,6 +45,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.fabric.protocol import FabricError
 from repro.injection.fault import Fault
+from repro.injection.journal import InjectionRecord, QuarantineRecord
 
 #: Row lifecycle states.
 PENDING = "pending"
@@ -312,15 +319,7 @@ class FaultStore:
     # -- completion ----------------------------------------------------------
 
     def complete(
-        self,
-        base: Mapping,
-        component: str,
-        index: int,
-        payload: dict,
-        effect: str,
-        ended: str,
-        wall: float,
-        worker: str,
+        self, base: Mapping, record: InjectionRecord, worker: str
     ) -> bool:
         """Durably record one injection's result; first writer wins.
 
@@ -328,40 +327,26 @@ class FaultStore:
         report after a lease expired and another worker finished first) -
         the caller must then *not* journal or tally the duplicate.
         """
-        with self._lock:
-            cursor = self._conn.execute(
-                f"UPDATE faults SET status = 'done', effect = ?, ended = ?, "
-                f"wall = ?, payload = ?, worker = ?, lease_id = NULL, "
-                f"lease_expires = NULL "
-                f"WHERE {_KEY} AND component = ? AND idx = ? "
-                f"AND status NOT IN ('done', 'quarantined')",
-                (effect, ended, wall, json.dumps(payload), worker)
-                + _key_values(base)
-                + (component, index),
-            )
-            self._conn.commit()
-            return cursor.rowcount == 1
+        return self._finish(base, DONE, record, None, worker)
 
     def quarantine(
-        self,
-        base: Mapping,
-        component: str,
-        index: int,
-        payload: dict,
-        reason: str,
-        worker: str,
+        self, base: Mapping, record: QuarantineRecord, worker: str
     ) -> bool:
         """Durably retire one fault that exhausted its retries."""
+        return self._finish(base, QUARANTINED, record, record.reason, worker)
+
+    def _finish(self, base, status, record, reason, worker) -> bool:
+        """Make one non-terminal row terminal, its payload the record's
+        journal line; ``False`` if it already was terminal."""
         with self._lock:
             cursor = self._conn.execute(
-                f"UPDATE faults SET status = 'quarantined', reason = ?, "
-                f"payload = ?, worker = ?, lease_id = NULL, "
-                f"lease_expires = NULL "
+                f"UPDATE faults SET status = ?, reason = ?, payload = ?, "
+                f"worker = ?, lease_id = NULL, lease_expires = NULL "
                 f"WHERE {_KEY} AND component = ? AND idx = ? "
                 f"AND status NOT IN ('done', 'quarantined')",
-                (reason, json.dumps(payload), worker)
+                (status, reason, json.dumps(record.to_line()), worker)
                 + _key_values(base)
-                + (component, index),
+                + (record.component.name, record.index),
             )
             self._conn.commit()
             return cursor.rowcount == 1

@@ -49,7 +49,6 @@ from repro.injection.parallel import (
     EngineOptions,
     ImageInjector,
     MachineImage,
-    QuarantinedFault,
     run_injection_plan,
     watchdog_budget,
 )
@@ -720,7 +719,6 @@ class InjectionCampaign:
             digest = program_digest(workload, config.machine)
             meta = config.journal_meta(workload.name, digest, golden.cycles)
             journal = opener(self.journal_dir / (key + ".jsonl"), meta)
-        quarantined: list[QuarantinedFault] = []
         root = (
             self.tracer.span("campaign", workload=workload.name)
             if self.tracer is not None
@@ -737,7 +735,7 @@ class InjectionCampaign:
                     telemetry=self.telemetry,
                     timeout=config.injection_timeout,
                     max_retries=config.max_retries,
-                    quarantined=quarantined,
+                    quarantined=[],
                     tracer=self.tracer,
                     span_parent=span.span_id if span is not None else None,
                 )
@@ -745,11 +743,6 @@ class InjectionCampaign:
         finally:
             if journal is not None:
                 journal.close()
-        for entry in quarantined:
-            self._progress(
-                f"{workload.name}/{entry.component.name}: fault "
-                f"{entry.fault_index} quarantined ({entry.reason})"
-            )
 
         result = cached if cached is not None else WorkloadResult(
             workload_name=workload.name, golden_cycles=golden.cycles

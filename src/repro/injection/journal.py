@@ -31,11 +31,15 @@ import json
 import os
 from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.errors import InjectionError
 from repro.injection.classify import FaultEffect
 from repro.injection.components import Component
-from repro.injection.fault import StrikeSite
+from repro.injection.fault import Fault, StrikeSite
+
+if TYPE_CHECKING:
+    from repro.injection.parallel import InjectionResult
 
 #: Bump when the journal line format changes incompatibly.
 JOURNAL_VERSION = 1
@@ -83,6 +87,11 @@ class JournalMeta:
 class InjectionRecord:
     """One completed injection experiment.
 
+    The one outcome record after the injector: the farm builds it once
+    (:meth:`from_result`) and the same object reaches the journal, the
+    campaign telemetry, the fabric wire and the fault store, whose row
+    payload is :meth:`to_line`.
+
     ``ended_by`` records the termination mechanism ("full", "digest", or
     "dead-cell"; see :mod:`repro.injection.parallel`).  It is purely
     observational - the effect is identical either way - so journals
@@ -110,6 +119,22 @@ class InjectionRecord:
     trace: tuple = ()
     site: StrikeSite | None = None
     cycles_saved: int = 0
+
+    @classmethod
+    def from_result(
+        cls,
+        component: Component,
+        index: int,
+        fault: Fault,
+        result: "InjectionResult",
+        wall_time: float,
+    ) -> "InjectionRecord":
+        """The record of fault ``index`` of ``component``'s stream."""
+        return cls(
+            component, index, fault.bit_index, fault.cycle, result.effect,
+            wall_time, result.ended_by, result.events, result.trace,
+            result.site, result.cycles_saved,
+        )
 
     def to_line(self) -> dict:
         """JSONL payload for one completed injection."""
@@ -167,6 +192,13 @@ class QuarantineRecord:
     bit_index: int
     cycle: int
     reason: str
+
+    @classmethod
+    def from_fault(
+        cls, component: Component, index: int, fault: Fault, reason: str
+    ) -> "QuarantineRecord":
+        """The record of fault ``index`` of ``component``'s stream."""
+        return cls(component, index, fault.bit_index, fault.cycle, reason)
 
     def to_line(self) -> dict:
         """JSONL payload for one quarantined fault."""

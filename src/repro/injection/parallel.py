@@ -462,16 +462,6 @@ class ImageInjector:
         return probe
 
 
-@dataclass(frozen=True)
-class QuarantinedFault:
-    """A fault the farm gave up on, and why (reported, never dropped)."""
-
-    component: Component
-    fault_index: int
-    fault: Fault
-    reason: str
-
-
 # -- worker farm ------------------------------------------------------------
 
 
@@ -846,7 +836,7 @@ def _replay_journal(
     plan: Mapping[Component, Sequence[Fault]],
     effects: dict[Component, list],
     telemetry: CampaignTelemetry | None,
-    quarantined: list[QuarantinedFault] | None,
+    quarantined: list[QuarantineRecord] | None,
     quarantined_slots: set[tuple[Component, int]],
     indices: Mapping[Component, Sequence[int]] | None = None,
 ) -> int:
@@ -888,14 +878,13 @@ def _replay_journal(
             slot = _plan_slot(slots, component, index, len(faults))
             if slot is None:
                 continue
-            entry = QuarantinedFault(component, index, faults[slot], record.reason)
             if quarantined is None:
                 raise InjectionError(
                     f"journal contains a quarantined fault "
                     f"({component.name}[{index}]: {record.reason}) but the "
                     f"caller provided no quarantine accumulator"
                 )
-            quarantined.append(entry)
+            quarantined.append(record)
             quarantined_slots.add((component, slot))
             replayed_quarantines.append(record)
     if telemetry is not None:
@@ -912,7 +901,7 @@ def run_injection_plan(
     telemetry: CampaignTelemetry | None = None,
     timeout: float | None = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
-    quarantined: list[QuarantinedFault] | None = None,
+    quarantined: list[QuarantineRecord] | None = None,
     indices: Mapping[Component, Sequence[int]] | None = None,
     injector: ImageInjector | None = None,
     tracer=None,
@@ -955,10 +944,12 @@ def run_injection_plan(
       the in-process path cannot preempt itself);
     - ``max_retries``: bound on re-dispatches after a worker death,
       timeout, or in-worker exception;
-    - ``quarantined``: accumulator for faults that exhausted their
-      retries.  Their slots stay unfilled (callers must exclude them from
-      tallies); without an accumulator, exhausting retries raises
-      :class:`InjectionError` instead - a quarantine is never silent.
+    - ``quarantined``: accumulator for the
+      :class:`~repro.injection.journal.QuarantineRecord` of each fault
+      that exhausted its retries.  Their slots stay unfilled (callers
+      must exclude them from tallies); without an accumulator, exhausting
+      retries raises :class:`InjectionError` instead - a quarantine is
+      never silent.
 
     Completeness is validated before returning: any effect slot that is
     neither filled nor quarantined raises :class:`InjectionError`.
@@ -1046,67 +1037,42 @@ def run_injection_plan(
     ) -> None:
         component = components[component_index]
         effects[component][fault_index] = result.effect
+        outcome = InjectionRecord.from_result(
+            component,
+            global_index(component, fault_index),
+            plan[component][fault_index],
+            result,
+            wall_time,
+        )
         if journal is not None:
-            fault = plan[component][fault_index]
-            journal.record(
-                InjectionRecord(
-                    component=component,
-                    index=global_index(component, fault_index),
-                    bit_index=fault.bit_index,
-                    cycle=fault.cycle,
-                    effect=result.effect,
-                    wall_time=wall_time,
-                    ended_by=result.ended_by,
-                    events=result.events,
-                    trace=result.trace,
-                    site=result.site,
-                    cycles_saved=result.cycles_saved,
-                )
-            )
+            journal.record(outcome)
         if telemetry is not None:
-            telemetry.record(
-                component,
-                result.effect,
-                wall_time,
-                ended_by=result.ended_by,
-                cycles_saved=result.cycles_saved,
-                events=result.events,
-            )
+            telemetry.record(outcome)
         done[component] += 1
         if done[component] % 10 == 0 or done[component] == totals[component]:
             progress(status(component))
 
     def quarantine(attempt: _Attempt, reason: str) -> None:
         component = components[attempt.component_index]
-        entry = QuarantinedFault(
-            component,
-            global_index(component, attempt.fault_index),
-            attempt.fault,
-            reason,
-        )
+        index = global_index(component, attempt.fault_index)
         if quarantined is None:
             raise InjectionError(
-                f"{image.name}/{component.name}[{attempt.fault_index}] "
+                f"{image.name}/{component.name}[{index}] "
                 f"failed after {attempt.attempts} attempt(s): {reason}"
             )
-        quarantined.append(entry)
+        outcome = QuarantineRecord.from_fault(
+            component, index, attempt.fault, reason
+        )
+        quarantined.append(outcome)
         quarantined_slots.add((component, attempt.fault_index))
         if journal is not None:
-            journal.record_quarantine(
-                QuarantineRecord(
-                    component=component,
-                    index=global_index(component, attempt.fault_index),
-                    bit_index=attempt.fault.bit_index,
-                    cycle=attempt.fault.cycle,
-                    reason=reason,
-                )
-            )
+            journal.record_quarantine(outcome)
         if telemetry is not None:
-            telemetry.record_quarantine(component)
+            telemetry.record_quarantine(outcome)
         done[component] += 1
         progress(
-            f"{image.name}/{component.name}: quarantined fault "
-            f"{attempt.fault_index} ({reason})"
+            f"{image.name}/{component.name}: quarantined fault {index} "
+            f"({reason})"
         )
 
     def retry(attempt: _Attempt, reason: str) -> None:
@@ -1115,7 +1081,8 @@ def run_injection_plan(
             telemetry.record_retry()
         progress(
             f"{image.name}/{component.name}: retrying fault "
-            f"{attempt.fault_index} (attempt {attempt.attempts + 1}: {reason})"
+            f"{global_index(component, attempt.fault_index)} "
+            f"(attempt {attempt.attempts + 1}: {reason})"
         )
 
     if tasks:

@@ -98,38 +98,30 @@ class CampaignTelemetry:
         self.planned[component] = self.planned.get(component, 0) + count
         self.class_counts.setdefault(component, {})
 
-    def record(
-        self,
-        component: Component,
-        effect: FaultEffect,
-        wall_time: float = 0.0,
-        replayed: bool = False,
-        ended_by: str = "full",
-        cycles_saved: int = 0,
-        events=None,
-    ) -> None:
-        """Tally one completed injection.
+    def record(self, record: InjectionRecord, replayed: bool = False) -> None:
+        """Tally one completed injection (a journal replay if ``replayed``).
 
-        ``events`` is an optional fault-lifetime payload (live results or
-        replayed journal records); it feeds the propagation aggregates.
+        The record's fault-lifetime ``events`` feed the propagation
+        aggregates; its ``wall_time`` counts toward live throughput only.
         """
+        component, effect = record.component, record.effect
         tally = self.class_counts.setdefault(component, {})
         tally[effect] = tally.get(effect, 0) + 1
         self.completed += 1
-        if events:
+        if record.events:
             self.events_observed += 1
-            self._aggregate_events(component, effect, events)
-        if ended_by == "digest":
+            self._aggregate_events(component, effect, record.events)
+        if record.ended_by == "digest":
             self.ended_digest += 1
-        elif ended_by == "dead-cell":
+        elif record.ended_by == "dead-cell":
             self.ended_dead_cell += 1
         else:
             self.ended_full += 1
-        self.cycles_saved += cycles_saved
+        self.cycles_saved += record.cycles_saved
         if replayed:
             self.replayed += 1
         else:
-            self.injection_seconds += wall_time
+            self.injection_seconds += record.wall_time
 
     def replay(
         self,
@@ -140,17 +132,9 @@ class CampaignTelemetry:
         count toward the class tallies and propagation aggregates, never
         toward live throughput."""
         for record in records:
-            self.record(
-                record.component,
-                record.effect,
-                record.wall_time,
-                replayed=True,
-                ended_by=record.ended_by,
-                cycles_saved=record.cycles_saved,
-                events=record.events,
-            )
+            self.record(record, replayed=True)
         for record in quarantines:
-            self.record_quarantine(record.component)
+            self.record_quarantine(record)
 
     def record_retry(self) -> None:
         """Count one re-dispatch of a failed injection."""
@@ -164,8 +148,9 @@ class CampaignTelemetry:
         """Count one worker process dying mid-injection."""
         self.worker_deaths += 1
 
-    def record_quarantine(self, component: Component) -> None:
+    def record_quarantine(self, record: QuarantineRecord) -> None:
         """Count one fault retired after exhausting its retries."""
+        component = record.component
         self.quarantined += 1
         self.quarantined_by[component] = self.quarantined_by.get(component, 0) + 1
         self.class_counts.setdefault(component, {})

@@ -16,6 +16,7 @@ lives in ``test_cli_smoke.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
@@ -31,7 +32,11 @@ from repro.injection.campaign import (
     prepare_image,
 )
 from repro.injection.components import Component, component_bits
-from repro.injection.journal import read_journal
+from repro.injection.journal import (
+    InjectionRecord,
+    RecordBuffer,
+    read_journal,
+)
 from repro.injection.parallel import run_injection_plan
 from repro.workloads import get_workload
 
@@ -52,11 +57,18 @@ def config():
 
 @pytest.fixture(scope="module")
 def serial(workload, config):
-    """Ground truth: golden run, image, plan and serial effects."""
+    """Ground truth: golden run, image, plan, serial effects and the
+    serial run's records."""
     golden, image = prepare_image(workload, config)
     plan = build_fault_plan(config, golden.cycles, COMPONENTS)
-    effects = run_injection_plan(image, plan, jobs=1)
-    return {"golden": golden, "plan": plan, "effects": effects}
+    buffer = RecordBuffer()
+    effects = run_injection_plan(image, plan, jobs=1, journal=buffer)
+    return {
+        "golden": golden,
+        "plan": plan,
+        "effects": effects,
+        "records": buffer.records,
+    }
 
 
 class _Fabric:
@@ -174,6 +186,34 @@ class TestDistributedEqualsSerial:
         assert records
         assert all(record.site is not None for record in records)
         assert {record.site.mode for record in records} <= {"user", "kernel"}
+
+    def test_every_hop_carries_the_serial_record(self, outcome, serial):
+        """A fault's record is the same object's value at every hop: the
+        coordinator journal and the store payload equal the serial run's
+        record in everything but the wall-clock time."""
+
+        def key(record):
+            return (record.component, record.index)
+
+        def timeless(record):
+            return dataclasses.replace(record, wall_time=0.0)
+
+        expected = {key(record): timeless(record) for record in serial["records"]}
+        assert len(expected) == FAULTS * len(COMPONENTS)
+        assert all(record.events for record in expected.values())
+        fabric = outcome["fabric"]
+        journal = next((fabric.tmp_path / "journals").glob("*.jsonl"))
+        _meta, records, _quarantines = read_journal(journal)
+        assert {key(record): timeless(record) for record in records} == expected
+        (campaign,) = fabric.coordinator._campaigns.values()
+        store = fabric.coordinator.store
+        stored = {}
+        for component in COMPONENTS:
+            rows = store.records(campaign.base, component.name, FAULTS)
+            for _index, _status, payload, _reason in rows:
+                record = InjectionRecord.from_line(payload)
+                stored[key(record)] = timeless(record)
+        assert stored == expected
 
     def test_no_fault_was_executed_twice(self, outcome):
         executed = sum(worker.executed for worker in outcome["workers"])

@@ -16,6 +16,7 @@ from repro.observability.metrics import (
 from repro.injection.classify import FaultEffect
 from repro.injection.components import Component
 from repro.injection.telemetry import CampaignTelemetry
+from tests.injection.records import outcome
 
 
 @pytest.fixture
@@ -160,10 +161,10 @@ class TestTelemetryCollector:
     def test_mirrors_telemetry_into_registry(self, registry):
         telemetry = CampaignTelemetry()
         telemetry.register_plan(Component.L1D, 4)
-        telemetry.record(Component.L1D, FaultEffect.MASKED, ended_by="digest",
-                         cycles_saved=1000)
-        telemetry.record(Component.L1D, FaultEffect.SDC)
-        telemetry.record(Component.L1D, FaultEffect.MASKED, replayed=True)
+        telemetry.record(outcome(Component.L1D, FaultEffect.MASKED,
+                                 ended_by="digest", cycles_saved=1000))
+        telemetry.record(outcome(Component.L1D, FaultEffect.SDC))
+        telemetry.record(outcome(Component.L1D, FaultEffect.MASKED), replayed=True)
         registry.register_collector(telemetry_collector(telemetry, "camp"))
         samples = parse_exposition(registry.render())
         labels = frozenset({("campaign", "camp")})

@@ -220,7 +220,13 @@ class TestFaultIdentity:
         plan = build_fault_plan(spec.to_config(), 999, (Component.L1D,))
         old_base = {**identity_base(spec), "machine": machine_digest(SCALED_A9_CONFIG)}
         store.register(old_base, "L1D", plan[Component.L1D])
-        store.complete(old_base, "L1D", 0, {}, "SDC", "full", 0.1, worker="old")
+        fault = plan[Component.L1D][0]
+        store.complete(
+            old_base,
+            InjectionRecord(Component.L1D, 0, fault.bit_index, fault.cycle,
+                            FaultEffect.SDC, 0.1),
+            worker="old",
+        )
         store.close()
         store = FaultStore(tmp_path / "faults.sqlite")
         base = identity_base(spec)

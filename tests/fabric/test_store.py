@@ -22,6 +22,7 @@ from repro.fabric.store import (
 )
 from repro.injection.components import Component
 from repro.injection.fault import Fault
+from repro.injection.journal import InjectionRecord, QuarantineRecord
 
 BASE = {"workload": "CRC32", "machine": "aa" * 8, "cluster": 1, "seed": 7}
 OTHER_BASE = {**BASE, "seed": 8}
@@ -55,6 +56,10 @@ def payload_for(index: int) -> dict:
     }
 
 
+def record_for(index: int, effect: str = "MASKED") -> InjectionRecord:
+    return InjectionRecord.from_line({**payload_for(index), "effect": effect})
+
+
 class TestRegistrationDedup:
     def test_second_registration_inserts_nothing(self):
         store = make_store()
@@ -74,10 +79,7 @@ class TestRegistrationDedup:
         store = make_store()
         faults = make_faults(3)
         store.register(BASE, "L1D", faults)
-        assert store.complete(
-            BASE, "L1D", 1, {**payload_for(1), "effect": "SDC"},
-            "SDC", "full", 0.2, worker="w",
-        )
+        assert store.complete(BASE, record_for(1, "SDC"), worker="w")
         store.register(BASE, "L1D", faults)  # a second campaign submits
         rows = store.records(BASE, "L1D", 3)
         assert [(index, status) for index, status, _p, _r in rows] == [
@@ -192,10 +194,7 @@ class TestLeases:
                 )
                 issued += 1 if lease else 0
             elif action == "complete":
-                store.complete(
-                    BASE, "L1D", value, payload_for(value),
-                    "MASKED", "full", 0.1, worker="w",
-                )
+                store.complete(BASE, record_for(value), worker="w")
             else:  # expire: advance time past every outstanding TTL
                 store.test_clock["now"] += 11.0
             live = store.live_leases()
@@ -223,13 +222,9 @@ class TestCompletion:
     def test_first_completion_wins(self):
         store = make_store()
         store.register(BASE, "L1D", make_faults(2))
-        assert store.complete(
-            BASE, "L1D", 0, payload_for(0), "MASKED", "full", 0.1, worker="a"
-        )
+        assert store.complete(BASE, record_for(0), worker="a")
         # A stale report after a lease expiry changes nothing.
-        assert not store.complete(
-            BASE, "L1D", 0, payload_for(0), "SDC", "full", 0.1, worker="b"
-        )
+        assert not store.complete(BASE, record_for(0, "SDC"), worker="b")
         rows = store.records(BASE, "L1D", 2)
         assert rows[0][2]["effect"] == "MASKED"
 
@@ -237,11 +232,10 @@ class TestCompletion:
         store = make_store()
         store.register(BASE, "L1D", make_faults(1))
         assert store.quarantine(
-            BASE, "L1D", 0, {"type": "quarantine"}, "worker died", worker="a"
+            BASE, QuarantineRecord(Component.L1D, 0, 0, 100, "worker died"),
+            worker="a",
         )
-        assert not store.complete(
-            BASE, "L1D", 0, payload_for(0), "MASKED", "full", 0.1, worker="b"
-        )
+        assert not store.complete(BASE, record_for(0), worker="b")
         rows = store.records(BASE, "L1D", 1)
         assert rows[0][1] == QUARANTINED and rows[0][3] == "worker died"
 
@@ -249,10 +243,7 @@ class TestCompletion:
         store = make_store()
         store.register(BASE, "L1D", make_faults(5))
         for index in (3, 0, 4, 1, 2):
-            store.complete(
-                BASE, "L1D", index, payload_for(index),
-                "MASKED", "full", 0.1, worker="w",
-            )
+            store.complete(BASE, record_for(index), worker="w")
         rows = store.records(BASE, "L1D", 5)
         assert [index for index, _s, _p, _r in rows] == [0, 1, 2, 3, 4]
 
@@ -262,9 +253,7 @@ class TestDurability:
         path = tmp_path / "faults.sqlite"
         store = FaultStore(path)
         store.register(BASE, "L1D", make_faults(3))
-        store.complete(
-            BASE, "L1D", 1, payload_for(1), "SDC", "full", 0.2, worker="w"
-        )
+        store.complete(BASE, record_for(1), worker="w")
         store.save_campaign("abc123", {"workload": "CRC32"})
         store.close()
         reopened = FaultStore(path)

@@ -44,6 +44,7 @@ from repro.kernel.layout import DEFAULT_LAYOUT
 from repro.microarch.config import SCALED_A9_CONFIG
 from repro.microarch.system import System
 from repro.workloads import get_workload
+from tests.injection.records import outcome
 
 MACHINE = SCALED_A9_CONFIG
 WORKLOAD_NAMES = ("StringSearch", "MatMul")
@@ -289,7 +290,7 @@ class TestCampaignIntegration:
     def test_summary_without_pruning_renders_no_early_exit_line(self):
         telemetry = CampaignTelemetry()
         telemetry.register_plan(Component.L1D, 1)
-        telemetry.record(Component.L1D, FaultEffect.SDC, 0.1)
+        telemetry.record(outcome(Component.L1D, FaultEffect.SDC, 0.1))
         rendered = telemetry_table(telemetry.summary())
         assert "early exit" not in rendered
 

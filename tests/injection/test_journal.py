@@ -6,19 +6,30 @@ import dataclasses
 import errno
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.errors import InjectionError
+from repro.injection.campaign import (
+    CampaignConfig,
+    build_fault_plan,
+    prepare_image,
+)
 from repro.injection.classify import FaultEffect
 from repro.injection.components import Component
+from repro.injection.identity import program_digest
 from repro.injection.journal import (
+    JOURNAL_VERSION,
     InjectionJournal,
     InjectionRecord,
     JournalMeta,
     QuarantineRecord,
     read_journal,
 )
+from repro.injection.parallel import ImageInjector, run_injection_plan
+from repro.workloads import get_workload
 
 META = JournalMeta(
     workload="StringSearch",
@@ -381,3 +392,52 @@ class TestResumeRepairOrdering:
         assert path.read_bytes().endswith(b"\n")
         with InjectionJournal.resume(path, META) as resumed:
             assert [r.index for r in resumed.records] == [0]
+
+
+class TestPinnedJournalBytes:
+    """The journal lines a live campaign writes are pinned byte for byte
+    (wall-clock times aside) against ``data/crc32_journal.jsonl``.
+
+    The fixture is a serial CRC32 plan, 4 faults per component at seed 1,
+    with lifetime events on and fault 1 of REGFILE forced into
+    quarantine.  Regenerate it only for a deliberate format change, which
+    also bumps ``JOURNAL_VERSION``.
+    """
+
+    FIXTURE = Path(__file__).parent / "data" / "crc32_journal.jsonl"
+
+    @staticmethod
+    def _without_wall(text: str) -> list[str]:
+        return [
+            re.sub(r'"wall":[^,}]*', '"wall":0', line)
+            for line in text.splitlines()
+        ]
+
+    def test_live_campaign_writes_the_pinned_lines(self, tmp_path, monkeypatch):
+        workload = get_workload("CRC32")
+        config = CampaignConfig(faults_per_component=4, seed=1)
+        golden, image = prepare_image(workload, config)
+        plan = build_fault_plan(config, golden.cycles, tuple(Component))
+        target = plan[Component.REGFILE][1]
+        real = ImageInjector.run_fault_ex
+
+        def forced(self, fault):
+            if fault == target:
+                raise RuntimeError("forced quarantine")
+            return real(self, fault)
+
+        monkeypatch.setattr(ImageInjector, "run_fault_ex", forced)
+        meta = config.journal_meta(
+            workload.name,
+            program_digest(workload, config.machine),
+            golden.cycles,
+        )
+        path = tmp_path / "crc32.jsonl"
+        with InjectionJournal.create(path, meta) as journal:
+            run_injection_plan(
+                image, plan, journal=journal, quarantined=[], max_retries=0
+            )
+        assert meta.version == JOURNAL_VERSION == 1
+        assert self._without_wall(path.read_text()) == self._without_wall(
+            self.FIXTURE.read_text()
+        )

@@ -284,7 +284,7 @@ class TestWorkerDeath:
         assert len(quarantined) == 1
         entry = quarantined[0]
         assert entry.component is Component.REGFILE
-        assert entry.fault_index == 2
+        assert entry.index == 2
         assert "died" in entry.reason
         assert telemetry.worker_deaths == 2  # initial attempt + one retry
         # Every other slot matches the reference; the quarantined slot is
@@ -360,9 +360,87 @@ class TestWorkerDeath:
         )
         journal.close()
         assert len(replayed_quarantines) == 1
-        assert replayed_quarantines[0].fault_index == 2
+        assert replayed_quarantines[0].index == 2
         assert telemetry.live_completed == 0
         assert effects[Component.REGFILE][2] is None
+
+
+class TestQuarantineReporting:
+    """Progress lines and errors name a fault by its stream index, and a
+    campaign reports each quarantined fault exactly once."""
+
+    @staticmethod
+    def _arm_raiser(monkeypatch, target):
+        real = ImageInjector.run_fault_ex
+
+        def raiser(self, fault):
+            if fault == target:
+                raise RuntimeError("boom")
+            return real(self, fault)
+
+        monkeypatch.setattr(ImageInjector, "run_fault_ex", raiser)
+
+    @pytest.fixture
+    def window(self, golden):
+        stream = generate_faults(
+            Component.REGFILE,
+            component_bits(SCALED_A9_CONFIG, Component.REGFILE),
+            golden.cycles,
+            count=12,
+            seed=5,
+        )
+        return {Component.REGFILE: stream[10:12]}
+
+    def test_windowed_plan_names_the_stream_index(
+        self, image, window, monkeypatch
+    ):
+        self._arm_raiser(monkeypatch, window[Component.REGFILE][1])
+        messages = []
+        quarantined = []
+        run_injection_plan(
+            image,
+            window,
+            max_retries=1,
+            progress=messages.append,
+            quarantined=quarantined,
+            indices={Component.REGFILE: range(10, 12)},
+        )
+        assert [entry.index for entry in quarantined] == [11]
+        assert any("retrying fault 11 " in line for line in messages)
+        assert any("quarantined fault 11 " in line for line in messages)
+        assert not any("fault 1 " in line for line in messages), messages
+
+    def test_windowed_error_names_the_stream_index(
+        self, image, window, monkeypatch
+    ):
+        self._arm_raiser(monkeypatch, window[Component.REGFILE][1])
+        with pytest.raises(InjectionError, match=r"REGFILE\[11\]"):
+            run_injection_plan(
+                image,
+                window,
+                max_retries=0,
+                indices={Component.REGFILE: range(10, 12)},
+            )
+
+    def test_campaign_reports_a_quarantine_once(
+        self, workload, golden, monkeypatch, tmp_path
+    ):
+        config = CampaignConfig(faults_per_component=3, seed=5, max_retries=0)
+        target = generate_faults(
+            Component.REGFILE,
+            component_bits(SCALED_A9_CONFIG, Component.REGFILE),
+            golden.cycles,
+            count=3,
+            seed=5,
+        )[1]
+        self._arm_raiser(monkeypatch, target)
+        messages = []
+        InjectionCampaign(
+            config, cache_dir=tmp_path, progress=messages.append
+        ).run_workload(workload, components=(Component.REGFILE,))
+        reports = [line for line in messages if "quarantined" in line]
+        assert len(reports) == 1, reports
+        assert "fault 1 " in reports[0]
 
 
 @pytest.mark.slow

@@ -12,6 +12,7 @@ from repro.observability.events import (
     MECH_OVERWRITE,
     MECH_READ_CONVERGED,
 )
+from tests.injection.records import outcome, quarantine
 
 
 class FakeClock:
@@ -34,18 +35,18 @@ def telemetry(clock):
 
 class TestTallies:
     def test_class_counts_accumulate_per_component(self, telemetry):
-        telemetry.record(Component.L1D, FaultEffect.MASKED)
-        telemetry.record(Component.L1D, FaultEffect.MASKED)
-        telemetry.record(Component.L1D, FaultEffect.SDC)
-        telemetry.record(Component.REGFILE, FaultEffect.SYS_CRASH)
+        telemetry.record(outcome(Component.L1D, FaultEffect.MASKED))
+        telemetry.record(outcome(Component.L1D, FaultEffect.MASKED))
+        telemetry.record(outcome(Component.L1D, FaultEffect.SDC))
+        telemetry.record(outcome(Component.REGFILE, FaultEffect.SYS_CRASH))
         assert telemetry.class_counts[Component.L1D][FaultEffect.MASKED] == 2
         assert telemetry.class_counts[Component.L1D][FaultEffect.SDC] == 1
         assert telemetry.class_counts[Component.REGFILE][FaultEffect.SYS_CRASH] == 1
         assert telemetry.completed == 4
 
     def test_replayed_separated_from_live(self, telemetry):
-        telemetry.record(Component.L1D, FaultEffect.MASKED, replayed=True)
-        telemetry.record(Component.L1D, FaultEffect.MASKED, wall_time=0.5)
+        telemetry.record(outcome(Component.L1D, FaultEffect.MASKED), replayed=True)
+        telemetry.record(outcome(Component.L1D, FaultEffect.MASKED, wall_time=0.5))
         assert telemetry.completed == 2
         assert telemetry.replayed == 1
         assert telemetry.live_completed == 1
@@ -56,10 +57,10 @@ class TestThroughputAndEta:
     def test_rate_counts_only_live_injections(self, telemetry, clock):
         telemetry.register_plan(Component.L1D, 20)
         for _ in range(5):
-            telemetry.record(Component.L1D, FaultEffect.MASKED, replayed=True)
+            telemetry.record(outcome(Component.L1D, FaultEffect.MASKED), replayed=True)
         clock.now += 10.0
         for _ in range(10):
-            telemetry.record(Component.L1D, FaultEffect.MASKED)
+            telemetry.record(outcome(Component.L1D, FaultEffect.MASKED))
         assert telemetry.injections_per_second() == pytest.approx(1.0)
         # 5 remaining at 1 inj/s
         assert telemetry.remaining() == 5
@@ -72,16 +73,16 @@ class TestThroughputAndEta:
     def test_eta_is_zero_when_fully_replayed(self, telemetry):
         """A journal-only resume has nothing left: ETA 0, not unknown."""
         telemetry.register_plan(Component.L1D, 2)
-        telemetry.record(Component.L1D, FaultEffect.MASKED, replayed=True)
-        telemetry.record(Component.L1D, FaultEffect.SDC, replayed=True)
+        telemetry.record(outcome(Component.L1D, FaultEffect.MASKED), replayed=True)
+        telemetry.record(outcome(Component.L1D, FaultEffect.SDC), replayed=True)
         assert telemetry.remaining() == 0
         assert telemetry.eta_seconds() == 0.0
 
     def test_quarantined_reduce_remaining(self, telemetry, clock):
         telemetry.register_plan(Component.L1D, 10)
         clock.now += 1.0
-        telemetry.record(Component.L1D, FaultEffect.MASKED)
-        telemetry.record_quarantine(Component.L1D)
+        telemetry.record(outcome(Component.L1D, FaultEffect.MASKED))
+        telemetry.record_quarantine(quarantine(Component.L1D))
         assert telemetry.remaining() == 8
 
 
@@ -91,7 +92,7 @@ class TestHarnessCounters:
         telemetry.record_retry()
         telemetry.record_timeout()
         telemetry.record_worker_death()
-        telemetry.record_quarantine(Component.DTLB)
+        telemetry.record_quarantine(quarantine(Component.DTLB))
         assert telemetry.retries == 2
         assert telemetry.timeouts == 1
         assert telemetry.worker_deaths == 1
@@ -100,9 +101,9 @@ class TestHarnessCounters:
     def test_progress_line_mentions_anomalies(self, telemetry, clock):
         telemetry.register_plan(Component.L1D, 4)
         clock.now += 2.0
-        telemetry.record(Component.L1D, FaultEffect.MASKED)
+        telemetry.record(outcome(Component.L1D, FaultEffect.MASKED))
         telemetry.record_retry()
-        telemetry.record_quarantine(Component.L1D)
+        telemetry.record_quarantine(quarantine(Component.L1D))
         line = telemetry.progress_line()
         assert "1/4 inj" in line
         assert "1 retries" in line
@@ -114,8 +115,8 @@ class TestSummaryRendering:
     def test_summary_is_plain_data(self, telemetry, clock):
         telemetry.register_plan(Component.L1D, 2)
         clock.now += 4.0
-        telemetry.record(Component.L1D, FaultEffect.SDC, wall_time=1.5)
-        telemetry.record(Component.L1D, FaultEffect.MASKED, replayed=True)
+        telemetry.record(outcome(Component.L1D, FaultEffect.SDC, wall_time=1.5))
+        telemetry.record(outcome(Component.L1D, FaultEffect.MASKED), replayed=True)
         summary = telemetry.summary()
         assert summary["components"]["L1D"]["SDC"] == 1
         assert summary["completed"] == 2
@@ -126,10 +127,10 @@ class TestSummaryRendering:
     def test_telemetry_table_renders_components_and_health(self, telemetry, clock):
         telemetry.register_plan(Component.L1D, 3)
         clock.now += 1.0
-        telemetry.record(Component.L1D, FaultEffect.SDC)
-        telemetry.record(Component.L1D, FaultEffect.MASKED)
+        telemetry.record(outcome(Component.L1D, FaultEffect.SDC))
+        telemetry.record(outcome(Component.L1D, FaultEffect.MASKED))
         telemetry.record_retry()
-        telemetry.record_quarantine(Component.L1D)
+        telemetry.record_quarantine(quarantine(Component.L1D))
         text = telemetry_table(telemetry.summary())
         assert "Campaign telemetry" in text
         assert "L1D" in text and "SDC" in text
@@ -142,8 +143,8 @@ class TestSummaryRendering:
         stall, so the table says what happened instead."""
         telemetry.register_plan(Component.L1D, 2)
         clock.now += 3.0
-        telemetry.record(Component.L1D, FaultEffect.MASKED, replayed=True)
-        telemetry.record(Component.L1D, FaultEffect.SDC, replayed=True)
+        telemetry.record(outcome(Component.L1D, FaultEffect.MASKED), replayed=True)
+        telemetry.record(outcome(Component.L1D, FaultEffect.SDC), replayed=True)
         text = telemetry_table(telemetry.summary())
         assert "n/a" in text
         assert "replayed from journal, none run live" in text
@@ -152,9 +153,9 @@ class TestSummaryRendering:
     def test_quarantines_break_down_per_component(self, telemetry):
         telemetry.register_plan(Component.L1D, 4)
         telemetry.register_plan(Component.DTLB, 4)
-        telemetry.record_quarantine(Component.L1D)
-        telemetry.record_quarantine(Component.L1D)
-        telemetry.record_quarantine(Component.DTLB)
+        telemetry.record_quarantine(quarantine(Component.L1D))
+        telemetry.record_quarantine(quarantine(Component.L1D))
+        telemetry.record_quarantine(quarantine(Component.DTLB))
         summary = telemetry.summary()
         assert summary["quarantined"] == 3
         assert summary["quarantined_by_component"] == {"L1D": 2, "DTLB": 1}
@@ -166,33 +167,39 @@ class TestEventAggregation:
     def test_masked_mechanisms_and_latencies(self, telemetry):
         telemetry.register_plan(Component.L1D, 3)
         telemetry.record(
-            Component.L1D,
-            FaultEffect.MASKED,
-            events=[
-                ("flip", 100, "L1D"),
-                ("write-over", 150, "l1d"),
-                ("outcome", 5000, "MASKED"),
-            ],
+            outcome(
+                Component.L1D,
+                FaultEffect.MASKED,
+                events=[
+                    ("flip", 100, "L1D"),
+                    ("write-over", 150, "l1d"),
+                    ("outcome", 5000, "MASKED"),
+                ],
+            ),
         )
         telemetry.record(
-            Component.L1D,
-            FaultEffect.MASKED,
-            events=[
-                ("flip", 200, "L1D"),
-                ("read", 230, "l1d"),
-                ("converge", 900, ""),
-                ("outcome", 5000, "MASKED"),
-            ],
+            outcome(
+                Component.L1D,
+                FaultEffect.MASKED,
+                events=[
+                    ("flip", 200, "L1D"),
+                    ("read", 230, "l1d"),
+                    ("converge", 900, ""),
+                    ("outcome", 5000, "MASKED"),
+                ],
+            ),
         )
         telemetry.record(
-            Component.L1D,
-            FaultEffect.SDC,
-            events=[
-                ("flip", 300, "L1D"),
-                ("read", 340, "l1d"),
-                ("diverge", 700, ""),
-                ("outcome", 6000, "SDC"),
-            ],
+            outcome(
+                Component.L1D,
+                FaultEffect.SDC,
+                events=[
+                    ("flip", 300, "L1D"),
+                    ("read", 340, "l1d"),
+                    ("diverge", 700, ""),
+                    ("outcome", 6000, "SDC"),
+                ],
+            ),
         )
         assert telemetry.events_observed == 3
         assert telemetry.masked_mechanisms[Component.L1D] == {
@@ -213,13 +220,15 @@ class TestEventAggregation:
 
     def test_propagation_table_renders_shares_and_medians(self, telemetry):
         telemetry.record(
-            Component.REGFILE,
-            FaultEffect.MASKED,
-            events=[
-                ("flip", 10, "REGFILE"),
-                ("write-over", 25, "regfile"),
-                ("outcome", 90, "MASKED"),
-            ],
+            outcome(
+                Component.REGFILE,
+                FaultEffect.MASKED,
+                events=[
+                    ("flip", 10, "REGFILE"),
+                    ("write-over", 25, "regfile"),
+                    ("outcome", 90, "MASKED"),
+                ],
+            ),
         )
         text = propagation_table(telemetry.summary())
         assert "Fault propagation" in text
@@ -229,7 +238,7 @@ class TestEventAggregation:
 
     def test_no_events_means_no_propagation_section(self, telemetry):
         telemetry.register_plan(Component.L1D, 1)
-        telemetry.record(Component.L1D, FaultEffect.MASKED)
+        telemetry.record(outcome(Component.L1D, FaultEffect.MASKED))
         summary = telemetry.summary()
         assert summary["events_observed"] == 0
         assert summary["propagation"] == {}
@@ -249,11 +258,11 @@ class TestFabricReplayIsolation:
         telemetry.register_plan(Component.L1D, 100)
         # 60 replayed instantly at activation (a coordinator restart)...
         for _ in range(60):
-            telemetry.record(Component.L1D, FaultEffect.MASKED, replayed=True)
+            telemetry.record(outcome(Component.L1D, FaultEffect.MASKED), replayed=True)
         # ... then 20 live completions over 10 seconds.
         clock.now += 10.0
         for _ in range(20):
-            telemetry.record(Component.L1D, FaultEffect.SDC, wall_time=0.5)
+            telemetry.record(outcome(Component.L1D, FaultEffect.SDC, wall_time=0.5))
         line = telemetry.progress_line()
         assert "80/100 inj" in line
         assert "2.0 inj/s" in line  # 20 live / 10 s, NOT 80 / 10 s
@@ -267,10 +276,12 @@ class TestFabricReplayIsolation:
         clock.now += 4.0
         for index in range(20):
             telemetry.record(
-                Component.REGFILE,
-                FaultEffect.MASKED,
+                outcome(
+                    Component.REGFILE,
+                    FaultEffect.MASKED,
+                    wall_time=0.1,
+                ),
                 replayed=(index % 2 == 0),
-                wall_time=0.1,
             )
         assert telemetry.live_completed == 10
         assert telemetry.injections_per_second() == pytest.approx(10 / 4.0)
@@ -283,8 +294,8 @@ class TestFabricReplayIsolation:
         """Tallies (unlike rates) must include replays - they are the
         journal's record of truth and back the exported gauges."""
         telemetry.register_plan(Component.L1D, 3)
-        telemetry.record(Component.L1D, FaultEffect.SDC, replayed=True)
-        telemetry.record(Component.L1D, FaultEffect.SDC)
-        telemetry.record(Component.L1D, FaultEffect.MASKED)
+        telemetry.record(outcome(Component.L1D, FaultEffect.SDC), replayed=True)
+        telemetry.record(outcome(Component.L1D, FaultEffect.SDC))
+        telemetry.record(outcome(Component.L1D, FaultEffect.MASKED))
         assert telemetry.class_counts[Component.L1D][FaultEffect.SDC] == 2
         assert telemetry.class_counts[Component.L1D][FaultEffect.MASKED] == 1

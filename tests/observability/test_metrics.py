@@ -22,6 +22,7 @@ from repro.observability.metrics import (
     telemetry_collector,
     write_metrics,
 )
+from tests.injection.records import outcome
 
 
 class TestEnvelope:
@@ -142,7 +143,7 @@ class TestTelemetryCollectorRace:
         records: a first SDC and a first L2 result landing mid-render
         must not break the scrape."""
         telemetry = CampaignTelemetry()
-        telemetry.record(Component.L1D, FaultEffect.MASKED)
+        telemetry.record(outcome(Component.L1D, FaultEffect.MASKED))
         registry = MetricsRegistry()
         registry.register_collector(telemetry_collector(telemetry, "camp"))
         peg = Counter.peg
@@ -151,8 +152,8 @@ class TestTelemetryCollectorRace:
         def racing_peg(counter, total, **labels):
             if counter.name == "repro_fault_effects_total" and not landed:
                 landed.append(True)
-                telemetry.record(Component.L1D, FaultEffect.SDC)
-                telemetry.record(Component.L2, FaultEffect.MASKED)
+                telemetry.record(outcome(Component.L1D, FaultEffect.SDC))
+                telemetry.record(outcome(Component.L2, FaultEffect.MASKED))
             peg(counter, total, **labels)
 
         monkeypatch.setattr(Counter, "peg", racing_peg)
