@@ -17,6 +17,13 @@ same workload with fault-lifetime events and crash traces armed, run
 translated and interpreter-only, asserting an empty diff on
 classifications, recorded event streams, *and* the per-component
 masking-mechanism histogram derived from them.
+
+``test_translator_compile_cost`` is the translator's per-layer
+microbench: with the process-wide code cache cleared, a Rijndael E golden
+run plus a one-fault-per-component campaign, recording blocks compiled,
+distinct sources compiled, ``compile()`` seconds and the share of retired
+instructions that ran inside translated blocks.  Its envelope is
+``results/BENCH_test_translator_compile_cost.json``.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ from __future__ import annotations
 import time
 
 from repro.injection.campaign import (
+    CampaignConfig,
+    InjectionCampaign,
     record_golden_observables,
     run_golden,
 )
@@ -31,7 +40,9 @@ from repro.injection.components import Component, component_bits
 from repro.injection.fault import generate_faults
 from repro.injection.journal import RecordBuffer
 from repro.injection.parallel import EngineOptions, MachineImage, run_injection_plan
+from repro.microarch import translate
 from repro.microarch.config import SCALED_A9_CONFIG
+from repro.microarch.core import Core
 from repro.observability.events import masking_mechanism
 from repro.workloads import get_workload
 
@@ -163,3 +174,67 @@ def test_taint_on_translator_equivalence():
     assert translated[2] == interpreted[2], (
         "masking-mechanism histogram diff non-empty"
     )
+
+
+def test_translator_compile_cost(benchmark, tmp_path, monkeypatch):
+    """Rijndael E golden run + ``-n 1`` campaign: what translation costs.
+
+    Rijndael's S-box loop is load-heavy, so blocks often leave their
+    region early (digest probes, lifetime events, timer interrupts).
+    Heat counts only at block heads, so the interpreter walking out the
+    rest of such a region compiles nothing.
+    """
+    translators: list = []
+    totals = {"compiles": 0, "compile_s": 0.0, "retired": 0}
+
+    init = translate.BlockTranslator.__init__
+
+    def recording_init(self, core, **kwargs):
+        init(self, core, **kwargs)
+        translators.append(self)
+
+    def timed_compile(source, filename, mode):
+        start = time.perf_counter()
+        try:
+            return compile(source, filename, mode)
+        finally:
+            totals["compiles"] += 1
+            totals["compile_s"] += time.perf_counter() - start
+
+    run = Core.run
+
+    def counting_run(self, *args, **kwargs):
+        icount0 = self.icount
+        try:
+            return run(self, *args, **kwargs)
+        finally:
+            totals["retired"] += self.icount - icount0
+
+    monkeypatch.setattr(translate.BlockTranslator, "__init__", recording_init)
+    monkeypatch.setattr(translate, "compile", timed_compile, raising=False)
+    monkeypatch.setattr(Core, "run", counting_run)
+    workload = get_workload("Rijndael E")
+
+    def golden_and_campaign():
+        run_golden(workload, SCALED_A9_CONFIG)
+        campaign = InjectionCampaign(
+            CampaignConfig(faults_per_component=1), cache_dir=tmp_path
+        )
+        return campaign.run_workload(workload)
+
+    translate._CODE_CACHE.clear()
+    result = benchmark.pedantic(golden_and_campaign, rounds=1, iterations=1)
+    compiled = sum(t.compiled for t in translators)
+    translated = sum(t.translated_instructions for t in translators)
+    share = translated / totals["retired"]
+    benchmark.extra_info["translators"] = len(translators)
+    benchmark.extra_info["blocks_compiled"] = compiled
+    benchmark.extra_info["sources_compiled"] = totals["compiles"]
+    benchmark.extra_info["compile_s"] = round(totals["compile_s"], 3)
+    benchmark.extra_info["instructions_retired"] = totals["retired"]
+    benchmark.extra_info["translated_share"] = round(share, 4)
+
+    assert sum(c.injections for c in result.components.values()) == 6
+    # The cache was cleared first: each compile() is one distinct source.
+    assert len(translate._CODE_CACHE) == totals["compiles"] <= compiled
+    assert share > 0.5, f"only {share:.1%} of instructions ran translated"

@@ -831,6 +831,22 @@ def _plan_slot(
     return index
 
 
+def _check_replayed(
+    component: Component,
+    index: int,
+    record: InjectionRecord | QuarantineRecord,
+    fault: Fault,
+) -> None:
+    """Reject a journal line whose bit or cycle is not the plan's fault."""
+    if record.bit_index != fault.bit_index or record.cycle != fault.cycle:
+        raise InjectionError(
+            f"journal record for {component.name}[{index}] does not "
+            f"match the regenerated fault (journal bit "
+            f"{record.bit_index} cycle {record.cycle}, plan bit "
+            f"{fault.bit_index} cycle {fault.cycle})"
+        )
+
+
 def _replay_journal(
     journal: InjectionJournal,
     plan: Mapping[Component, Sequence[Fault]],
@@ -842,9 +858,10 @@ def _replay_journal(
 ) -> int:
     """Prefill effect slots from a journal; returns replayed count.
 
-    Every replayed record is cross-checked against the regenerated fault
-    list (bit and cycle must match) so a journal from a drifted seed or
-    simulator version cannot silently corrupt the tallies.
+    Every replayed injection and quarantine record is cross-checked
+    against the regenerated fault list (bit and cycle must match) so a
+    journal from a drifted seed or simulator version cannot silently
+    corrupt the tallies.
 
     Without ``indices`` the plan is the stream's head ``[0, n)`` and a
     journal index past it is an error.  With ``indices`` (a window of the
@@ -864,14 +881,7 @@ def _replay_journal(
             slot = _plan_slot(slots, component, index, len(faults))
             if slot is None:
                 continue
-            fault = faults[slot]
-            if record.bit_index != fault.bit_index or record.cycle != fault.cycle:
-                raise InjectionError(
-                    f"journal record for {component.name}[{index}] does not "
-                    f"match the regenerated fault (journal bit "
-                    f"{record.bit_index} cycle {record.cycle}, plan bit "
-                    f"{fault.bit_index} cycle {fault.cycle})"
-                )
+            _check_replayed(component, index, record, faults[slot])
             effects[component][slot] = record.effect
             replayed_records.append(record)
         for index, record in journal.quarantined(component).items():
@@ -884,6 +894,7 @@ def _replay_journal(
                     f"({component.name}[{index}]: {record.reason}) but the "
                     f"caller provided no quarantine accumulator"
                 )
+            _check_replayed(component, index, record, faults[slot])
             quarantined.append(record)
             quarantined_slots.add((component, slot))
             replayed_quarantines.append(record)

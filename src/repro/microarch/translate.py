@@ -5,7 +5,16 @@ tag scan, decode-memo lookup, handler dispatch, counter bookkeeping - for
 every dynamic instruction, even though hot code re-executes the same
 regions millions of times.  This module discovers those regions at
 runtime and compiles each one into a single closed-over Python function:
-generated source, ``compile()``\\ d once, cached per (pc, mode).
+generated source, ``compile()``\\ d once per process (code objects are
+shared, keyed by a digest of the source), blocks cached per (pc, mode).
+
+Heat counts at block heads only.  When a block stops mid-region (an
+event or digest-probe limit, a guard failure, an interrupt ``eret`` back
+into it) the interpreter walks the rest of the region; those arrivals at
+the region's *interior* (positions after the first that are not in-region
+jump targets) gain no heat, so they do not compile near-duplicates of the
+region's tail.  A block exit that lands inside another region is a real
+entry point and still heats, and a block already compiled there runs.
 
 Beyond the straight-line blocks of the first translator generation, a
 region may now span *taken branches inside a page*: conditional and
@@ -73,6 +82,7 @@ that close the region (no decoded-forward target remains reachable).
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from contextlib import contextmanager
 
@@ -133,14 +143,16 @@ _DOUBLE = struct.Struct("<d")
 #: check instead of a call.
 _NEVER = object()
 
-#: Generated source -> code object, shared module-wide.  Identical regions
-#: regenerate identical source across evictions, pristine restores and
-#: fresh injectors over the same image, so the compile() step (by far the
-#: dominant translation cost) is paid once per distinct source per
-#: process.  Blocks close over their core via ``_factory``, so a cached
-#: code object is core-agnostic.  Bounded as a safety valve; one campaign
-#: produces a few dozen distinct sources.
-_CODE_CACHE: dict[str, object] = {}
+#: 16-byte BLAKE2b digest of generated source -> code object, shared
+#: module-wide.  Identical regions regenerate identical source across
+#: evictions, pristine restores and fresh injectors over the same image, so
+#: the compile() step (by far the dominant translation cost) is paid once
+#: per distinct source per process.  Keying by digest instead of by the
+#: source text lets each source (tens of kB for a loop superblock) be freed
+#: once compiled.  Blocks close over their core via ``_factory``, so a
+#: cached code object is core-agnostic.  Bounded as a safety valve; a
+#: 13-code injection pass produces several hundred distinct sources.
+_CODE_CACHE: dict[bytes, object] = {}
 _CODE_CACHE_MAX = 4096
 
 
@@ -197,7 +209,12 @@ class BlockTranslator:
         self._kernel_blocks: dict[int, object] = {}
         self._heat: dict[int, int] = {}
         self._fails: dict[int, int] = {}
-        #: Generated source -> code object (module-shared; see _CODE_CACHE).
+        #: ``(pc << 1) | mode`` keys strictly inside a compiled region that
+        #: are not in-region jump targets.  The interpreter arrives there
+        #: walking out the rest of a region a block left early, and those
+        #: arrivals gain no heat.
+        self._interior: set[int] = set()
+        #: Source digest -> code object (module-shared; see _CODE_CACHE).
         self._code_cache = _CODE_CACHE
         #: Compiled-block count, exposed for tests and benchmarks.
         self.compiled = 0
@@ -247,6 +264,10 @@ class BlockTranslator:
             variants = blocks.get(pc)
             if variants is None:
                 key = (pc << 1) | int(mode)
+                if not executed and key in self._interior:
+                    # An interpreter arrival inside a compiled region:
+                    # heat counts at block heads only.
+                    return False
                 count = heat.get(key, 0) + 1
                 if count < HEAT_THRESHOLD:
                     heat[key] = count
@@ -398,15 +419,22 @@ class BlockTranslator:
         source, consts = _emit_block(
             core, pc, mode, instrs, region, self.profile, self.stats
         )
-        code = self._code_cache.get(source)
+        digest = hashlib.blake2b(source.encode(), digest_size=16).digest()
+        code = self._code_cache.get(digest)
         if code is None:
             if len(self._code_cache) >= _CODE_CACHE_MAX:
                 self._code_cache.clear()
             code = compile(source, f"<block {mode.name.lower()}@{pc:#x}>", "exec")
-            self._code_cache[source] = code
+            self._code_cache[digest] = code
         namespace: dict = {}
         exec(code, namespace)
         self.compiled += 1
+        tag = int(mode)
+        self._interior.update(
+            ((pc + 4 * pos) << 1) | tag
+            for pos in range(1, region.count)
+            if pos not in region.targets
+        )
         if region.has_backward or len(region.sections) > 1:
             self.compiled_superblocks += 1
         if type(core.rf.int_regs) is not list:

@@ -26,7 +26,12 @@ from repro.injection.campaign import (
 from repro.injection.classify import FaultEffect
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import generate_faults
-from repro.injection.journal import InjectionJournal, InjectionRecord, JournalMeta
+from repro.injection.journal import (
+    InjectionJournal,
+    InjectionRecord,
+    JournalMeta,
+    QuarantineRecord,
+)
 from repro.injection.parallel import (
     EngineOptions,
     ImageInjector,
@@ -266,6 +271,27 @@ class TestJournalReplay:
         )
         with journal, pytest.raises(InjectionError, match="does not match"):
             run_injection_plan(image, {Component.REGFILE: faults}, journal=journal)
+
+    def test_quarantine_that_disagrees_with_the_plan_raises(
+        self, tmp_path, golden, image, faults
+    ):
+        fault = faults[1]
+        journal = self.journal(tmp_path, golden)
+        journal.record_quarantine(
+            QuarantineRecord(
+                Component.REGFILE, 1, fault.bit_index + 1, fault.cycle + 7,
+                "worker died",
+            )
+        )
+        quarantined: list = []
+        with journal, pytest.raises(InjectionError, match="does not match"):
+            run_injection_plan(
+                image,
+                {Component.REGFILE: faults},
+                journal=journal,
+                quarantined=quarantined,
+            )
+        assert quarantined == []
 
 
 class TestAccelerationEquivalence:
