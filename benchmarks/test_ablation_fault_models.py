@@ -29,7 +29,7 @@ def test_ablation_multibit_fault_model(benchmark, emit):
     def full_ablation():
         workload = get_workload("Susan E")
         golden = run_golden(workload, SCALED_A9_CONFIG)
-        snapshots, _, _, _ = record_golden_observables(
+        snapshots, _, _, _, _ = record_golden_observables(
             workload, SCALED_A9_CONFIG, golden, digest_count=0
         )
         faults = generate_faults(

@@ -34,7 +34,7 @@ WRITE_THROUGH_CONFIG = dataclasses.replace(
 def campaign(machine) -> dict[FaultEffect, int]:
     workload = get_workload("Qsort")
     golden = run_golden(workload, machine)
-    snapshots, _, _, _ = record_golden_observables(
+    snapshots, _, _, _, _ = record_golden_observables(
         workload, machine, golden, digest_count=0
     )
     faults = generate_faults(

@@ -32,7 +32,7 @@ COMPONENTS = (Component.REGFILE, Component.L1D, Component.DTLB)
 def _build_plan():
     workload = get_workload("StringSearch")
     golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots, _, _, _ = record_golden_observables(
+    snapshots, _, _, _, _ = record_golden_observables(
         workload, SCALED_A9_CONFIG, golden, digest_count=0
     )
     image = MachineImage.capture(
@@ -114,7 +114,7 @@ def test_lifetime_event_overhead(benchmark):
     """
     workload = get_workload("StringSearch")
     golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots, digests, arch_digests, _ = record_golden_observables(
+    snapshots, digests, arch_digests, _, _ = record_golden_observables(
         workload, SCALED_A9_CONFIG, golden
     )
     plan = {
@@ -189,7 +189,7 @@ def test_lifetime_campaign_translation_speedup(benchmark):
     """
     workload = get_workload("StringSearch")
     golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots, digests, arch_digests, _ = record_golden_observables(
+    snapshots, digests, arch_digests, _, _ = record_golden_observables(
         workload, SCALED_A9_CONFIG, golden
     )
     plan = {

@@ -28,7 +28,7 @@ SPEEDUP_BAR = 1.5
 def _build():
     workload = get_workload("StringSearch")
     golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots, digests, _, _ = record_golden_observables(
+    snapshots, digests, _, _, _ = record_golden_observables(
         workload, SCALED_A9_CONFIG, golden
     )
     pruned = MachineImage.capture(

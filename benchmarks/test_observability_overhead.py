@@ -42,7 +42,7 @@ def test_tracing_overhead(benchmark):
     """Armed-tracer campaign throughput >= 0.95x of ``tracer=None``."""
     workload = get_workload("StringSearch")
     golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots, _, _, _ = record_golden_observables(
+    snapshots, _, _, _, _ = record_golden_observables(
         workload, SCALED_A9_CONFIG, golden, digest_count=0
     )
     image = MachineImage.capture(

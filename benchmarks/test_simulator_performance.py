@@ -91,7 +91,7 @@ def test_ablation_decode_cache(benchmark):
 def injection_setup():
     workload = get_workload("Dijkstra")
     golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots, _, _, _ = record_golden_observables(
+    snapshots, _, _, _, _ = record_golden_observables(
         workload, SCALED_A9_CONFIG, golden, digest_count=0
     )
     faults = generate_faults(

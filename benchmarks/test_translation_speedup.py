@@ -54,7 +54,7 @@ SPEEDUP_BAR = 8.0
 def _build():
     workload = get_workload("CRC32")
     golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots, digests, _, _ = record_golden_observables(
+    snapshots, digests, _, _, _ = record_golden_observables(
         workload, SCALED_A9_CONFIG, golden
     )
     accelerated = MachineImage.capture(
@@ -129,7 +129,7 @@ def test_taint_on_translator_equivalence():
     """
     workload = get_workload("CRC32")
     golden = run_golden(workload, SCALED_A9_CONFIG)
-    snapshots, digests, arch_digests, _ = record_golden_observables(
+    snapshots, digests, arch_digests, _, _ = record_golden_observables(
         workload, SCALED_A9_CONFIG, golden
     )
     plan = {

@@ -46,7 +46,7 @@ from repro.microarch.translate import translated
 from repro.workloads.base import Workload
 
 #: Strike engine settings (no lifetime events: beam has no journal yet);
-#: its ``translate`` also selects the engine of the warm and capture runs.
+#: its ``translate`` also selects the engine of the warm-up and warm runs.
 BEAM_ENGINE = EngineOptions(lifetime_events=False)
 
 
@@ -159,42 +159,36 @@ class BeamExperiment:
         )
 
     def _golden_beam_run(self, workload: Workload, golden: bytes):
-        """Establish campaign steady state and the warm reference run.
+        """Establish campaign steady state and build the strike executor.
 
         Executions run back-to-back under beam, so the measured state is
-        not a cold boot: the machine executes one full warm-up run (from
-        the prefilled background-OS state), is soft-rebooted keeping the
-        memory hierarchy, and the *second* execution is the reference.
-        Returns ``(warm_boot_snapshot, warm_result)``: the snapshot is the
-        post-reboot cycle-0 state every strike run starts from.
+        not a cold boot: one beam machine executes a full warm-up run
+        (from the prefilled background-OS state), is soft-rebooted keeping
+        the memory hierarchy, and its *second* execution is the reference.
+        That warm run is also the capture pass: it records checkpoints and
+        digests on a grid laid over the warm-up run's length.  Returns
+        ``(injector, warm_result)``; the injector's image holds the warm
+        boot (the post-reboot cycle-0 state every strike starts from) as
+        ``snapshots[0]``.
         """
+        machine = self.config.machine
         system = self._beam_system(workload, golden)
         with translated(system, BEAM_ENGINE.translate):
             first = system.run(max_cycles=200_000_000)
-            if not first.exited_cleanly or first.sdc_flag or not first.check_done:
-                raise RuntimeError(
-                    f"warm-up beam run of {workload.name} failed: {first.outcome}, "
-                    f"sdc={first.sdc_flag}, check_done={first.check_done}"
-                )
-            system.soft_reset()
-            warm_boot = SystemSnapshot(system)
-            warm = system.run(max_cycles=200_000_000)
+        if not first.exited_cleanly or first.sdc_flag or not first.check_done:
+            raise RuntimeError(
+                f"warm-up beam run of {workload.name} failed: {first.outcome}, "
+                f"sdc={first.sdc_flag}, check_done={first.check_done}"
+            )
+        system.soft_reset()
+        warm_boot = SystemSnapshot(system)
+        snapshots, digests, arch_digests, _, warm = record_golden_observables(
+            workload, machine, first, system=system, translate=BEAM_ENGINE.translate
+        )
         if not warm.exited_cleanly or warm.sdc_flag or warm.output != golden:
             raise RuntimeError(
                 f"warm beam run of {workload.name} failed: {warm.outcome}"
             )
-        return warm_boot, warm
-
-    def _beam_injector(self, workload: Workload, golden: bytes):
-        """``(injector, warm_result)``: the strike executor, whose image
-        holds the warm boot plus checkpoints and digests of the warm run."""
-        machine = self.config.machine
-        warm_boot, warm = self._golden_beam_run(workload, golden)
-        system = self._beam_system(workload, golden)
-        warm_boot.restore(system)
-        snapshots, digests, arch_digests, _ = record_golden_observables(
-            workload, machine, warm, system=system, translate=BEAM_ENGINE.translate
-        )
         image = MachineImage(
             name=workload.name,
             program=workload.program(machine.layout),
@@ -247,7 +241,7 @@ class BeamExperiment:
         )
 
         golden = workload.reference_output()
-        injector, golden_run = self._beam_injector(workload, golden)
+        injector, golden_run = self._golden_beam_run(workload, golden)
 
         beam_seconds = config.beam_hours * 3600.0
         result = BeamResult(
@@ -258,26 +252,29 @@ class BeamExperiment:
             natural_years=facility.natural_years(beam_seconds),
         )
 
-        # Strikes on the six modeled components: simulate each one.
-        for component in Component:
-            bits = component_bits(machine, component)
-            expected = facility.strike_rate(bits) * beam_seconds
-            strikes = sample_poisson(rng, expected)
-            for index in range(strikes):
-                effect = self._strike_effect(
-                    injector,
-                    component,
-                    bit_index=rng.randrange(bits),
-                    cycle=rng.randrange(golden_run.cycles),
-                    rng=rng,
-                )
-                result.counts[effect] = result.counts.get(effect, 0) + 1
-                result.strikes_simulated += 1
-                if (index + 1) % 10 == 0:
-                    self._progress(
-                        f"{workload.name}/beam/{component.name}: "
-                        f"{index + 1}/{strikes}"
+        try:
+            # Strikes on the six modeled components: simulate each one.
+            for component in Component:
+                bits = component_bits(machine, component)
+                expected = facility.strike_rate(bits) * beam_seconds
+                strikes = sample_poisson(rng, expected)
+                for index in range(strikes):
+                    effect = self._strike_effect(
+                        injector,
+                        component,
+                        bit_index=rng.randrange(bits),
+                        cycle=rng.randrange(golden_run.cycles),
+                        rng=rng,
                     )
+                    result.counts[effect] = result.counts.get(effect, 0) + 1
+                    result.strikes_simulated += 1
+                    if (index + 1) % 10 == 0:
+                        self._progress(
+                            f"{workload.name}/beam/{component.name}: "
+                            f"{index + 1}/{strikes}"
+                        )
+        finally:
+            injector.close()
 
         # Strikes on un-modeled platform logic: board model only.
         platform_rate = facility.strike_rate(

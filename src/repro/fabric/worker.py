@@ -135,6 +135,8 @@ class FabricWorker:
             # part, and a worker ping-ponging between concurrent
             # campaigns would thrash anyway - the coordinator drains
             # campaigns oldest-first precisely so workers don't.
+            for dropped in self._contexts.values():
+                dropped.injector.close()
             self._contexts.clear()
             self._contexts[spec.campaign_id] = context
         return context

@@ -259,16 +259,6 @@ class AdaptiveDiagnostics:
         """Injections actually run across all strata (the cost measure)."""
         return sum(status.executed for status in self.strata.values())
 
-    @property
-    def total_reported(self) -> int:
-        """Injections inside the reported (minimal satisfying) prefixes."""
-        return sum(status.reported for status in self.strata.values())
-
-    @property
-    def all_satisfied(self) -> bool:
-        """True when every stratum met the stopping rule (none capped)."""
-        return all(status.satisfied for status in self.strata.values())
-
     def to_dict(self) -> dict:
         """JSON-friendly snapshot of the whole campaign's convergence."""
         return {

@@ -60,7 +60,7 @@ from repro.injection.sampling import (
 )
 from repro.microarch.config import MachineConfig, SCALED_A9_CONFIG
 from repro.microarch.digest import arch_digest, probe_cycles, system_digest
-from repro.microarch.snapshot import SystemSnapshot, best_snapshot, run_with_captures
+from repro.microarch.snapshot import SystemSnapshot, best_snapshot
 from repro.microarch.system import RunResult, System
 from repro.microarch.translate import translated
 from repro.workloads.base import Workload
@@ -475,23 +475,29 @@ def record_golden_observables(
     record_activity: bool = False,
     system: System | None = None,
     translate: bool = True,
-) -> tuple[list, dict[int, bytes], dict[int, bytes], "GoldenActivity | None"]:
-    """Capture checkpoints, digests and (optionally) activity at once.
+) -> tuple[
+    list, dict[int, bytes], dict[int, bytes], "GoldenActivity | None", RunResult
+]:
+    """Capture checkpoints, digests and (optionally) activity in one run.
 
-    Returns ``(snapshots, digests, arch_digests, activity)``.  ``digests``
-    maps probe cycles to full-machine state digests (early Masked
-    termination); ``arch_digests`` maps the *same* probe cycles to
+    Returns ``(snapshots, digests, arch_digests, activity, run)``.
+    ``digests`` maps probe cycles to full-machine state digests (early
+    Masked termination); ``arch_digests`` maps the *same* probe cycles to
     architectural-state digests (:func:`~repro.microarch.digest.arch_digest`),
     which the fault-lifetime layer compares against to timestamp the first
     architectural divergence of an injected run.  With ``record_activity``
     (learned sampling), the run additionally carries an observation-only
     :class:`~repro.observability.golden.ActivityRecorder` whose residency
-    sweeps join the capture grid; ``activity`` is ``None`` otherwise.  All
-    grids are recorded through the same event mechanism the injectors use,
-    in a single run that stops right after the last capture - one golden
-    prefix instead of several.  The golden run starts on ``system`` as it
-    stands (default: a fresh boot; the beam campaign passes its warm boot)
-    and runs translated when ``translate`` is set.
+    sweeps join the capture grid; ``activity`` is ``None`` otherwise.
+
+    All grids are laid over ``golden.cycles`` and recorded through the
+    same event mechanism the injectors use, in a single fault-free run to
+    program exit; ``run`` is that run's :class:`RunResult`, so callers
+    can check it against ``golden`` (:func:`prepare_image`) or use it as
+    the reference itself (the beam's warm run).  Grid cycles past the
+    run's exit never fire.  The run starts on ``system`` as it stands
+    (default: a fresh boot; the beam campaign passes its warm boot) and
+    runs translated when ``translate`` is set.
     """
     from repro.observability.golden import ActivityRecorder, activity_grid
 
@@ -521,16 +527,20 @@ def record_golden_observables(
     recorder = None
     if record_activity:
         recorder = ActivityRecorder(system, golden.cycles).attach()
-        captures += [
-            (cycle, recorder.sweep) for cycle in activity_grid(golden.cycles)
-        ]
+        grid = activity_grid(golden.cycles)
+        captures += [(cycle, recorder.sweep) for cycle in grid]
+        if grid:
+            # Activity ends at the final sweep, one cycle before the golden
+            # exit: the learned features, and so every learned campaign's
+            # fault order, are defined over that window.
+            captures.append((grid[-1], recorder.detach))
     # The activity recorder's L1I/ITLB probes make the translator refuse
     # every dispatch, so translating an activity capture would only add a
     # refused dispatch per instruction: it stays interpreted.
     with translated(system, translate and not record_activity):
-        run_with_captures(system, captures)
+        run = system.run(max_cycles=200_000_000, events=captures)
     activity = recorder.finish() if recorder is not None else None
-    return snapshots, digests, arch_digests, activity
+    return snapshots, digests, arch_digests, activity, run
 
 
 def prepare_image(
@@ -538,10 +548,14 @@ def prepare_image(
 ) -> tuple[RunResult, MachineImage]:
     """Golden run plus the shippable machine image the farm injects into.
 
-    One golden prefix run captures the :data:`CHECKPOINT_COUNT`
-    checkpoints plus whichever digests and activity ``config`` needs;
-    the image bundles them for the workers.  This is the shared seam
-    between :class:`InjectionCampaign` and the fabric worker
+    One capture run records the :data:`CHECKPOINT_COUNT` checkpoints plus
+    whichever digests and activity ``config`` needs; the image bundles
+    them for the workers.  The capture runs to program exit and must
+    reproduce the golden run's cycles and output, or
+    :class:`~repro.errors.InjectionError` is raised: an image whose
+    checkpoints do not lie on the golden run would make every injection
+    restored from them wrong.  This is the shared seam between
+    :class:`InjectionCampaign` and the fabric worker
     (:mod:`repro.fabric.worker`) - both build *exactly* the same image
     from the same config, which is what makes a distributed campaign
     bit-identical to a local one.
@@ -555,16 +569,24 @@ def prepare_image(
         if (config.early_exit or config.lifetime_events)
         else 0
     )
-    snapshots, digests, arch_digests, activity = record_golden_observables(
-        workload,
-        machine,
-        golden,
-        digest_count=digest_count,
-        record_activity=(
-            config.learned_sampling and config.target_margin is not None
-        ),
-        translate=config.translate,
+    snapshots, digests, arch_digests, activity, capture = (
+        record_golden_observables(
+            workload,
+            machine,
+            golden,
+            digest_count=digest_count,
+            record_activity=(
+                config.learned_sampling and config.target_margin is not None
+            ),
+            translate=config.translate,
+        )
     )
+    if capture.cycles != golden.cycles or capture.output != golden.output:
+        raise InjectionError(
+            f"capture run of {workload.name} diverged from its golden run "
+            f"({capture.cycles} vs {golden.cycles} cycles, output "
+            f"{'equal' if capture.output == golden.output else 'different'})"
+        )
     image = MachineImage.capture(
         workload,
         machine,

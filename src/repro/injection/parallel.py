@@ -323,6 +323,14 @@ class ImageInjector:
             else []
         )
 
+    def close(self) -> None:
+        """Detach the translator: the core and its translator reference
+        each other, so without this a dropped injector's machine lives
+        until the next full garbage collection.  Whoever built the
+        injector calls this once it is done with it."""
+        self.system.core.translator = None
+        self.translator = None
+
     def run_fault_ex(
         self, fault: Fault, strike: Callable[[str | None], None] | None = None
     ) -> InjectionResult:
@@ -1152,29 +1160,39 @@ def _run_serial(
 
     A caller-provided ``injector`` is reused across calls (the fabric
     worker's lease loop); after an in-simulator exception a fresh one
-    replaces it for the retry, since its state may be poisoned.
+    replaces it for the retry, since its state may be poisoned.  Every
+    injector built here is closed here; a caller-provided one stays the
+    caller's to close.
     """
-    if injector is None:
+    owned = injector is None
+    if owned:
         injector = ImageInjector(image)
     pending = deque(_Attempt(ci, fi, fault) for ci, fi, fault in tasks)
-    while pending:
-        attempt = pending.popleft()
-        start = time.perf_counter()
-        try:
-            result = injector.run_fault_ex(attempt.fault)
-        except Exception as exc:  # noqa: BLE001 - bounded retry, then report
-            attempt.attempts += 1
-            injector = ImageInjector(image)  # state may be poisoned
-            reason = f"raised {type(exc).__name__}: {exc}"
-            if attempt.attempts <= max_retries:
-                retry(attempt, reason)
-                pending.appendleft(attempt)
+    try:
+        while pending:
+            attempt = pending.popleft()
+            start = time.perf_counter()
+            try:
+                result = injector.run_fault_ex(attempt.fault)
+            except Exception as exc:  # noqa: BLE001 - bounded retry, then report
+                attempt.attempts += 1
+                if owned:
+                    injector.close()
+                injector = ImageInjector(image)  # state may be poisoned
+                owned = True
+                reason = f"raised {type(exc).__name__}: {exc}"
+                if attempt.attempts <= max_retries:
+                    retry(attempt, reason)
+                    pending.appendleft(attempt)
+                else:
+                    quarantine(attempt, reason)
             else:
-                quarantine(attempt, reason)
-        else:
-            record(
-                attempt.component_index,
-                attempt.fault_index,
-                result,
-                time.perf_counter() - start,
-            )
+                record(
+                    attempt.component_index,
+                    attempt.fault_index,
+                    result,
+                    time.perf_counter() - start,
+                )
+    finally:
+        if owned:
+            injector.close()

@@ -22,18 +22,8 @@ from repro.microarch.tlb import TLB, TLBEntry
 from repro.microarch.regfile import PhysRegFile
 from repro.microarch.statistics import PerfCounters
 from repro.microarch.core import Core, Mode
-from repro.microarch.snapshot import (
-    SystemSnapshot,
-    best_snapshot,
-    record_snapshots,
-    run_with_captures,
-)
-from repro.microarch.digest import (
-    DIGEST_SIZE,
-    probe_cycles,
-    record_digests,
-    system_digest,
-)
+from repro.microarch.snapshot import SystemSnapshot, best_snapshot
+from repro.microarch.digest import DIGEST_SIZE, probe_cycles, system_digest
 from repro.microarch.system import System, RunResult
 from repro.microarch.trace import InstructionTrace, TraceRecord
 
@@ -56,11 +46,8 @@ __all__ = [
     "RunResult",
     "SystemSnapshot",
     "best_snapshot",
-    "record_snapshots",
-    "run_with_captures",
     "DIGEST_SIZE",
     "probe_cycles",
-    "record_digests",
     "system_digest",
     "InstructionTrace",
     "TraceRecord",

@@ -37,7 +37,7 @@ import struct
 from hashlib import blake2b
 
 from repro.microarch.regfile import ARCH_REGS
-from repro.microarch.snapshot import _CORE_FIELDS, run_with_captures
+from repro.microarch.snapshot import _CORE_FIELDS
 
 #: Digest width in bytes.  16 bytes = 128 bits keeps per-probe storage and
 #: comparison cheap while making an accidental collision (a diverged state
@@ -218,23 +218,3 @@ def probe_cycles(golden_cycles: int, count: int) -> list[int]:
         return []
     step = max(1, golden_cycles // (count + 1))
     return sorted({step * (index + 1) for index in range(count)})
-
-
-def record_digests(system, cycles) -> dict[int, bytes]:
-    """Run ``system``, recording its digest at each requested cycle.
-
-    Returns ``{probe_cycle: digest}``.  Like
-    :func:`~repro.microarch.snapshot.record_snapshots`, the run stops as
-    soon as the last requested probe has been captured.  Probe cycles the
-    program never reaches are simply absent from the result.
-    """
-    digests: dict[int, bytes] = {}
-
-    def capture_at(cycle: int):
-        def capture() -> None:
-            digests[cycle] = system_digest(system)
-
-        return capture
-
-    run_with_captures(system, [(cycle, capture_at(cycle)) for cycle in cycles])
-    return digests

@@ -16,10 +16,7 @@ state, and the device block (console output, heartbeats, flags).
 
 from __future__ import annotations
 
-import pickle
-
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 from repro.microarch.cache import Cache
 from repro.microarch.system import System
@@ -311,96 +308,14 @@ class DeltaRestorer:
         return diff
 
 
-class _CapturesComplete(Exception):
-    """Control flow: every requested capture callback has fired.
-
-    Deliberately *not* a :class:`~repro.errors.SimulationTermination` (the
-    run did not terminate - we simply stop simulating it) and not a
-    :class:`~repro.errors.ReproError` (nothing went wrong).
-    """
-
-
-def run_with_captures(
-    system: System, captures: Iterable[tuple[int, Callable[[], None]]]
-) -> None:
-    """Run ``system`` exactly far enough to fire every capture callback.
-
-    ``captures`` is a list of ``(cycle, callback)`` pairs; each callback
-    fires between instructions once the cycle counter passes its timestamp
-    (the same event semantics the fault injectors use, so captured state is
-    directly comparable with injected-run probes at the same cycles).  The
-    run stops the moment the last callback has fired - the golden suffix
-    past the final capture point is never simulated.  If the program
-    terminates before some capture cycles are reached, those callbacks
-    simply never fire.
-    """
-    pending = sorted(captures, key=lambda item: item[0])
-    if not pending:
-        return
-    remaining = len(pending)
-
-    def wrap(callback: Callable[[], None]) -> Callable[[], None]:
-        def fire() -> None:
-            nonlocal remaining
-            callback()
-            remaining -= 1
-            if remaining == 0:
-                raise _CapturesComplete
-
-        return fire
-
-    events = [(cycle, wrap(callback)) for cycle, callback in pending]
-    try:
-        system.run(max_cycles=2_000_000_000, events=events)
-    except _CapturesComplete:
-        pass
-
-
-def record_snapshots(system: System, cycles: list[int]) -> list[SystemSnapshot]:
-    """Run ``system``, capturing snapshots at the given cycles.
-
-    Returns the snapshots in cycle order.  The run stops right after the
-    last requested capture (simulating the golden suffix to program exit
-    would add nothing - no snapshot is taken there); cycles the program
-    never reaches produce no snapshot.
-    """
-    snapshots: list[SystemSnapshot] = []
-
-    def capture():
-        snapshots.append(SystemSnapshot(system))
-
-    run_with_captures(system, [(cycle, capture) for cycle in sorted(cycles)])
-    return snapshots
-
-
-def serialize_snapshots(snapshots: list[SystemSnapshot]) -> bytes:
-    """Pack snapshots for shipping to campaign worker processes.
-
-    Snapshots hold only plain containers (bytes, lists, small dataclasses),
-    so pickling is a faithful, version-stable round trip: restoring a
-    deserialized snapshot reproduces the exact machine state of the
-    original (covered by the snapshot fidelity tests).
-    """
-    return pickle.dumps(list(snapshots), protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def deserialize_snapshots(blob: bytes) -> list[SystemSnapshot]:
-    """Inverse of :func:`serialize_snapshots`."""
-    snapshots = pickle.loads(blob)
-    if not isinstance(snapshots, list) or not all(
-        isinstance(snapshot, SystemSnapshot) for snapshot in snapshots
-    ):
-        raise TypeError("blob does not contain a snapshot list")
-    return snapshots
-
-
 def best_snapshot(
     snapshots: list[SystemSnapshot], cycle: int
 ) -> SystemSnapshot | None:
     """Latest snapshot at or before ``cycle`` (None if all are later).
 
-    ``snapshots`` must be in cycle order, as :func:`record_snapshots`
-    returns them.  This runs once per injection on the campaign hot path,
+    ``snapshots`` must be in cycle order, as
+    :func:`~repro.injection.campaign.record_golden_observables` returns
+    them.  This runs once per injection on the campaign hot path,
     so it bisects instead of scanning.
     """
     lo, hi = 0, len(snapshots)

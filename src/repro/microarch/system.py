@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 import struct
+import weakref
 from dataclasses import dataclass, field
 
 from repro.errors import (
@@ -78,14 +79,27 @@ class RunResult:
     check_done: bool
 
     @property
-    def exit_status(self) -> int | None:
-        if isinstance(self.outcome, ProgramExit):
-            return self.outcome.status
-        return None
-
-    @property
     def exited_cleanly(self) -> bool:
         return isinstance(self.outcome, ProgramExit) and self.outcome.status == 0
+
+
+def _device_hooks(system: "System"):
+    """The ``(device_write, device_read)`` hooks of ``system``'s core.
+
+    They reach the machine through a weak reference: bound methods would
+    make the core and its System reference each other, and a dropped
+    System would then wait for a full garbage collection instead of being
+    freed by refcount.
+    """
+    machine = weakref.ref(system)
+
+    def device_write(addr: int, value: int) -> None:
+        machine()._device_write(addr, value)
+
+    def device_read(addr: int) -> int:
+        return machine()._device_read(addr)
+
+    return device_write, device_read
 
 
 @dataclass
@@ -141,6 +155,7 @@ class System:
         self.rf = PhysRegFile(config.int_phys_regs, config.fp_phys_regs)
         self._devices = _DeviceState()
 
+        device_write, device_read = _device_hooks(self)
         self.core = Core(
             config,
             self.memory,
@@ -150,8 +165,8 @@ class System:
             self.itlb,
             self.dtlb,
             self.rf,
-            device_write=self._device_write,
-            device_read=self._device_read,
+            device_write=device_write,
+            device_read=device_read,
         )
 
         self.kernel = build_kernel(layout)
@@ -265,8 +280,6 @@ class System:
             tlb.accesses = 0
             tlb.misses = 0
         self._devices = _DeviceState()
-        core.device_write = self._device_write
-        core.device_read = self._device_read
 
         core.csr[CSR_KSP] = layout.kernel_stack_top
         core.csr[CSR_EPC] = self.user_program.entry

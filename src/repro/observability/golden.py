@@ -4,7 +4,7 @@ The learned sampler (:mod:`repro.injection.learned`) predicts P(Masked)
 for a fault *before* injecting it, from features that are knowable ahead
 of time: where the fault lands and what the golden run was doing with
 that cell.  This module captures the "what the golden run was doing"
-half during the same single golden prefix run that already records
+half during the same single golden capture run that already records
 checkpoints and digests (:func:`repro.injection.campaign.record_golden_observables`):
 
 - **residency sweeps**: at a sparse grid of cycles, one valid-bit bitmap
@@ -199,12 +199,16 @@ class ActivityRecorder:
                     mask |= 1 << index
             self.residency[tlb.name].append(mask)
 
-    def finish(self) -> GoldenActivity:
-        """Detach every probe and return the collected activity."""
+    def detach(self) -> None:
+        """Remove every probe: reads after this are not recorded."""
         for cache in self._caches:
             cache.probe = None
         for tlb in self._tlbs:
             tlb.probe = None
+
+    def finish(self) -> GoldenActivity:
+        """Detach every probe and return the collected activity."""
+        self.detach()
         return GoldenActivity(
             golden_cycles=self.golden_cycles,
             buckets=self.buckets,

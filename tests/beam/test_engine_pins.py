@@ -72,7 +72,37 @@ def test_system_builds_do_not_grow_with_strikes(monkeypatch):
         per_setting[hours] = (len(builds), result.strikes_simulated)
     (few_builds, few_strikes), (many_builds, many_strikes) = per_setting.values()
     assert many_strikes > few_strikes + 3
-    assert few_builds == many_builds <= 3
+    assert few_builds == many_builds <= 2
+
+
+def test_warm_run_is_the_capture_run(monkeypatch):
+    """Two machines and two fault-free runs per workload: the beam machine
+    runs the warm-up and then the warm reference, which also records the
+    checkpoints and digests; the strike injector builds the second."""
+    builds, runs = [], []
+    original_init, original_run = System.__init__, System.run
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        original_init(self, *args, **kwargs)
+
+    def counting_run(self, *args, **kwargs):
+        runs.append(1)
+        return original_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(System, "__init__", counting_init)
+    monkeypatch.setattr(System, "run", counting_run)
+    workload = get_workload("StringSearch")
+    experiment = BeamExperiment(BeamCampaignConfig(seed=0))
+    injector, warm = experiment._golden_beam_run(
+        workload, workload.reference_output()
+    )
+    assert (len(builds), len(runs)) == (2, 2)
+    image = injector.image
+    assert image.golden_cycles == warm.cycles
+    assert image.snapshots[0].cycle == 0
+    assert len(image.snapshots) > 1 and image.digests
+    assert all(snapshot.cycle <= warm.cycles for snapshot in image.snapshots)
 
 
 #: The beam engine with the reference (interpreter-only) engine selected.
@@ -82,17 +112,21 @@ REFERENCE_BEAM_ENGINE = EngineOptions(translate=False, lifetime_events=False)
 @pytest.mark.parametrize("name", ["StringSearch", "MatMul", "CRC32"])
 def test_warm_runs_are_identical_on_both_engines(name, monkeypatch):
     """The warm-up and warm reference runs follow the beam engine's
-    ``translate`` without changing the warm boot or the reference run."""
+    ``translate`` without changing the warm boot, the reference run or
+    the digests it captures."""
     workload = get_workload(name)
     golden = workload.reference_output()
     experiment = BeamExperiment(BeamCampaignConfig(seed=0))
     observed = []
     for engine in (REFERENCE_BEAM_ENGINE, experiment_module.BEAM_ENGINE):
         monkeypatch.setattr(experiment_module, "BEAM_ENGINE", engine)
-        warm_boot, warm = experiment._golden_beam_run(workload, golden)
+        injector, warm = experiment._golden_beam_run(workload, golden)
         system = experiment._beam_system(workload, golden)
-        warm_boot.restore(system)
-        observed.append((system_digest(system), warm.cycles, warm.output))
+        injector.image.snapshots[0].restore(system)
+        observed.append((
+            system_digest(system), warm.cycles, warm.output,
+            injector.image.digests,
+        ))
     assert observed[0] == observed[1]
 
 
@@ -107,7 +141,7 @@ def test_reference_beam_image_attaches_no_translator(monkeypatch):
     monkeypatch.setattr(experiment_module, "BEAM_ENGINE", REFERENCE_BEAM_ENGINE)
     workload = get_workload("StringSearch")
     experiment = BeamExperiment(BeamCampaignConfig(seed=0))
-    injector, _warm = experiment._beam_injector(
+    injector, _warm = experiment._golden_beam_run(
         workload, workload.reference_output()
     )
     assert attached == []

@@ -23,11 +23,17 @@ def experiment():
 
 
 @pytest.fixture(scope="module")
-def susan(experiment):
+def susan_injector(experiment):
     workload = get_workload("Susan C")
     golden = workload.reference_output()
-    warm_boot, warm = experiment._golden_beam_run(workload, golden)
-    return workload, golden, warm_boot, warm
+    injector, warm = experiment._golden_beam_run(workload, golden)
+    return workload, golden, injector, warm
+
+
+@pytest.fixture(scope="module")
+def susan(susan_injector):
+    workload, golden, injector, warm = susan_injector
+    return workload, golden, injector.image.snapshots[0], warm
 
 
 def strike_line_in_region(experiment, susan, cache_name, region, payload_bit=3):
@@ -49,10 +55,11 @@ class TestOSResidencyChannel:
         bit = strike_line_in_region(experiment, susan, "l2", "os_background")
         assert bit is not None  # Susan C leaves OS lines resident
 
-    def test_os_line_strike_resolved_by_board_model(self, experiment, susan):
-        workload, golden, _boot, warm = susan
+    def test_os_line_strike_resolved_by_board_model(
+        self, experiment, susan, susan_injector
+    ):
+        _workload, _golden, injector, warm = susan_injector
         bit = strike_line_in_region(experiment, susan, "l2", "os_background")
-        injector, _warm = experiment._beam_injector(workload, golden)
         rng = random.Random(0)
         outcomes = {
             experiment._strike_effect(

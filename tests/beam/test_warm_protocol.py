@@ -18,8 +18,8 @@ def experiment():
 def warm_state(request, experiment):
     workload = get_workload(request.param)
     golden = workload.reference_output()
-    warm_boot, warm_result = experiment._golden_beam_run(workload, golden)
-    return workload, golden, warm_boot, warm_result
+    injector, warm_result = experiment._golden_beam_run(workload, golden)
+    return workload, golden, injector.image.snapshots[0], warm_result
 
 
 class TestWarmGolden:

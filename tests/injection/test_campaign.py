@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.errors import InjectionError
+from repro.injection import campaign as campaign_module
 from repro.injection.adaptive import AdaptiveCampaign
 from repro.injection.campaign import (
     CampaignConfig,
     ComponentResult,
     InjectionCampaign,
     WorkloadResult,
+    prepare_image,
     run_golden,
 )
 from repro.injection.classify import FaultEffect
@@ -237,3 +241,34 @@ class TestStaleGoldenCache:
         ) in messages
         stored = WorkloadResult.from_dict(json.loads(cache_file.read_text()))
         assert stored.to_dict() == result.to_dict()
+
+
+class TestPrepareImage:
+    """The capture run goes to program exit and must reproduce the golden
+    run, so every image (local or on a fabric worker) checks itself."""
+
+    def test_capture_agrees_with_the_golden_run(self):
+        workload = get_workload("StringSearch")
+        golden, image = prepare_image(workload, CampaignConfig())
+        assert image.golden_cycles == golden.cycles
+        assert image.golden_output == golden.output
+        assert len(image.snapshots) == 8 and image.digests
+
+    @pytest.mark.parametrize(
+        "drift",
+        [
+            lambda golden: {"cycles": golden.cycles + 1},
+            lambda golden: {"output": golden.output + b"!"},
+        ],
+        ids=["cycles", "output"],
+    )
+    def test_capture_that_diverges_from_golden_is_refused(
+        self, monkeypatch, drift
+    ):
+        def drifted_golden(workload, machine, translate=True):
+            golden = run_golden(workload, machine, translate=translate)
+            return dataclasses.replace(golden, **drift(golden))
+
+        monkeypatch.setattr(campaign_module, "run_golden", drifted_golden)
+        with pytest.raises(InjectionError, match="diverged from its golden run"):
+            prepare_image(get_workload("StringSearch"), CampaignConfig())

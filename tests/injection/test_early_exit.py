@@ -55,7 +55,7 @@ def prepared(request):
     """(workload, golden, snapshots, digests) for each equivalence workload."""
     workload = get_workload(request.param)
     golden = run_golden(workload, MACHINE)
-    snapshots, digests, _, _ = record_golden_observables(
+    snapshots, digests, _, _, _ = record_golden_observables(
         workload, MACHINE, golden, snapshot_count=6, digest_count=16
     )
     return workload, golden, snapshots, digests

@@ -374,7 +374,7 @@ def test_golden_work_is_identical_on_both_engines(name):
     observed = {}
     for translate in (False, True):
         golden = run_golden(workload, SCALED_A9_CONFIG, translate=translate)
-        snapshots, digests, arch_digests, _ = record_golden_observables(
+        snapshots, digests, arch_digests, _, _ = record_golden_observables(
             workload, SCALED_A9_CONFIG, golden, translate=translate
         )
         observed[translate] = (

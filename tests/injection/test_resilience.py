@@ -64,7 +64,7 @@ def golden(workload):
 
 @pytest.fixture(scope="module")
 def image(workload, golden):
-    snapshots, _, _, _ = record_golden_observables(
+    snapshots, _, _, _, _ = record_golden_observables(
         workload, SCALED_A9_CONFIG, golden, snapshot_count=4, digest_count=0
     )
     return MachineImage.capture(

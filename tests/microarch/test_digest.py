@@ -12,13 +12,15 @@ derived ``TLB._map`` - covered through the per-entry reachability bit).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.injection.campaign import run_golden
+from repro.injection.campaign import record_golden_observables, run_golden
 from repro.kernel.layout import DEFAULT_LAYOUT
 from repro.microarch.config import SCALED_A9_CONFIG
-from repro.microarch.digest import probe_cycles, record_digests, system_digest
-from repro.microarch.snapshot import SystemSnapshot, record_snapshots
+from repro.microarch.digest import probe_cycles, system_digest
+from repro.microarch.snapshot import SystemSnapshot
 from repro.microarch.system import System
 from repro.workloads import get_workload
 
@@ -37,7 +39,11 @@ def golden(workload):
 def warm(workload, golden):
     """A system paused mid-golden-run (caches/TLBs warm), plus its digest."""
     system = System(workload.program(DEFAULT_LAYOUT), config=SCALED_A9_CONFIG)
-    snapshot = record_snapshots(system, [golden.cycles // 2])[0]
+    snapshot = record_golden_observables(
+        workload, SCALED_A9_CONFIG, golden, snapshot_count=1, digest_count=0,
+        system=system,
+    )[0][0]
+    snapshot.restore(system)
     return system, snapshot
 
 
@@ -69,10 +75,12 @@ class TestDeterminism:
         every digest probe would be a guaranteed miss.
         """
         cycle = probe_cycles(golden.cycles, 4)[1]
-        recorder = System(workload.program(DEFAULT_LAYOUT), config=SCALED_A9_CONFIG)
-        recorded = record_digests(recorder, [cycle])[cycle]
-        fresh = System(workload.program(DEFAULT_LAYOUT), config=SCALED_A9_CONFIG)
-        snapshot = record_snapshots(fresh, [cycle])[0]
+        # Equal counts lay the checkpoint and probe grids on equal cycles.
+        snapshots, digests = record_golden_observables(
+            workload, SCALED_A9_CONFIG, golden, snapshot_count=4, digest_count=4
+        )[:2]
+        recorded = digests[cycle]
+        snapshot = snapshots[1]
         target = System(workload.program(DEFAULT_LAYOUT), config=SCALED_A9_CONFIG)
         snapshot.restore(target)
         assert system_digest(target) == recorded
@@ -206,38 +214,27 @@ class TestProbeGrid:
         assert all(0 < cycle for cycle in cycles)
 
     def test_record_digests_covers_the_grid(self, workload, golden):
-        system = System(workload.program(DEFAULT_LAYOUT), config=SCALED_A9_CONFIG)
         cycles = probe_cycles(golden.cycles, 6)
-        digests = record_digests(system, cycles)
+        digests = record_golden_observables(
+            workload, SCALED_A9_CONFIG, golden, snapshot_count=0, digest_count=6
+        )[1]
         assert sorted(digests) == cycles
         assert all(len(digest) == 16 for digest in digests.values())
         # Different machine states must hash differently.
         assert len(set(digests.values())) == len(digests)
 
-    def test_record_digests_stops_at_last_probe(self, workload, golden):
-        """The golden suffix past the final probe is never simulated."""
-        system = System(workload.program(DEFAULT_LAYOUT), config=SCALED_A9_CONFIG)
-        cycles = probe_cycles(golden.cycles, 6)
-        record_digests(system, cycles)
-        assert system.core.cycle < golden.cycles
-
 
 class TestSnapshotEarlyStop:
-    def test_record_snapshots_stops_after_last_checkpoint(
-        self, workload, golden
-    ):
-        system = System(workload.program(DEFAULT_LAYOUT), config=SCALED_A9_CONFIG)
-        cycle = golden.cycles // 4
-        snapshots = record_snapshots(system, [cycle])
-        assert len(snapshots) == 1
-        assert system.core.cycle < golden.cycles // 2
-
     def test_unreachable_cycles_produce_no_snapshot(self, workload, golden):
-        system = System(workload.program(DEFAULT_LAYOUT), config=SCALED_A9_CONFIG)
-        snapshots = record_snapshots(
-            system, [golden.cycles // 4, golden.cycles * 10]
+        """A grid laid over a longer run (the beam lays its grid over the
+        warm-up run) captures only what the run reaches before its exit."""
+        longer = dataclasses.replace(golden, cycles=golden.cycles * 3)
+        snapshots, digests, _, _, run = record_golden_observables(
+            workload, SCALED_A9_CONFIG, longer, snapshot_count=3, digest_count=3
         )
         assert len(snapshots) == 1
+        assert list(digests) == [golden.cycles * 3 // 4]
+        assert run.cycles == golden.cycles and run.output == golden.output
 
     def test_snapshot_equivalence_with_digest(self, workload, warm):
         """Snapshot-of-restored-state and digest agree on fidelity."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.injection.campaign import (
@@ -14,15 +16,7 @@ from repro.injection.fault import generate_faults
 from repro.kernel.layout import DEFAULT_LAYOUT
 from repro.microarch.config import SCALED_A9_CONFIG
 from repro.microarch.digest import system_digest
-from repro.microarch.snapshot import (
-    DeltaRestorer,
-    SystemSnapshot,
-    best_snapshot,
-    deserialize_snapshots,
-    record_snapshots,
-    run_with_captures,
-    serialize_snapshots,
-)
+from repro.microarch.snapshot import DeltaRestorer, SystemSnapshot, best_snapshot
 from repro.microarch.system import System
 from repro.workloads import get_workload
 
@@ -73,10 +67,11 @@ class TestSnapshotMechanics:
 
 
 class TestSnapshotSerialization:
-    """Pickle round-trip fidelity: shipped snapshots must restore bit-exact."""
+    """Pickle round-trip fidelity: the farm's non-fork fallback pickles
+    machine images, so shipped snapshots must restore bit-exact."""
 
     def test_round_trip_preserves_every_field(self, snapshots):
-        clones = deserialize_snapshots(serialize_snapshots(snapshots))
+        clones = pickle.loads(pickle.dumps(snapshots))
         assert len(clones) == len(snapshots)
         for original, clone in zip(snapshots, clones):
             assert clone is not original
@@ -84,7 +79,7 @@ class TestSnapshotSerialization:
 
     def test_restored_clone_completes_identically(self, workload, golden, snapshots):
         """A deserialized snapshot drives the machine exactly like the original."""
-        clone = deserialize_snapshots(serialize_snapshots(snapshots))[2]
+        clone = pickle.loads(pickle.dumps(snapshots))[2]
         system = System(workload.program(DEFAULT_LAYOUT), config=SCALED_A9_CONFIG)
         clone.restore(system)
         result = system.run(max_cycles=golden.cycles * 3)
@@ -95,20 +90,12 @@ class TestSnapshotSerialization:
     def test_restore_from_clone_matches_restore_from_original(
         self, workload, snapshots
     ):
-        clone = deserialize_snapshots(serialize_snapshots(snapshots))[0]
+        clone = pickle.loads(pickle.dumps(snapshots))[0]
         a = System(workload.program(DEFAULT_LAYOUT), config=SCALED_A9_CONFIG)
         b = System(workload.program(DEFAULT_LAYOUT), config=SCALED_A9_CONFIG)
         snapshots[0].restore(a)
         clone.restore(b)
         assert vars(SystemSnapshot(a)) == vars(SystemSnapshot(b))
-
-    def test_deserialize_rejects_foreign_payloads(self):
-        import pickle
-
-        with pytest.raises(TypeError):
-            deserialize_snapshots(pickle.dumps("not a snapshot list"))
-        with pytest.raises(TypeError):
-            deserialize_snapshots(pickle.dumps([object()]))
 
 
 class TestRestoreDigestFidelity:
@@ -129,7 +116,10 @@ class TestRestoreDigestFidelity:
             pairs.append((SystemSnapshot(system), system_digest(system)))
 
         cycles = [golden.cycles // 4, golden.cycles // 2, 3 * golden.cycles // 4]
-        run_with_captures(system, [(cycle, capture) for cycle in cycles])
+        system.run(
+            max_cycles=golden.cycles * 3,
+            events=[(cycle, capture) for cycle in cycles],
+        )
         return pairs
 
     def test_full_restore_reproduces_capture_digest(self, workload, captures):

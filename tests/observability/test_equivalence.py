@@ -36,7 +36,7 @@ def prepared(request):
     """(workload, golden, snapshots, digests, arch digests) per workload."""
     workload = get_workload(request.param)
     golden = run_golden(workload, MACHINE)
-    snapshots, digests, arch_digests, _ = record_golden_observables(
+    snapshots, digests, arch_digests, _, _ = record_golden_observables(
         workload, MACHINE, golden, snapshot_count=6, digest_count=16
     )
     return workload, golden, snapshots, digests, arch_digests
