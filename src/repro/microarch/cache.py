@@ -16,8 +16,11 @@ Masking behaviours emerge naturally:
 
 from __future__ import annotations
 
+import struct
+
 from repro.errors import InjectionError
 from repro.microarch.config import CacheGeometry
+from repro.microarch.state import Scalars, State
 
 
 class CacheLine:
@@ -31,6 +34,64 @@ class CacheLine:
         self.dirty = False
         self.data = bytearray(line_size)
         self.stamp = 0
+
+
+class _Lines:
+    """Every :class:`CacheLine`'s fields (``record``), line by line."""
+
+    names = ("sets",)
+    record = (CacheLine, ("tag", "valid", "dirty", "data", "stamp"))
+    _batches: dict[int, struct.Struct] = {}
+
+    def capture(self, cache) -> list:
+        return [
+            (line.tag, line.valid, line.dirty, bytes(line.data), line.stamp)
+            for ways in cache.sets
+            for line in ways
+        ]
+
+    def restore(self, cache, lines) -> None:
+        index = 0
+        for ways in cache.sets:
+            for line in ways:
+                tag, valid, dirty, data, stamp = lines[index]
+                index += 1
+                # Most lines are unchanged between a checkpoint and the
+                # point an injection diverged from it; five cheap
+                # comparisons (the payload compare is a memcmp) beat five
+                # writes plus a 32-byte copy per line on the campaign hot
+                # path.
+                if (
+                    line.tag == tag
+                    and line.stamp == stamp
+                    and line.valid == valid
+                    and line.dirty == dirty
+                    and line.data == data
+                ):
+                    continue
+                line.tag = tag
+                line.valid = valid
+                line.dirty = dirty
+                line.data[:] = data
+                line.stamp = stamp
+
+    def encode(self, cache) -> bytes:
+        parts = [line.data for ways in cache.sets for line in ways]
+        meta = [
+            field
+            for ways in cache.sets
+            for line in ways
+            for field in (line.tag, line.stamp, line.valid | (line.dirty << 1))
+        ]
+        # One pack call for all line metadata: "<" uses standard sizes with
+        # no padding, so the repeated format is byte-identical to per-line
+        # "<qqB" packs.
+        lines = len(meta) // 3
+        batch = self._batches.get(lines)
+        if batch is None:
+            batch = self._batches[lines] = struct.Struct("<" + "qqB" * lines)
+        parts.append(batch.pack(*meta))
+        return b"".join(parts)
 
 
 class Cache:
@@ -49,6 +110,16 @@ class Cache:
     and harvested into :class:`PerfCounters` by the system at the end of a
     run (cheaper than updating shared counters on every access).
     """
+
+    #: Mutable state (:mod:`repro.microarch.state`).
+    STATE = State(
+        _Lines(),
+        Scalars("_clock accesses misses"),
+        counters="accesses misses",
+        constants="name geometry below line_size assoc n_sets hit_latency "
+        "_offset_bits _set_mask _offset_mask _write_through",
+        attachments={"probe": "taint probe: observes accesses, never steers"},
+    )
 
     def __init__(
         self,

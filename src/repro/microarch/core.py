@@ -58,7 +58,7 @@ from repro.microarch.cache import Cache
 from repro.microarch.config import MachineConfig
 from repro.microarch.memory import MainMemory
 from repro.microarch.regfile import PhysRegFile
-from repro.microarch.statistics import PerfCounters
+from repro.microarch.state import Array, Scalars, State
 from repro.microarch.tlb import TLB
 
 _MASK32 = 0xFFFFFFFF
@@ -573,6 +573,26 @@ def _decode_slow(word: int):
 class Core:
     """A single simulated CPU core wired to a memory hierarchy."""
 
+    #: Mutable state (:mod:`repro.microarch.state`): fields, then CSRs.
+    STATE = State(
+        Scalars(
+            "pc mode cmp cycle current_pc icount branches branch_misses "
+            "loads stores syscalls timer_irqs next_timer"
+        ),
+        Array("csr", "q"),
+        counters="icount branches branch_misses loads stores syscalls timer_irqs",
+        constants="config layout memory l1i l1d l2 itlb dtlb rf atomic "
+        "_itlb_flush_on_exception mul_latency div_latency fpu_latency "
+        "fdiv_latency fsqrt_latency mispredict_penalty mem_latency "
+        "tlb_walk_latency _page_count _pt_base timer_interval",
+        attachments={
+            "device_write": "device hook: reaches the System's device block",
+            "device_read": "device hook: reaches the System's device block",
+            "translator": "block translator: result-neutral accelerator",
+            "op_counts": "dispatch histogram: observes, never steers",
+        },
+    )
+
     def __init__(
         self,
         config: MachineConfig,
@@ -1043,26 +1063,3 @@ class Core:
             _cycle, action = pending.pop()
             action()
             next_event = pending[-1][0] if pending else _NEVER
-
-    # -- statistics ----------------------------------------------------------------
-
-    def fill_counters(self, counters: PerfCounters) -> None:
-        """Harvest local/cache/TLB counters into a :class:`PerfCounters`."""
-        counters.cycles = self.cycle
-        counters.instructions = self.icount
-        counters.branches = self.branches
-        counters.branch_misses = self.branch_misses
-        counters.loads = self.loads
-        counters.stores = self.stores
-        counters.syscalls = self.syscalls
-        counters.timer_irqs = self.timer_irqs
-        counters.l1i_accesses = self.l1i.accesses
-        counters.l1i_misses = self.l1i.misses
-        counters.l1d_accesses = self.l1d.accesses
-        counters.l1d_misses = self.l1d.misses
-        counters.l2_accesses = self.l2.accesses
-        counters.l2_misses = self.l2.misses
-        counters.itlb_accesses = self.itlb.accesses
-        counters.itlb_misses = self.itlb.misses
-        counters.dtlb_accesses = self.dtlb.accesses
-        counters.dtlb_misses = self.dtlb.misses

@@ -15,6 +15,7 @@ from __future__ import annotations
 import struct
 
 from repro.errors import InjectionError
+from repro.microarch.state import Array, Scalars, State
 
 ARCH_REGS = 16
 INT_REG_BITS = 32
@@ -25,6 +26,16 @@ _INT_MASK = 0xFFFFFFFF
 class PhysRegFile:
     """Integer + floating-point physical register file."""
 
+    #: Mutable state (:mod:`repro.microarch.state`): the architectural
+    #: registers lead their lists; rename slots and cursors are
+    #: microarchitectural.
+    STATE = State(
+        Array("int_regs", "I", arch_prefix=ARCH_REGS),
+        Array("fp_regs", "d", arch_prefix=ARCH_REGS),
+        Scalars("_int_history _fp_history", arch=False),
+        constants="n_int n_fp",
+    )
+
     def __init__(self, int_phys_regs: int, fp_phys_regs: int):
         if int_phys_regs < ARCH_REGS or fp_phys_regs < ARCH_REGS:
             raise InjectionError(
@@ -34,13 +45,6 @@ class PhysRegFile:
         self.n_fp = fp_phys_regs
         self.int_regs = [0] * int_phys_regs
         self.fp_regs = [0.0] * fp_phys_regs
-        self._int_history = ARCH_REGS
-        self._fp_history = ARCH_REGS
-
-    def reset(self) -> None:
-        """Power-on state: all registers zero, rename cursors at the start."""
-        self.int_regs[:] = [0] * self.n_int
-        self.fp_regs[:] = [0.0] * self.n_fp
         self._int_history = ARCH_REGS
         self._fp_history = ARCH_REGS
 

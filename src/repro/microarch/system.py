@@ -44,6 +44,7 @@ from repro.microarch.config import MachineConfig, SCALED_A9_CONFIG
 from repro.microarch.core import Core, Mode
 from repro.microarch.memory import MainMemory
 from repro.microarch.regfile import PhysRegFile
+from repro.microarch.state import Buffer, Flags, Scalars, State
 from repro.microarch.statistics import PerfCounters
 from repro.microarch.tlb import TLB
 
@@ -64,6 +65,10 @@ def _packed_page_table(layout) -> bytes:
         packed = struct.pack(f"<{len(table)}I", *table)
         _PAGE_TABLE_CACHE[layout] = packed
     return packed
+
+
+#: :class:`PerfCounters` names of declared counters named differently.
+_PERF_NAMES = {"icount": "instructions"}
 
 
 @dataclass
@@ -104,6 +109,11 @@ def _device_hooks(system: "System"):
 
 @dataclass
 class _DeviceState:
+    #: Mutable state (:mod:`repro.microarch.state`).
+    STATE = State(
+        Buffer("output"), Scalars("alive_count"), Flags("sdc_flag check_done")
+    )
+
     output: bytearray = field(default_factory=bytearray)
     alive_count: int = 0
     sdc_flag: bool = False
@@ -130,6 +140,22 @@ class System:
     seed:
         Seed for the background-OS content generator.
     """
+
+    #: The stateful parts, each declaring its state as ``STATE``
+    #: (:mod:`repro.microarch.state`), in snapshot and digest order.
+    #: Memory leads: the copy-on-write restorer handles it on its own.
+    CACHES = ("l1i", "l1d", "l2")
+    TLBS = ("itlb", "dtlb")
+    PARTS = ("memory", *CACHES, *TLBS, "rf", "core", "_devices")
+    #: The architectural parts: what the architectural digest covers (the
+    #: register file with its architectural slice only) and what a soft
+    #: reset returns to its ``_boot`` capture.
+    ARCH_PARTS = ("rf", "core", "_devices")
+    #: The System's other attributes, fixed at construction.
+    CONSTANTS = (
+        "config", "layout", "user_program", "beam_mode", "kernel",
+        "_boot", "_pristine_kernel_text",
+    )
 
     def __init__(
         self,
@@ -181,6 +207,12 @@ class System:
 
         self._write_page_table()
         self._firmware_setup(check_program)
+        # The architectural parts as the firmware leaves them: what a soft
+        # reset returns to.
+        self._boot = {}
+        for name in self.ARCH_PARTS:
+            part = getattr(self, name)
+            self._boot[name] = part.STATE.capture(part)
         self._pristine_kernel_text = self._kernel_text_bytes_from_memory()
         if beam_mode:
             self._establish_steady_state(seed)
@@ -247,43 +279,24 @@ class System:
     def soft_reset(self) -> None:
         """Re-boot the machine for a back-to-back campaign execution.
 
-        Architectural state (registers, CSRs, mode, cycle/perf counters,
-        device block) is reset as on a fresh application start, but the
-        *memory hierarchy keeps its contents* - caches, TLBs and memory
-        carry whatever the previous execution left behind.  This is the
-        steady state of a beam campaign: runs execute back-to-back, so
-        workloads that fill the caches inherit their own footprint while
-        small workloads keep the OS working set resident.
+        The architectural parts (registers, core fields and CSRs, device
+        block) return to their state at boot and the event counters to
+        zero, but the *memory hierarchy keeps its contents* - caches, TLBs
+        and memory carry whatever the previous execution left behind.
+        This is the steady state of a beam campaign: runs execute
+        back-to-back, so workloads that fill the caches inherit their own
+        footprint while small workloads keep the OS working set resident.
 
         The firmware-owned kernel variables are rewritten *through the
         data cache* so no stale dirty line survives the reboot.
         """
+        for name in self.PARTS:
+            part = getattr(self, name)
+            if name in self._boot:
+                part.STATE.restore(part, self._boot[name])
+            else:
+                part.STATE.reset_counters(part)
         layout = self.layout
-        core = self.core
-        self.rf.reset()
-        core.pc = self.kernel.entry
-        core.mode = Mode.KERNEL
-        core.cmp = 0
-        core.cycle = 0
-        core.current_pc = 0
-        core.csr = [0] * 16
-        core.next_timer = self.config.timer_interval
-        for counter in (
-            "icount", "branches", "branch_misses", "loads", "stores",
-            "syscalls", "timer_irqs",
-        ):
-            setattr(core, counter, 0)
-        for unit in (self.l1i, self.l1d, self.l2):
-            unit.accesses = 0
-            unit.misses = 0
-        for tlb in (self.itlb, self.dtlb):
-            tlb.accesses = 0
-            tlb.misses = 0
-        self._devices = _DeviceState()
-
-        core.csr[CSR_KSP] = layout.kernel_stack_top
-        core.csr[CSR_EPC] = self.user_program.entry
-        core.csr[CSR_USP] = layout.user_stack_top
         self._poke_kernel_word_through("k_outptr", layout.output_buffer_base)
         self._poke_kernel_word_through("k_exit_status", 0)
         self._poke_kernel_word_through("k_checked", 0)
@@ -337,8 +350,16 @@ class System:
             # would pin the callers' locals (checkpoints, whole machines)
             # in a reference cycle until the next full collection.
             outcome = termination.with_traceback(None)
+        # Harvest every part's declared event counters (a unit's land in
+        # ``<unit>_<counter>``).
         counters = PerfCounters()
-        self.core.fill_counters(counters)
+        counters.cycles = self.core.cycle
+        for name in self.PARTS:
+            part = getattr(self, name)
+            prefix = "" if part is self.core else f"{name}_"
+            for counter in part.STATE.counters:
+                key = _PERF_NAMES.get(counter, prefix + counter)
+                setattr(counters, key, getattr(part, counter))
         devices = self._devices
         return RunResult(
             outcome=outcome,
@@ -372,8 +393,8 @@ class System:
             pte = int.from_bytes(pte_bytes, "little")
             if (pte >> 12) != vpn or not pte & 1:
                 return False
-        for tlb in (self.itlb, self.dtlb):
-            for entry in tlb.entries:
+        for name in self.TLBS:
+            for entry in getattr(self, name).entries:
                 if entry.valid and entry.vpn in kernel_pages:
                     if entry.ppn != entry.vpn or not entry.perms & 1:
                         return False
@@ -381,8 +402,4 @@ class System:
 
     def cache_occupancy(self) -> dict[str, float]:
         """Valid-line fractions, used by analyses of footprint effects."""
-        return {
-            "l1i": self.l1i.occupancy(),
-            "l1d": self.l1d.occupancy(),
-            "l2": self.l2.occupancy(),
-        }
+        return {name: getattr(self, name).occupancy() for name in self.CACHES}

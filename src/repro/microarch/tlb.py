@@ -23,8 +23,11 @@ bits   field
 
 from __future__ import annotations
 
+import struct
+
 from repro.errors import InjectionError
 from repro.microarch.config import TLBGeometry
+from repro.microarch.state import Scalars, State
 
 _VPN_BITS = 20
 _PPN_BITS = 20
@@ -54,13 +57,72 @@ class TLBEntry:
         )
 
 
+_ENTRY = struct.Struct("<QQQQB")
+
+
+class _Entries:
+    """Every entry's tag, frame, permissions, validity and LRU stamp.
+
+    The lookup map is derived from the entries - but *not* always
+    rederivable once a tag flip has made two entries collide.  Instead of
+    hashing the dict, each entry encodes a "reachable through the lookup
+    map" bit, which detects exactly the case where hidden map state could
+    steer the future while the entries look golden.  A restore rebuilds
+    the map from the captured (golden, collision-free) entries.
+    """
+
+    names = ("entries",)
+    record = (TLBEntry, ("vpn", "ppn", "perms", "valid", "stamp"))
+
+    def capture(self, tlb) -> list:
+        return [
+            (entry.vpn, entry.ppn, entry.perms, entry.valid, entry.stamp)
+            for entry in tlb.entries
+        ]
+
+    def restore(self, tlb, entries) -> None:
+        lookup = tlb._map
+        lookup.clear()
+        for entry, (vpn, ppn, perms, valid, stamp) in zip(tlb.entries, entries):
+            entry.vpn = vpn
+            entry.ppn = ppn
+            entry.perms = perms
+            entry.valid = valid
+            entry.stamp = stamp
+            if valid:
+                lookup[vpn] = entry
+
+    def encode(self, tlb) -> bytes:
+        pack = _ENTRY.pack
+        lookup = tlb._map
+        return b"".join([
+            pack(
+                entry.vpn,
+                entry.ppn,
+                entry.perms,
+                entry.stamp,
+                entry.valid | ((lookup.get(entry.vpn) is entry) << 1),
+            )
+            for entry in tlb.entries
+        ])
+
+
 class TLB:
     """A fully-associative TLB with LRU replacement.
 
     A ``vpn -> entry`` dict accelerates lookups; it is rebuilt whenever an
-    injected fault rewrites an entry's tag.  ``version`` increments on any
-    content change so the core can invalidate derived state.
+    injected fault rewrites an entry's tag.
     """
+
+    #: Mutable state (:mod:`repro.microarch.state`).
+    STATE = State(
+        _Entries(),
+        Scalars("_clock accesses misses"),
+        counters="accesses misses",
+        constants="name geometry",
+        attachments={"probe": "taint probe: observes lookups, never steers"},
+        derived={"_map": "lookup map: encoded as each entry's reachable bit"},
+    )
 
     def __init__(self, name: str, geometry: TLBGeometry):
         self.name = name
@@ -68,7 +130,6 @@ class TLB:
         self.entries = [TLBEntry() for _ in range(geometry.entries)]
         self._map: dict[int, TLBEntry] = {}
         self._clock = 0
-        self.version = 0
         self.accesses = 0
         self.misses = 0
         #: Optional taint probe (:mod:`repro.observability.taint`).
@@ -114,7 +175,6 @@ class TLB:
         victim.valid = True
         victim.stamp = self._clock
         self._map[vpn] = victim
-        self.version += 1
         return victim
 
     def flush(self) -> None:
@@ -123,7 +183,6 @@ class TLB:
         for entry in self.entries:
             entry.valid = False
         self._map.clear()
-        self.version += 1
 
     def occupancy(self) -> float:
         return sum(1 for e in self.entries if e.valid) / len(self.entries)
@@ -155,14 +214,11 @@ class TLB:
                 self._map.pop(old_vpn, None)
                 # The corrupted tag now (mis)matches a different page.
                 self._map[entry.vpn] = entry
-            self.version += 1
             return entry.valid
         if bit in PPN_FIELD:
             entry.ppn ^= 1 << (bit - PPN_FIELD.start)
-            self.version += 1
             return entry.valid
         if bit in PERM_FIELD:
             entry.perms ^= 1 << (bit - PERM_FIELD.start)
-            self.version += 1
             return entry.valid
         return False

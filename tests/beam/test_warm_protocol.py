@@ -56,7 +56,7 @@ class TestWarmGolden:
         workload, golden, warm_boot, _warm = warm_state
         fresh = experiment._beam_system(workload, golden)
         fresh_snapshot = SystemSnapshot(fresh)
-        warm_l2 = warm_boot._caches["l2"].lines
-        fresh_l2 = fresh_snapshot._caches["l2"].lines
+        warm_l2 = warm_boot._parts["l2"][0]  # the line group's capture
+        fresh_l2 = fresh_snapshot._parts["l2"][0]
         differing = sum(1 for a, b in zip(warm_l2, fresh_l2) if a[0] != b[0])
         assert differing > 0  # at least some tags replaced by the warm run

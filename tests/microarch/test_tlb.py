@@ -44,10 +44,8 @@ class TestLookup:
 
     def test_flush(self, tlb):
         tlb.fill(1, 1, 1)
-        version = tlb.version
         tlb.flush()
         assert tlb.lookup(1) is None
-        assert tlb.version > version
 
     def test_occupancy(self, tlb):
         assert tlb.occupancy() == 0.0
@@ -95,12 +93,6 @@ class TestInjection:
 
     def test_flip_in_invalid_entry_returns_false(self, tlb):
         assert tlb.flip_bit(PPN_FIELD.start) is False
-
-    def test_version_bumps_on_live_flip(self, tlb):
-        tlb.fill(0, 0, 1)
-        version = tlb.version
-        tlb.flip_bit(PPN_FIELD.start)
-        assert tlb.version > version
 
 
 @given(
