@@ -36,8 +36,9 @@ def _build_plan():
     snapshots, _, _, _, _ = record_golden_observables(
         workload, SCALED_A9_CONFIG, golden, digest_count=0
     )
-    image = MachineImage.capture(
-        workload, SCALED_A9_CONFIG, golden, snapshots,
+    image = MachineImage(
+        workload.name, workload.program(SCALED_A9_CONFIG.layout),
+        SCALED_A9_CONFIG, golden.cycles, golden.output, snapshots,
         engine=EngineOptions(lifetime_events=False),
     )
     plan = {
@@ -138,14 +139,18 @@ def test_lifetime_event_overhead(benchmark):
         for component in COMPONENTS
     }
     images = {
-        "off": MachineImage.capture(
-            workload, SCALED_A9_CONFIG, golden, snapshots, digests=digests,
+        "off": MachineImage(
+            workload.name, workload.program(SCALED_A9_CONFIG.layout),
+            SCALED_A9_CONFIG, golden.cycles, golden.output, snapshots,
+            digests=digests,
             engine=EngineOptions(translate=False, lifetime_events=False),
         ),
-        "on": MachineImage.capture(
-            workload,
+        "on": MachineImage(
+            workload.name,
+            workload.program(SCALED_A9_CONFIG.layout),
             SCALED_A9_CONFIG,
-            golden,
+            golden.cycles,
+            golden.output,
             snapshots,
             digests=digests,
             arch_digests=arch_digests,
@@ -225,10 +230,12 @@ def test_lifetime_campaign_translation_speedup(benchmark):
     }
 
     def capture(translate: bool) -> MachineImage:
-        return MachineImage.capture(
-            workload,
+        return MachineImage(
+            workload.name,
+            workload.program(SCALED_A9_CONFIG.layout),
             SCALED_A9_CONFIG,
-            golden,
+            golden.cycles,
+            golden.output,
             snapshots,
             digests=digests,
             arch_digests=arch_digests,

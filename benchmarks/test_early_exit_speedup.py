@@ -31,13 +31,15 @@ def _build():
     snapshots, digests, _, _, _ = record_golden_observables(
         workload, SCALED_A9_CONFIG, golden
     )
-    pruned = MachineImage.capture(
-        workload, SCALED_A9_CONFIG, golden, snapshots,
+    pruned = MachineImage(
+        workload.name, workload.program(SCALED_A9_CONFIG.layout),
+        SCALED_A9_CONFIG, golden.cycles, golden.output, snapshots,
         digests=digests,
         engine=EngineOptions(early_exit=True, lifetime_events=False),
     )
-    full = MachineImage.capture(
-        workload, SCALED_A9_CONFIG, golden, snapshots,
+    full = MachineImage(
+        workload.name, workload.program(SCALED_A9_CONFIG.layout),
+        SCALED_A9_CONFIG, golden.cycles, golden.output, snapshots,
         engine=EngineOptions(early_exit=False, lifetime_events=False),
     )
     plan = {

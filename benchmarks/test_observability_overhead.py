@@ -45,8 +45,9 @@ def test_tracing_overhead(benchmark):
     snapshots, _, _, _, _ = record_golden_observables(
         workload, SCALED_A9_CONFIG, golden, digest_count=0
     )
-    image = MachineImage.capture(
-        workload, SCALED_A9_CONFIG, golden, snapshots,
+    image = MachineImage(
+        workload.name, workload.program(SCALED_A9_CONFIG.layout),
+        SCALED_A9_CONFIG, golden.cycles, golden.output, snapshots,
         engine=EngineOptions(lifetime_events=False),
     )
     plan = {

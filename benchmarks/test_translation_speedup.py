@@ -57,13 +57,15 @@ def _build():
     snapshots, digests, _, _, _ = record_golden_observables(
         workload, SCALED_A9_CONFIG, golden
     )
-    accelerated = MachineImage.capture(
-        workload, SCALED_A9_CONFIG, golden, snapshots,
+    accelerated = MachineImage(
+        workload.name, workload.program(SCALED_A9_CONFIG.layout),
+        SCALED_A9_CONFIG, golden.cycles, golden.output, snapshots,
         digests=digests,
         engine=EngineOptions(translate=True, lifetime_events=False),
     )
-    baseline = MachineImage.capture(
-        workload, SCALED_A9_CONFIG, golden, snapshots,
+    baseline = MachineImage(
+        workload.name, workload.program(SCALED_A9_CONFIG.layout),
+        SCALED_A9_CONFIG, golden.cycles, golden.output, snapshots,
         digests=digests,
         engine=EngineOptions(translate=False, lifetime_events=False),
     )
@@ -144,10 +146,12 @@ def test_taint_on_translator_equivalence():
     }
 
     def run(translate: bool):
-        image = MachineImage.capture(
-            workload,
+        image = MachineImage(
+            workload.name,
+            workload.program(SCALED_A9_CONFIG.layout),
             SCALED_A9_CONFIG,
-            golden,
+            golden.cycles,
+            golden.output,
             snapshots,
             digests=digests,
             arch_digests=arch_digests,

@@ -49,8 +49,12 @@ rounds loop.  Every round is one
 stop)`` in stream order, a permutation under learned sampling - so the
 worker farm, early Masked termination, fault-lifetime events, and
 crash-safe journaling all compose unchanged.  With ``resume=True`` the
-already-journaled prefix is replayed (and any holes a mid-batch kill left
-are filled) before new batches are scheduled.
+campaign re-walks its ordinary schedule: the schedule is a pure function
+of the effects absorbed so far, each window's journaled faults replay
+instead of running, and only the holes a kill left run live.  At the
+same batch size a resumed campaign passes exactly the uninterrupted
+run's windows; a window whose faults are all journaled starts no
+simulation.
 
 Learned importance sampling (``CampaignConfig.learned_sampling``; see
 :mod:`repro.injection.learned` and ``docs/SAMPLING.md``) reorders each
@@ -87,7 +91,6 @@ from repro.injection.campaign import (
 from repro.injection.classify import ERROR_CLASSES, FaultEffect
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import FaultStream
-from repro.injection.journal import InjectionJournal
 from repro.injection.learned import (
     CalibrationBuckets,
     FeatureExtractor,
@@ -331,12 +334,6 @@ class _StratumState:
             return position
         return self.plan.global_for(position)
 
-    def position_of(self, global_index: int) -> int | None:
-        """Plan position of a global stream index (``None`` if unplanned)."""
-        if self.plan is None:
-            return global_index if global_index < self.max_faults else None
-        return self.plan.position_of(global_index)
-
     # -- feeding ---------------------------------------------------------------
 
     def absorb(self, base: int, effects: list[FaultEffect | None]) -> None:
@@ -532,25 +529,6 @@ class _StratumState:
             half_widths=dict(self.widths()) if estimates is not None else None,
         )
 
-    def journal_backlog(self, journal) -> int | None:
-        """Highest journaled position not yet absorbed (``None`` if none).
-
-        After a learned plan trains on a resumed campaign, phase-2
-        records already in the journal sit at positions beyond
-        ``executed_until``; the campaign schedules one replay window to
-        absorb them (holes re-executed) before allocating fresh batches.
-        """
-        if journal is None:
-            return None
-        backlog = None
-        journaled = list(journal.completed(self.component))
-        journaled += list(journal.quarantined(self.component))
-        for global_index in journaled:
-            position = self.position_of(global_index)
-            if position is not None and position >= self.executed_until:
-                backlog = position if backlog is None else max(backlog, position)
-        return backlog
-
 
 def _allocate(budget: int, demands: dict[Component, tuple[float, int]]) -> dict[Component, int]:
     """Split ``budget`` injections across strata by width score.
@@ -705,7 +683,6 @@ class AdaptiveCampaign(InjectionCampaign):
         self,
         image: MachineImage,
         components: list[Component],
-        journal: InjectionJournal | None,
         run_plan: Callable[..., dict[Component, list[FaultEffect | None]]],
         live: AdaptiveDiagnostics,
     ) -> dict[Component, ComponentResult]:
@@ -741,7 +718,7 @@ class AdaptiveCampaign(InjectionCampaign):
             for component in components
         }
         while True:
-            windows = self._next_windows(states, journal, first=live.rounds == 0)
+            windows = self._next_windows(states, first=live.rounds == 0)
             if not windows:
                 break
             live.rounds += 1
@@ -778,59 +755,26 @@ class AdaptiveCampaign(InjectionCampaign):
     def _next_windows(
         self,
         states: dict[Component, _StratumState],
-        journal,
         first: bool,
     ) -> dict[Component, tuple[int, int]]:
         """Choose each hungry stratum's next window of the fault stream.
 
-        Round 1 is special twice over: on a resumed campaign it covers the
-        whole journaled span (replaying completed indices and re-running
-        only the holes a mid-batch kill left); on a fresh one it seeds
-        every stratum with its ``min_faults`` floor, below which the
-        stopping rule cannot hold anyway.  Later rounds split
+        Round 1 seeds every stratum with its ``min_faults`` floor, below
+        which the stopping rule cannot hold anyway (for a learned stratum
+        that window is exactly its pilot).  Later rounds split
         ``batch_size`` across the still-unsatisfied strata by current
-        interval width.
-
-        Learned strata bend both rules: their round-1 window is always
-        exactly the pilot (the plan that maps journaled phase-2 indices
-        to positions cannot exist before the pilot trains it), and any
-        later round in which a stratum has journaled-but-unabsorbed
-        positions becomes a replay round covering just those (windows in
-        position space; holes re-executed).  Scheduling shuffles like
-        these never change the reported prefix - the scan order is fixed
-        - they only decide when journal records get absorbed.
+        interval width.  The choice reads only the effects absorbed so
+        far, never the journal: a resumed campaign walks the same
+        windows as an uninterrupted one and
+        :func:`~repro.injection.parallel.run_injection_plan` replays what
+        each window finds journaled.
         """
         config = self.config
-        if first and journal is not None and (journal.records or journal.quarantines):
-            windows = {}
-            for component, state in states.items():
-                if state.planner is not None:
-                    windows[component] = (0, state.pilot_n)
-                    continue
-                journaled = set(journal.completed(component))
-                journaled |= set(journal.quarantined(component))
-                span = max(journaled) + 1 if journaled else 0
-                stop = min(max(span, config.min_faults), config.max_faults)
-                if stop > 0:
-                    windows[component] = (0, stop)
-            return windows
         if first:
             return {
                 component: (0, min(config.min_faults, config.max_faults))
                 for component in states
             }
-        replays = {}
-        for component, state in states.items():
-            if state.satisfied:
-                continue
-            backlog = state.journal_backlog(journal)
-            if backlog is not None:
-                replays[component] = (
-                    state.executed_until,
-                    min(backlog + 1, state.max_faults),
-                )
-        if replays:
-            return replays
         demands = {}
         for component, state in states.items():
             if state.satisfied or state.capped:

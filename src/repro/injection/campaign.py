@@ -587,11 +587,13 @@ def prepare_image(
             f"({capture.cycles} vs {golden.cycles} cycles, output "
             f"{'equal' if capture.output == golden.output else 'different'})"
         )
-    image = MachineImage.capture(
-        workload,
-        machine,
-        golden,
-        snapshots,
+    image = MachineImage(
+        name=workload.name,
+        program=workload.program(machine.layout),
+        machine=machine,
+        golden_cycles=golden.cycles,
+        golden_output=golden.output,
+        snapshots=snapshots,
         cluster_size=config.cluster_size,
         digests=digests,
         arch_digests=arch_digests,
@@ -700,7 +702,7 @@ class InjectionCampaign:
 
         Loads the cache, builds the image for the components it lacks,
         opens the journal and the ``campaign`` span, hands
-        ``execute(image, components, journal, run_plan)`` the missing
+        ``execute(image, components, run_plan)`` the missing
         components, and merges the tallies it returns into the stored
         result.  ``run_plan(plan, indices=None, injector=None)`` is
         :func:`run_injection_plan` bound to this campaign's image,
@@ -761,7 +763,7 @@ class InjectionCampaign:
                     tracer=self.tracer,
                     span_parent=span.span_id if span is not None else None,
                 )
-                tallies = execute(image, missing, journal, run_plan)
+                tallies = execute(image, missing, run_plan)
         finally:
             if journal is not None:
                 journal.close()
@@ -778,7 +780,6 @@ class InjectionCampaign:
         self,
         image: MachineImage,
         components: list[Component],
-        journal: InjectionJournal | None,
         run_plan: Callable[..., dict[Component, list[FaultEffect | None]]],
     ) -> dict[Component, ComponentResult]:
         """The fixed-size sample: one plan over ``[0, n)``, tallied whole."""

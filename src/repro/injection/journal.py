@@ -229,8 +229,10 @@ def read_journal(
     """Parse a journal file into (meta, injections, quarantines).
 
     A truncated *final* line (the footprint of a kill mid-append) is
-    ignored; an unparseable line anywhere else, or a missing/invalid meta
-    header, raises :class:`InjectionError`.
+    ignored; an unparseable line anywhere else, a missing/invalid meta
+    header, or a record whose fault index lies outside the stream window
+    ``[0, meta.faults_per_component)`` every plan of the campaign draws
+    from raises :class:`InjectionError`.
     """
     raw = Path(path).read_bytes()
     lines = raw.split(b"\n")
@@ -277,20 +279,29 @@ def read_journal(
 
     records: list[InjectionRecord] = []
     quarantines: list[QuarantineRecord] = []
+    planned = meta.faults_per_component
     for number, payload in enumerate(parsed[1:], start=2):
         try:
             if not isinstance(payload, dict):
                 raise TypeError("not a JSON object")
             kind = payload.get("type")
             if kind == "injection":
-                records.append(InjectionRecord.from_line(payload))
+                record = InjectionRecord.from_line(payload)
             elif kind == "quarantine":
-                quarantines.append(QuarantineRecord.from_line(payload))
+                record = QuarantineRecord.from_line(payload)
             else:
                 raise KeyError(f"unknown record type {kind!r}")
+            in_plan = 0 <= record.index < planned
         # TypeError/ValueError: a field of the wrong type ("events": 5, ...).
         except (KeyError, TypeError, ValueError) as exc:
             raise malformed(number, exc) from None
+        if not in_plan:
+            raise InjectionError(
+                f"journal {path} line {number} records fault index "
+                f"{record.index} for {record.component.name}, beyond the "
+                f"plan of {planned}"
+            )
+        (records if kind == "injection" else quarantines).append(record)
     return meta, records, quarantines
 
 

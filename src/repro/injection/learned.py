@@ -313,7 +313,6 @@ class LearnedPlan:
 
     pilot_n: int
     order: tuple[int, ...]
-    position: Mapping[int, int]
     bin_of: Mapping[int, int]
     probs: Mapping[int, float]
     weights: tuple[float, ...]
@@ -329,12 +328,6 @@ class LearnedPlan:
         if position < self.pilot_n:
             return position
         return self.order[position - self.pilot_n]
-
-    def position_of(self, global_index: int) -> int | None:
-        """Plan position of a global stream index (``None`` if outside)."""
-        if global_index < self.pilot_n:
-            return global_index
-        return self.position.get(global_index)
 
 
 def _interleave(members: Sequence[Sequence[int]], weights: Sequence[float]) -> list[int]:
@@ -440,14 +433,9 @@ class LearnedPlanner:
         for bin_index, group in enumerate(members):
             for index in group:
                 bin_of[index] = bin_index
-        position = {
-            global_index: self.pilot_n + offset
-            for offset, global_index in enumerate(order)
-        }
         return LearnedPlan(
             pilot_n=self.pilot_n,
             order=order,
-            position=position,
             bin_of=bin_of,
             probs=probs,
             weights=weights,

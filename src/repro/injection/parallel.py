@@ -87,7 +87,7 @@ from repro.microarch.snapshot import (
 )
 from repro.microarch.profile import enable_op_counts
 from repro.microarch.translate import attach_translator
-from repro.microarch.system import RunResult, System
+from repro.microarch.system import System
 from repro.microarch.trace import InstructionTrace
 from repro.observability.events import (
     EV_CONVERGE,
@@ -187,34 +187,6 @@ class MachineImage:
     #: routine; the injector then boots in beam mode with the golden output
     #: in memory, and ``snapshots[0]`` is the warm boot at cycle 0.
     check_program: Program | None = None
-
-    @classmethod
-    def capture(
-        cls,
-        workload,
-        machine: MachineConfig,
-        golden: RunResult,
-        snapshots: list[SystemSnapshot] | None = None,
-        cluster_size: int = 1,
-        digests: Mapping[int, bytes] | None = None,
-        arch_digests: Mapping[int, bytes] | None = None,
-        engine: EngineOptions = EngineOptions(),
-        activity: GoldenActivity | None = None,
-    ) -> "MachineImage":
-        """Bundle a workload's golden run into a shippable image."""
-        return cls(
-            name=workload.name,
-            program=workload.program(machine.layout),
-            machine=machine,
-            golden_cycles=golden.cycles,
-            golden_output=golden.output,
-            snapshots=list(snapshots or []),
-            cluster_size=cluster_size,
-            digests=dict(digests or {}),
-            arch_digests=dict(arch_digests or {}),
-            engine=engine,
-            activity=activity,
-        )
 
 
 #: ``InjectionResult.ended_by`` values: simulated to completion, converged
@@ -825,20 +797,6 @@ def _validate_effects(
         )
 
 
-def _plan_slot(
-    slots: Mapping[int, int] | None, component: Component, index: int, length: int
-) -> int | None:
-    """Plan slot of journaled fault ``index`` (``None``: another window's)."""
-    if slots is not None:
-        return slots.get(index)
-    if index >= length:
-        raise InjectionError(
-            f"journal records fault index {index} for "
-            f"{component.name}, beyond the plan of {length}"
-        )
-    return index
-
-
 def _check_replayed(
     component: Component,
     index: int,
@@ -858,54 +816,44 @@ def _check_replayed(
 def _replay_journal(
     journal: InjectionJournal,
     plan: Mapping[Component, Sequence[Fault]],
+    indices: Mapping[Component, Sequence[int]],
     effects: dict[Component, list],
     telemetry: CampaignTelemetry | None,
     quarantined: list[QuarantineRecord] | None,
     quarantined_slots: set[tuple[Component, int]],
-    indices: Mapping[Component, Sequence[int]] | None = None,
 ) -> int:
     """Prefill effect slots from a journal; returns replayed count.
 
-    Every replayed injection and quarantine record is cross-checked
-    against the regenerated fault list (bit and cycle must match) so a
-    journal from a drifted seed or simulator version cannot silently
-    corrupt the tallies.
-
-    Without ``indices`` the plan is the stream's head ``[0, n)`` and a
-    journal index past it is an error.  With ``indices`` (a window of the
-    stream; see :func:`run_injection_plan`) a journal index the window
-    does not list belongs to another batch of the same campaign and is
-    skipped rather than rejected.
+    Each slot looks its global index ``indices[c][slot]`` up in the
+    journal; journaled indices the window does not list are other
+    windows' work and stay untouched.  Every replayed injection and
+    quarantine record is cross-checked against the regenerated fault (bit
+    and cycle must match) so a journal from a drifted seed or simulator
+    version cannot silently corrupt the tallies.
     """
     replayed_records: list[InjectionRecord] = []
     replayed_quarantines: list[QuarantineRecord] = []
     for component, faults in plan.items():
-        slots = (
-            None
-            if indices is None
-            else {index: slot for slot, index in enumerate(indices[component])}
-        )
-        for index, record in journal.completed(component).items():
-            slot = _plan_slot(slots, component, index, len(faults))
-            if slot is None:
-                continue
-            _check_replayed(component, index, record, faults[slot])
-            effects[component][slot] = record.effect
-            replayed_records.append(record)
-        for index, record in journal.quarantined(component).items():
-            slot = _plan_slot(slots, component, index, len(faults))
-            if slot is None:
-                continue
-            if quarantined is None:
-                raise InjectionError(
-                    f"journal contains a quarantined fault "
-                    f"({component.name}[{index}]: {record.reason}) but the "
-                    f"caller provided no quarantine accumulator"
-                )
-            _check_replayed(component, index, record, faults[slot])
-            quarantined.append(record)
-            quarantined_slots.add((component, slot))
-            replayed_quarantines.append(record)
+        completed = journal.completed(component)
+        held = journal.quarantined(component)
+        for slot, index in enumerate(indices[component]):
+            record = completed.get(index)
+            if record is not None:
+                _check_replayed(component, index, record, faults[slot])
+                effects[component][slot] = record.effect
+                replayed_records.append(record)
+            quarantine = held.get(index)
+            if quarantine is not None:
+                if quarantined is None:
+                    raise InjectionError(
+                        f"journal contains a quarantined fault "
+                        f"({component.name}[{index}]: {quarantine.reason}) "
+                        f"but the caller provided no quarantine accumulator"
+                    )
+                _check_replayed(component, index, quarantine, faults[slot])
+                quarantined.append(quarantine)
+                quarantined_slots.add((component, slot))
+                replayed_quarantines.append(quarantine)
     if telemetry is not None:
         telemetry.replay(replayed_records, replayed_quarantines)
     return len(replayed_records)
@@ -934,17 +882,19 @@ def run_injection_plan(
     effects keyed by component, listed in fault order, independent of
     scheduling.
 
-    ``indices`` names the global fault-stream index of every plan slot:
-    ``plan[c][i]`` is fault ``indices[c][i]`` of component ``c``'s
-    stream, in any order.  Journal records are written with (and replayed
-    against) those indices, and a journaled index the window does not list
-    is another batch's work, not corruption.  This is how every windowed
-    plan runs: the adaptive campaign streams its batches (permuted ones
-    under learned sampling) into one shared journal, and a fabric worker
-    runs a leased ``range(start, stop)`` into a
-    :class:`~repro.injection.journal.RecordBuffer`.  Without ``indices``
-    the plan is the stream's head, ``plan[c][i]`` is fault ``i``, and a
-    journal index past the plan raises :class:`InjectionError`.
+    Every plan is a window of the fault stream: ``indices`` names the
+    global stream index of every plan slot, so ``plan[c][i]`` is fault
+    ``indices[c][i]`` of component ``c``'s stream, in any order, and it
+    defaults to ``range(len(plan[c]))``, the stream's head.  Journal
+    records are written with those indices, and replay looks each slot's
+    index up in the journal; a journaled index the window does not list
+    is another window's work.  The fixed campaign runs the head, the
+    adaptive campaign streams its batches (permuted ones under learned
+    sampling) into one shared journal, and a fabric worker runs a leased
+    ``range(start, stop)`` into a
+    :class:`~repro.injection.journal.RecordBuffer`.  An index outside the
+    journal's ``[0, faults_per_component)`` is refused when the journal
+    is read (:func:`~repro.injection.journal.read_journal`).
 
     ``injector`` (``jobs == 1`` only) reuses a caller-owned
     :class:`ImageInjector` instead of building a fresh one - the lease
@@ -986,23 +936,24 @@ def run_injection_plan(
     effects: dict[Component, list] = {
         component: [None] * len(plan[component]) for component in components
     }
+    if indices is None:
+        indices = {
+            component: range(len(plan[component])) for component in components
+        }
     if telemetry is not None:
         for component in components:
             telemetry.register_plan(component, len(plan[component]))
-
-    def global_index(component: Component, fault_index: int) -> int:
-        return fault_index if indices is None else indices[component][fault_index]
 
     quarantined_slots: set[tuple[Component, int]] = set()
     if journal is not None:
         replayed = _replay_journal(
             journal,
             plan,
+            indices,
             effects,
             telemetry,
             quarantined,
             quarantined_slots,
-            indices,
         )
         if replayed or quarantined_slots:
             progress(
@@ -1032,7 +983,7 @@ def run_injection_plan(
                 parent_id=span_parent,
                 attributes={
                     "component": component.name,
-                    "base": global_index(component, 0) if totals[component] else 0,
+                    "base": indices[component][0] if totals[component] else 0,
                     "count": totals[component],
                 },
             )
@@ -1058,7 +1009,7 @@ def run_injection_plan(
         effects[component][fault_index] = result.effect
         outcome = InjectionRecord.from_result(
             component,
-            global_index(component, fault_index),
+            indices[component][fault_index],
             plan[component][fault_index],
             result,
             wall_time,
@@ -1073,7 +1024,7 @@ def run_injection_plan(
 
     def quarantine(attempt: _Attempt, reason: str) -> None:
         component = components[attempt.component_index]
-        index = global_index(component, attempt.fault_index)
+        index = indices[component][attempt.fault_index]
         if quarantined is None:
             raise InjectionError(
                 f"{image.name}/{component.name}[{index}] "
@@ -1100,7 +1051,7 @@ def run_injection_plan(
             telemetry.record_retry()
         progress(
             f"{image.name}/{component.name}: retrying fault "
-            f"{global_index(component, attempt.fault_index)} "
+            f"{indices[component][attempt.fault_index]} "
             f"(attempt {attempt.attempts + 1}: {reason})"
         )
 

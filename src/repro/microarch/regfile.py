@@ -48,10 +48,7 @@ class PhysRegFile:
         self._int_history = ARCH_REGS
         self._fp_history = ARCH_REGS
 
-    # -- architectural access (used by the core; index 0..15) ----------------
-
-    def read_int(self, index: int) -> int:
-        return self.int_regs[index]
+    # -- architectural writeback (index 0..15; reads index the lists) --------
 
     def write_int(self, index: int, value: int) -> None:
         value &= _INT_MASK
@@ -62,9 +59,6 @@ class PhysRegFile:
             self._int_history += 1
             if self._int_history >= self.n_int:
                 self._int_history = ARCH_REGS
-
-    def read_fp(self, index: int) -> float:
-        return self.fp_regs[index]
 
     def write_fp(self, index: int, value: float) -> None:
         self.fp_regs[index] = value

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.injection import campaign as campaign_module
 from repro.injection import parallel
 from repro.injection.adaptive import (
     AdaptiveCampaign,
@@ -433,6 +436,98 @@ class TestAdaptiveResume:
             get_workload("Susan E"), components=COMPONENTS
         )
         assert _tallies(resumed) == _tallies(uninterrupted)
+
+
+def _journal_keys(lines: list[str]) -> set[tuple[str, int]]:
+    """``(component, index)`` of every record line of a journal."""
+    return {
+        (record["component"], record["index"])
+        for record in map(json.loads, lines)
+        if record["type"] != "meta"
+    }
+
+
+@pytest.mark.slow
+class TestResumeRewalksTheSchedule:
+    """A resumed campaign walks the uninterrupted run's windows.
+
+    The schedule reads only absorbed effects, so resuming at the same
+    batch size must pass ``run_injection_plan`` the very same ``indices``
+    windows, and the only injections simulated live are the journal's
+    holes: a torn tail, a dropped interior line, and everything after the
+    cut.
+    """
+
+    CASES = {
+        # Every stratum of this config runs to its cap in several rounds.
+        "plain": ("Susan E", COMPONENTS, _adaptive_config(jobs=1), 25),
+        # The cut lies past the 30-fault pilot, inside the learned frame.
+        "learned": (
+            "CRC32",
+            (Component.L1D,),
+            _adaptive_config(
+                target_margin=0.1, batch_size=10, min_faults=30,
+                max_faults=200, seed=9, jobs=1, learned_sampling=True,
+            ),
+            47,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_windows_and_only_holes_run_live(
+        self, tmp_path, monkeypatch, case
+    ):
+        name, components, config, keep = self.CASES[case]
+        windows: list[dict] = []
+        plan_runner = campaign_module.run_injection_plan
+
+        def spy(image, plan, **kwargs):
+            windows.append(
+                {c.name: list(kwargs["indices"][c]) for c in plan}
+            )
+            return plan_runner(image, plan, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "run_injection_plan", spy)
+        journal_dir = tmp_path / "journal"
+        uninterrupted = AdaptiveCampaign(
+            config, cache_dir=tmp_path / "cache1", journal_dir=journal_dir
+        ).run_workload(get_workload(name), components=components)
+        walked = list(windows)
+        assert len(walked) > 2
+        journal_path = next(journal_dir.glob("*.jsonl"))
+        lines = journal_path.read_text().splitlines(keepends=True)
+        assert len(lines) - 1 > keep + 1
+        # Keep the header and ``keep`` records minus one interior line,
+        # then tear the next record mid-line.
+        kept = lines[: keep + 1]
+        del kept[keep // 2]
+        journal_path.write_text(
+            "".join(kept) + lines[keep + 1][: len(lines[keep + 1]) // 2]
+        )
+
+        live: list = []
+        run_fault_ex = parallel.ImageInjector.run_fault_ex
+
+        def counting(injector, fault):
+            live.append(fault)
+            return run_fault_ex(injector, fault)
+
+        monkeypatch.setattr(parallel.ImageInjector, "run_fault_ex", counting)
+        windows.clear()
+        resumed = AdaptiveCampaign(
+            config,
+            cache_dir=tmp_path / "cache2",
+            journal_dir=journal_dir,
+            resume=True,
+        ).run_workload(get_workload(name), components=components)
+        assert windows == walked
+        assert _tallies(resumed) == _tallies(uninterrupted)
+        after = journal_path.read_text().splitlines(keepends=True)
+        assert after[: len(kept)] == kept
+        appended = after[len(kept):]
+        holes = _journal_keys(lines) - _journal_keys(kept)
+        assert len(live) == len(appended) == len(holes)
+        assert _journal_keys(appended) == holes
 
 
 class TestAdaptiveTracing:

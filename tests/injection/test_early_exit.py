@@ -63,13 +63,15 @@ def prepared(request):
 
 def _image_pair(prepared, cluster_size: int):
     workload, golden, snapshots, digests = prepared
-    pruned = MachineImage.capture(
-        workload, MACHINE, golden, snapshots,
+    pruned = MachineImage(
+        workload.name, workload.program(MACHINE.layout),
+        MACHINE, golden.cycles, golden.output, snapshots,
         cluster_size=cluster_size, digests=digests,
         engine=EngineOptions(early_exit=True, lifetime_events=False),
     )
-    full = MachineImage.capture(
-        workload, MACHINE, golden, snapshots,
+    full = MachineImage(
+        workload.name, workload.program(MACHINE.layout),
+        MACHINE, golden.cycles, golden.output, snapshots,
         cluster_size=cluster_size,
         engine=EngineOptions(early_exit=False, lifetime_events=False),
     )

@@ -202,6 +202,39 @@ class TestResume:
         with pytest.raises(InjectionError, match="program_digest"):
             InjectionJournal.resume(path, active)
 
+    @pytest.mark.parametrize("kind", ["injection", "quarantine"])
+    @pytest.mark.parametrize("index", [8, 9, -1])
+    def test_windowed_index_outside_the_cap_is_refused(
+        self, tmp_path, kind, index
+    ):
+        """An adaptive journal's header carries the ``max_faults`` cap as
+        ``faults_per_component``; every window the campaign schedules lies
+        below it, so a line at or past the cap (or negative) is
+        corruption, refused on read rather than skipped by replay."""
+        config = CampaignConfig(target_margin=0.1, min_faults=4, max_faults=8)
+        meta = config.journal_meta("StringSearch", "ab" * 16, 123_456)
+        assert meta.faults_per_component == 8
+        path = tmp_path / "adaptive.jsonl"
+        stray = make_record(index)
+        with InjectionJournal.create(path, meta) as journal:
+            journal.record(make_record(7))
+            if kind == "injection":
+                journal.record(stray)
+            else:
+                journal.record_quarantine(
+                    QuarantineRecord(
+                        stray.component, index, stray.bit_index, stray.cycle,
+                        "worker died",
+                    )
+                )
+        with pytest.raises(
+            InjectionError,
+            match=rf"line 3 records fault index {index} .*beyond the plan of 8",
+        ):
+            read_journal(path)
+        with pytest.raises(InjectionError, match="beyond the plan"):
+            InjectionJournal.resume(path, meta)
+
     def test_open_creates_then_resumes(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with InjectionJournal.open(path, META) as journal:

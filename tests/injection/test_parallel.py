@@ -75,8 +75,10 @@ def snapshots(workload, golden):
 
 @pytest.fixture(scope="module")
 def image(workload, golden, snapshots):
-    return MachineImage.capture(
-        workload, SCALED_A9_CONFIG, golden, snapshots, engine=BARE
+    return MachineImage(
+        workload.name, workload.program(SCALED_A9_CONFIG.layout),
+        SCALED_A9_CONFIG, golden.cycles, golden.output, snapshots,
+        engine=BARE,
     )
 
 
@@ -221,15 +223,17 @@ class TestJournalReplay:
             )
         return journal
 
-    def test_index_past_a_fixed_plan_raises(self, tmp_path, golden, image, faults):
+    def test_index_past_a_fixed_plan_raises(self, tmp_path, golden, faults):
+        # The header plans 4 faults per component, so index 4 lies past
+        # every window of the campaign: resuming refuses it on read,
+        # before any plan is replayed against it.
         fault = faults[0]
         journal = self.journal(
-            tmp_path, golden, (3, fault.bit_index, fault.cycle, FaultEffect.MASKED)
+            tmp_path, golden, (4, fault.bit_index, fault.cycle, FaultEffect.MASKED)
         )
-        with journal, pytest.raises(InjectionError, match="beyond the plan"):
-            run_injection_plan(
-                image, {Component.REGFILE: faults[:3]}, journal=journal
-            )
+        journal.close()
+        with pytest.raises(InjectionError, match="beyond the plan"):
+            InjectionJournal.resume(journal.path, journal.meta)
 
     def test_record_outside_a_leased_window_is_skipped(
         self, tmp_path, golden, image, faults
@@ -319,8 +323,9 @@ class TestAccelerationEquivalence:
 
     @pytest.fixture(scope="class")
     def baseline_effects(self, workload, golden, snapshots, plan):
-        image = MachineImage.capture(
-            workload, SCALED_A9_CONFIG, golden, snapshots,
+        image = MachineImage(
+            workload.name, workload.program(SCALED_A9_CONFIG.layout),
+            SCALED_A9_CONFIG, golden.cycles, golden.output, snapshots,
             engine=dataclasses.replace(BARE, translate=False),
         )
         return run_injection_plan(image, plan, jobs=1)
@@ -329,8 +334,9 @@ class TestAccelerationEquivalence:
     def test_accelerated_effects_are_byte_identical(
         self, workload, golden, snapshots, plan, baseline_effects, jobs
     ):
-        image = MachineImage.capture(
-            workload, SCALED_A9_CONFIG, golden, snapshots,
+        image = MachineImage(
+            workload.name, workload.program(SCALED_A9_CONFIG.layout),
+            SCALED_A9_CONFIG, golden.cycles, golden.output, snapshots,
             engine=BARE,
         )
         assert run_injection_plan(image, plan, jobs=jobs) == baseline_effects

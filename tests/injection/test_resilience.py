@@ -67,8 +67,9 @@ def image(workload, golden):
     snapshots, _, _, _, _ = record_golden_observables(
         workload, SCALED_A9_CONFIG, golden, snapshot_count=4, digest_count=0
     )
-    return MachineImage.capture(
-        workload, SCALED_A9_CONFIG, golden, snapshots,
+    return MachineImage(
+        workload.name, workload.program(SCALED_A9_CONFIG.layout),
+        SCALED_A9_CONFIG, golden.cycles, golden.output, snapshots,
         engine=EngineOptions(lifetime_events=False),
     )
 

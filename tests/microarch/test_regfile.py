@@ -20,19 +20,19 @@ def rf():
 class TestArchitectural:
     def test_write_read_int(self, rf):
         rf.write_int(3, 0x12345678)
-        assert rf.read_int(3) == 0x12345678
+        assert rf.int_regs[3] == 0x12345678
 
     def test_int_masked_to_32_bits(self, rf):
         rf.write_int(1, 0x1_0000_0005)
-        assert rf.read_int(1) == 5
+        assert rf.int_regs[1] == 5
 
     def test_negative_wraps(self, rf):
         rf.write_int(1, -1)
-        assert rf.read_int(1) == 0xFFFFFFFF
+        assert rf.int_regs[1] == 0xFFFFFFFF
 
     def test_write_read_fp(self, rf):
         rf.write_fp(2, 3.5)
-        assert rf.read_fp(2) == 3.5
+        assert rf.fp_regs[2] == 3.5
 
     def test_too_small_file_rejected(self):
         with pytest.raises(InjectionError):
@@ -50,7 +50,7 @@ class TestRenameSlots:
         rf.write_int(0, 7)
         for reg in range(ARCH_REGS):
             if reg != 0:
-                assert rf.read_int(reg) == 0
+                assert rf.int_regs[reg] == 0
 
 
 class TestInjection:
@@ -60,7 +60,7 @@ class TestInjection:
     def test_flip_architectural_int_is_live(self, rf):
         rf.write_int(0, 0)
         assert rf.flip_bit(0) is True
-        assert rf.read_int(0) == 1
+        assert rf.int_regs[0] == 1
 
     def test_flip_history_slot_is_dead(self, rf):
         assert rf.flip_bit(ARCH_REGS * 32) is False
@@ -70,14 +70,14 @@ class TestInjection:
         int_bits = 24 * 32
         # Flip the sign bit of f0 (bit 63 of the IEEE754 double).
         assert rf.flip_bit(int_bits + 63) is True
-        assert rf.read_fp(0) == -1.0
+        assert rf.fp_regs[0] == -1.0
 
     def test_fp_flip_can_produce_nan(self, rf):
         rf.write_fp(0, 1.0)
         int_bits = 24 * 32
         for bit in range(52, 63):  # exponent field
             rf.flip_bit(int_bits + bit)
-        value = rf.read_fp(0)
+        value = rf.fp_regs[0]
         assert math.isnan(value) or math.isinf(value) or value != 1.0
 
     def test_out_of_range(self, rf):

@@ -45,13 +45,15 @@ def prepared(request):
 def _image_pair(prepared):
     """The same machine with events on and off, early exit off in both."""
     workload, golden, snapshots, digests, arch_digests = prepared
-    with_events = MachineImage.capture(
-        workload, MACHINE, golden, snapshots,
+    with_events = MachineImage(
+        workload.name, workload.program(MACHINE.layout),
+        MACHINE, golden.cycles, golden.output, snapshots,
         digests=digests, arch_digests=arch_digests,
         engine=EngineOptions(early_exit=False, lifetime_events=True),
     )
-    without = MachineImage.capture(
-        workload, MACHINE, golden, snapshots,
+    without = MachineImage(
+        workload.name, workload.program(MACHINE.layout),
+        MACHINE, golden.cycles, golden.output, snapshots,
         engine=EngineOptions(early_exit=False, lifetime_events=False),
     )
     return with_events, without

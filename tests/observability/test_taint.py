@@ -69,9 +69,9 @@ class TestRegfileProbe:
         probe = RegfileTaintProbe(lifetime, rf)
         probe.taint_bit(5 * INT_REG_BITS + 7)
         probe.install()
-        assert rf.read_int(3) == 0  # untainted register: silent
+        assert rf.int_regs[3] == 0  # untainted register: silent
         assert kinds(lifetime) == []
-        assert rf.read_int(5) == 0x1234
+        assert rf.int_regs[5] == 0x1234
         assert [e.to_payload()[::2] for e in lifetime.events] == [
             (EV_READ, "regfile")
         ]
@@ -93,7 +93,7 @@ class TestRegfileProbe:
         rf.write_int(5, 0xDEADBEEF)
         assert kinds(lifetime) == [EV_WRITE_OVER]
         assert type(rf.int_regs) is list  # last tainted reg gone -> detached
-        assert rf.read_int(5) == 0xDEADBEEF
+        assert rf.int_regs[5] == 0xDEADBEEF
 
     def test_fp_registers_are_tracked_past_the_int_block(self):
         rf = PhysRegFile(24, 20)
@@ -103,9 +103,9 @@ class TestRegfileProbe:
         int_bits = rf.n_int * INT_REG_BITS
         probe.taint_bit(int_bits + 2 * 64 + 3)
         probe.install()
-        assert rf.read_fp(1) == 0.0
+        assert rf.fp_regs[1] == 0.0
         assert kinds(lifetime) == []
-        assert rf.read_fp(2) == 3.5
+        assert rf.fp_regs[2] == 3.5
         assert kinds(lifetime) == [EV_READ]
 
     def test_slices_and_iteration_stay_silent(self):
