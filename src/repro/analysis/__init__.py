@@ -6,7 +6,6 @@ from repro.analysis.avf import AVFBreakdown, avf_breakdown
 from repro.analysis.fit_model import InjectionFIT, injection_fit
 from repro.analysis.comparison import (
     ComparisonRow,
-    compare_class,
     compare_combined,
     overview_aggregate,
     signed_ratio,
@@ -19,7 +18,6 @@ __all__ = [
     "InjectionFIT",
     "injection_fit",
     "ComparisonRow",
-    "compare_class",
     "compare_combined",
     "overview_aggregate",
     "signed_ratio",

@@ -66,32 +66,13 @@ class ComparisonRow:
         return self.beam_fit <= 0 or self.injection_fit <= 0
 
 
-def compare_class(
-    beam: dict[str, BeamResult],
-    injection: dict[str, InjectionFIT],
-    effect: FaultEffect,
-) -> list[ComparisonRow]:
-    """Fig. 6/7/8 rows: per-benchmark FIT ratio for one error class."""
-    rows = []
-    for name in beam:
-        rows.append(
-            ComparisonRow(
-                workload=name,
-                beam_fit=beam[name].fit(effect),
-                injection_fit=injection[name].fit(effect),
-                beam_floor=beam[name].detection_limit_fit(),
-                injection_floor=injection[name].detection_limit,
-            )
-        )
-    return rows
-
-
 def compare_combined(
     beam: dict[str, BeamResult],
     injection: dict[str, InjectionFIT],
     effects: tuple[FaultEffect, ...] = (FaultEffect.SDC, FaultEffect.APP_CRASH),
 ) -> list[ComparisonRow]:
-    """Fig. 9 rows: ratio of the *sum* of several classes' FIT rates."""
+    """Fig. 6-9 rows: per-benchmark ratio of the *sum* of ``effects``'
+    FIT rates (one class in Figs. 6-8, SDC + Application Crash in Fig. 9)."""
     rows = []
     for name in beam:
         beam_total = sum(beam[name].fit(effect) for effect in effects)

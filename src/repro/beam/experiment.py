@@ -28,6 +28,7 @@ from repro.beam.board import ZEDBOARD, BoardModel, BoardModelOutcome
 from repro.beam.checkroutine import build_check_program
 from repro.beam.facility import LANSCE, BeamFacility
 from repro.beam.fit import fit_rate, poisson_interval, sample_poisson
+from repro.errors import ConfigurationError
 from repro.injection.campaign import (
     default_cache_dir,
     read_json_cache,
@@ -59,6 +60,12 @@ class BeamCampaignConfig:
     machine: MachineConfig = SCALED_A9_CONFIG
     facility: BeamFacility = LANSCE
     board: BoardModel = ZEDBOARD
+
+    def __post_init__(self):
+        """Refuse a beam time no FIT rate can be measured over, before
+        any warm-up pass runs."""
+        if not self.beam_hours > 0:
+            raise ConfigurationError("beam_hours must be positive")
 
     def cache_key(self, workload: Workload) -> str:
         """Filename stem identifying this exact beam campaign."""

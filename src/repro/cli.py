@@ -95,6 +95,7 @@ from repro.analysis.report import (
     telemetry_table,
 )
 from repro.beam.experiment import BeamCampaignConfig, BeamExperiment
+from repro.errors import ConfigurationError
 from repro.experiments import get_context
 from repro.injection.adaptive import AdaptiveCampaign, fixed_equivalent_faults
 from repro.injection.campaign import CampaignConfig, InjectionCampaign
@@ -175,18 +176,9 @@ def _cmd_inject(args) -> int:
         print("error: --profile observes the in-process machine; it cannot "
               "profile fabric workers (drop --fabric)", file=sys.stderr)
         return 2
-    if args.profile and args.target_margin is not None:
-        print("error: --profile supports fixed-sample campaigns only "
-              "(drop --target-margin)", file=sys.stderr)
-        return 2
     if args.learned_sampling and args.target_margin is None:
         print("error: --learned-sampling steers the adaptive engine; it "
               "needs --target-margin", file=sys.stderr)
-        return 2
-    if args.learned_sampling and args.fabric:
-        print("error: adaptive campaigns (--learned-sampling implies "
-              "--target-margin) are not fabric-aware yet; run them locally",
-              file=sys.stderr)
         return 2
     if args.metrics_port is not None and args.fabric:
         print("error: --metrics-port exports the local campaign's registry; "
@@ -610,8 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "statistics); forces -j 1 and skips the campaign "
                         "cache so the injections actually execute; with "
                         "--metrics the profile rides along in the "
-                        "envelope (incompatible with --fabric and "
-                        "--target-margin)")
+                        "envelope (incompatible with --fabric)")
     inject.add_argument("--no-events", action="store_true",
                         help="disable fault-lifetime event recording "
                         "(flip -> read/overwrite/evict -> divergence -> "
@@ -804,7 +795,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,31 +2,11 @@
 
 from __future__ import annotations
 
-from repro.analysis.comparison import ComparisonRow, compare_combined
-from repro.analysis.report import signed_bar_chart
-from repro.experiments.runner import ExperimentContext, get_context
+from repro.experiments.ratio import RatioFigure
 from repro.injection.classify import FaultEffect
 
-TITLE = "Figure 9 - SDC + Application Crash FIT comparison (beam vs fault injection)"
-
-
-def data(context: ExperimentContext | None = None) -> list[ComparisonRow]:
-    context = context or get_context()
-    return compare_combined(
-        context.beam_results(),
-        context.injection_fits(),
-        effects=(FaultEffect.SDC, FaultEffect.APP_CRASH),
-    )
-
-
-def render(context: ExperimentContext | None = None) -> str:
-    rows = data(context)
-    chart = signed_bar_chart(
-        [(row.workload, row.ratio) for row in rows], title=TITLE
-    )
-    detail = "\n".join(
-        f"  {row.workload:14s} beam={row.beam_fit:8.2f} FIT   "
-        f"injection={row.injection_fit:8.2f} FIT"
-        for row in rows
-    )
-    return chart + "\n" + detail
+FIGURE = RatioFigure(
+    (FaultEffect.SDC, FaultEffect.APP_CRASH),
+    "Figure 9 - SDC + Application Crash FIT comparison (beam vs fault injection)",
+)
+data, render = FIGURE.data, FIGURE.render

@@ -28,7 +28,7 @@ import urllib.error
 import urllib.request
 from dataclasses import asdict, dataclass, field, fields
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.injection.campaign import CampaignConfig
 from repro.injection.components import Component
 from repro.injection.identity import program_digest
@@ -81,19 +81,18 @@ class CampaignSpec:
         silently empty campaign)."""
         _check_types(self, "")
         _check_types(self.engine, "engine.")
-        problems = [
-            f"{name} must be positive"
-            for name in ("faults_per_component", "cluster_size", "golden_cycles")
-            if getattr(self, name) < 1
-        ]
-        if not 0 < self.confidence < 1:
-            problems.append("confidence must lie in (0, 1)")
-        if self.engine.digest_probes < 0 or self.engine.trace_on_crash < 0:
-            problems.append("engine counts must not be negative")
+        problems = []
+        if self.golden_cycles < 1:
+            problems.append("golden_cycles must be positive")
         if self.workload not in MIBENCH_SUITE:
             problems.append(f"unknown workload {self.workload!r}")
         if self.machine not in MACHINE_CONFIGS:
             problems.append(f"unknown machine config {self.machine!r}")
+        else:
+            try:
+                self.to_config()  # the local campaign's own value checks
+            except ConfigurationError as exc:
+                problems.append(str(exc))
         unknown = [
             name for name in self.components if name not in Component.__members__
         ]
@@ -181,7 +180,7 @@ class CampaignSpec:
                 data["components"] = tuple(data["components"])
             data["engine"] = EngineOptions(**data.get("engine", {}))
             return cls(**data)
-        except TypeError as exc:
+        except (TypeError, ConfigurationError) as exc:
             raise FabricError(f"malformed campaign spec: {exc}") from None
 
     @property

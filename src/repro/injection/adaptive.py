@@ -41,9 +41,9 @@ to make that true:
    journal but are excluded from the tallies.
 
 :class:`AdaptiveCampaign` runs inside the one campaign skeleton of
-:class:`~repro.injection.campaign.InjectionCampaign` (cache, stale check,
-image, journal, ``campaign`` span, result store) and contributes only its
-rounds loop.  Every round is one
+:class:`~repro.injection.campaign.InjectionCampaign` (cache, image,
+journal, ``campaign`` span, the serial campaign's one injector, result
+store) and contributes only its rounds loop.  Every round is one
 :func:`~repro.injection.parallel.run_injection_plan` call whose
 ``indices`` list each window's global stream indices - ``range(start,
 stop)`` in stream order, a permutation under learned sampling - so the
@@ -593,25 +593,17 @@ class AdaptiveCampaign(InjectionCampaign):
     """
 
     def __init__(self, config: CampaignConfig, **kwargs):
-        """Validate the adaptive knobs of ``config``; ``kwargs`` are
+        """Require an adaptive ``config`` (its values are checked by
+        :class:`CampaignConfig` itself); ``kwargs`` are
         :class:`InjectionCampaign`'s."""
         if config.target_margin is None:
             raise ConfigurationError(
                 "AdaptiveCampaign requires CampaignConfig.target_margin"
             )
-        if not 0 < config.target_margin < 1:
-            raise ConfigurationError("target_margin must be in (0, 1)")
-        if config.batch_size <= 0:
-            raise ConfigurationError("batch_size must be positive")
-        if not 0 < config.min_faults <= config.max_faults:
-            raise ConfigurationError(
-                "need 0 < min_faults <= max_faults "
-                f"(got {config.min_faults}/{config.max_faults})"
-            )
         super().__init__(config, **kwargs)
-        #: Convergence diagnostics of the last run, by workload name;
-        #: strata served from the cache get recomputed entries, and a
-        #: full cache hit has ``rounds == 0``.
+        #: Convergence diagnostics of the last run, by workload name: a
+        #: live run's convergence, or, for a cache hit (``rounds == 0``),
+        #: the precision the stored tallies achieve.
         self.diagnostics: dict[str, AdaptiveDiagnostics] = {}
 
     # -- diagnostics -----------------------------------------------------------
@@ -663,9 +655,9 @@ class AdaptiveCampaign(InjectionCampaign):
     ) -> WorkloadResult:
         """Adaptive campaign for one workload (cached like the fixed one).
 
-        Strata served from the cache report the precision their stored
-        tallies achieve (:meth:`_diagnostics_from_result`); strata run
-        now report their live convergence.
+        A cache hit reports the precision its stored tallies achieve
+        (:meth:`_diagnostics_from_result`, ``rounds == 0``); a miss runs
+        every requested stratum and reports its live convergence.
         """
         live = AdaptiveDiagnostics(
             workload.name, self.config.target_margin, self.config.confidence, rounds=0
@@ -673,16 +665,15 @@ class AdaptiveCampaign(InjectionCampaign):
         result = self._run_campaign(
             workload, components, use_cache, partial(self._run_rounds, live=live)
         )
-        diagnostics = self._diagnostics_from_result(result)
-        diagnostics.rounds = live.rounds
-        diagnostics.strata.update(live.strata)
-        self.diagnostics[workload.name] = diagnostics
+        self.diagnostics[workload.name] = (
+            live if live.rounds else self._diagnostics_from_result(result)
+        )
         return result
 
     def _run_rounds(
         self,
         image: MachineImage,
-        components: list[Component],
+        components: tuple[Component, ...],
         run_plan: Callable[..., dict[Component, list[FaultEffect | None]]],
         live: AdaptiveDiagnostics,
     ) -> dict[Component, ComponentResult]:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable
 
-from repro.errors import InjectionError
+from repro.errors import ConfigurationError, InjectionError
 from repro.injection.classify import FaultEffect, classify_run
 from repro.injection.components import Component, component_bits, component_target
 from repro.injection.fault import Fault, generate_faults
@@ -49,6 +49,7 @@ from repro.injection.parallel import (
     EngineOptions,
     ImageInjector,
     MachineImage,
+    resolve_jobs,
     run_injection_plan,
     watchdog_budget,
 )
@@ -60,6 +61,7 @@ from repro.injection.sampling import (
 )
 from repro.microarch.config import MachineConfig, SCALED_A9_CONFIG
 from repro.microarch.digest import arch_digest, probe_cycles, system_digest
+from repro.microarch.profile import execution_profile
 from repro.microarch.snapshot import SystemSnapshot, best_snapshot
 from repro.microarch.system import RunResult, System
 from repro.microarch.translate import translated
@@ -171,6 +173,35 @@ class CampaignConfig:
     #: post-corrected estimator.  Changes which injections are tallied,
     #: so it *is* part of the adaptive cache key.
     learned_sampling: bool = False
+
+    def __post_init__(self):
+        """Refuse a campaign no engine could run, before any machine is
+        built (the fabric's :class:`~repro.fabric.protocol.CampaignSpec`
+        validates through this too)."""
+        problems = [
+            f"{name} must be positive"
+            for name in ("faults_per_component", "cluster_size", "batch_size")
+            if getattr(self, name) < 1
+        ]
+        problems += [
+            f"{name} must not be negative"
+            for name in ("jobs", "max_retries")
+            if getattr(self, name) < 0
+        ]
+        if not 0 < self.confidence < 1:
+            problems.append("confidence must lie in (0, 1)")
+        if self.injection_timeout is not None and self.injection_timeout <= 0:
+            problems.append("injection_timeout must be positive")
+        if self.target_margin is not None and not 0 < self.target_margin < 1:
+            problems.append("target_margin must lie in (0, 1)")
+        if not 0 < self.min_faults <= self.max_faults:
+            problems.append(
+                "need 0 < min_faults <= max_faults "
+                f"(got {self.min_faults}/{self.max_faults})"
+            )
+        if problems:
+            raise ConfigurationError("; ".join(problems))
+        self.engine  # EngineOptions validates its own fields
 
     @property
     def engine(self) -> EngineOptions:
@@ -661,8 +692,9 @@ class InjectionCampaign:
         self.tracer = tracer
         self._progress = progress or (lambda message: None)
         #: Per-workload :func:`~repro.microarch.profile.execution_profile`
-        #: snapshots, populated only under ``config.profile`` at
-        #: ``jobs == 1`` (the profiled machine must live in this process).
+        #: snapshots of a serial campaign's one injector machine (fixed
+        #: or adaptive), filled under ``config.profile`` by a run that
+        #: injected, never by a cache hit.
         self.profiles: dict[str, dict] = {}
 
     def _load_cached(self, path: Path) -> WorkloadResult | None:
@@ -685,9 +717,9 @@ class InjectionCampaign:
     ) -> WorkloadResult:
         """Campaign for one workload across the requested components.
 
-        A cached result that covers only *some* of the requested components
-        is extended in place: only the missing components are campaigned,
-        and the merged result is stored back.
+        A cached result that covers every requested component is returned
+        as stored; one that lacks any of them is a miss, and the requested
+        components are all re-run and overwrite it.
         """
         return self._run_campaign(workload, components, use_cache, self._run_fixed)
 
@@ -700,55 +732,48 @@ class InjectionCampaign:
     ) -> WorkloadResult:
         """The campaign skeleton every sampling strategy runs in.
 
-        Loads the cache, builds the image for the components it lacks,
-        opens the journal and the ``campaign`` span, hands
-        ``execute(image, components, run_plan)`` the missing
-        components, and merges the tallies it returns into the stored
-        result.  ``run_plan(plan, indices=None, injector=None)`` is
+        A cache hit covers every requested component and returns as
+        stored.  Anything else runs one way: build the image, open the
+        journal (reporting a resume once, with the journal's totals) and
+        the ``campaign`` span, hand ``execute(image, components,
+        run_plan)`` every requested component, and store the tallies it
+        returns as the whole result.  ``run_plan(plan, indices=None)`` is
         :func:`run_injection_plan` bound to this campaign's image,
-        journal, farm and tracing settings.
+        journal, farm and tracing settings.  A serial campaign binds one
+        :class:`~repro.injection.parallel.ImageInjector` into it, so every
+        window runs on the same machine; the skeleton reads
+        :attr:`profiles` from that machine and closes it at the end.
         """
         components = tuple(components)
         config = self.config
         key = config.cache_key(workload)
         path = self.cache_dir / (key + ".json")
         cached = self._load_cached(path) if use_cache else None
-        missing = [
-            component
-            for component in components
-            if cached is None or component not in cached.components
-        ]
-        if cached is not None and not missing:
+        if cached is not None and set(components) <= set(cached.components):
             return cached
-        if cached is not None:
-            self._progress(
-                f"{workload.name}: cache missing "
-                + ",".join(component.name for component in missing)
-            )
 
         golden, image = prepare_image(workload, config)
-        if cached is not None and cached.golden_cycles != golden.cycles:
-            # Extending it would mix two golden runs: re-run it all.
-            self._progress(
-                f"cache: {path.name} was recorded against "
-                f"{cached.golden_cycles} golden cycles, now {golden.cycles}; "
-                f"re-running"
-            )
-            cached = None
-        if cached is None:
-            missing = list(components)
+        injector = ImageInjector(image) if resolve_jobs(config.jobs) == 1 else None
         journal = None
-        if self.journal_dir is not None:
-            opener = InjectionJournal.open if self.resume else InjectionJournal.create
-            digest = program_digest(workload, config.machine)
-            meta = config.journal_meta(workload.name, digest, golden.cycles)
-            journal = opener(self.journal_dir / (key + ".jsonl"), meta)
         root = (
             self.tracer.span("campaign", workload=workload.name)
             if self.tracer is not None
             else nullcontext()
         )
         try:
+            if self.journal_dir is not None:
+                opener = (
+                    InjectionJournal.open if self.resume else InjectionJournal.create
+                )
+                digest = program_digest(workload, config.machine)
+                meta = config.journal_meta(workload.name, digest, golden.cycles)
+                journal = opener(self.journal_dir / (key + ".jsonl"), meta)
+                if journal.records or journal.quarantines:
+                    self._progress(
+                        f"{workload.name}: resuming from journal with "
+                        f"{len(journal.records)} injection(s) "
+                        f"(+{len(journal.quarantines)} quarantined)"
+                    )
             with root as span:
                 run_plan = partial(
                     run_injection_plan,
@@ -760,18 +785,26 @@ class InjectionCampaign:
                     timeout=config.injection_timeout,
                     max_retries=config.max_retries,
                     quarantined=[],
+                    injector=injector,
                     tracer=self.tracer,
                     span_parent=span.span_id if span is not None else None,
                 )
-                tallies = execute(image, missing, run_plan)
+                tallies = execute(image, components, run_plan)
+            if injector is not None and config.profile:
+                self.profiles[workload.name] = execution_profile(
+                    injector.system.core, injector.translator
+                )
         finally:
+            if injector is not None:
+                injector.close()
             if journal is not None:
                 journal.close()
 
-        result = cached if cached is not None else WorkloadResult(
-            workload_name=workload.name, golden_cycles=golden.cycles
+        result = WorkloadResult(
+            workload_name=workload.name,
+            golden_cycles=golden.cycles,
+            components=tallies,
         )
-        result.components.update(tallies)
         if use_cache:
             write_json_atomic(path, result.to_dict())
         return result
@@ -779,26 +812,13 @@ class InjectionCampaign:
     def _run_fixed(
         self,
         image: MachineImage,
-        components: list[Component],
+        components: tuple[Component, ...],
         run_plan: Callable[..., dict[Component, list[FaultEffect | None]]],
     ) -> dict[Component, ComponentResult]:
         """The fixed-size sample: one plan over ``[0, n)``, tallied whole."""
-        plan = build_fault_plan(self.config, image.golden_cycles, components)
-        # Profiling keeps the injector in our hands: the op histogram and
-        # translator counters live on its machine, which run_injection_plan
-        # would otherwise build and discard internally.
-        injector = (
-            ImageInjector(image)
-            if self.config.profile and self.config.jobs == 1
-            else None
+        effects = run_plan(
+            build_fault_plan(self.config, image.golden_cycles, components)
         )
-        effects = run_plan(plan, injector=injector)
-        if injector is not None:
-            from repro.microarch.profile import execution_profile
-
-            self.profiles[image.name] = execution_profile(
-                injector.system.core, injector.translator
-            )
         return {
             component: ComponentResult.from_effects(
                 component,

@@ -66,7 +66,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from repro.errors import InjectionError
+from repro.errors import ConfigurationError, InjectionError
 from repro.injection.classify import FaultEffect, classify_run
 from repro.injection.components import Component, component_target
 from repro.injection.fault import Fault, StrikeSite
@@ -153,6 +153,17 @@ class EngineOptions:
     #: Compile translator iteration counters and collect per-op dispatch
     #: counts (:mod:`repro.microarch.profile`).
     profile: bool = False
+
+    def __post_init__(self):
+        """Refuse negative counts before any machine is built (types are
+        checked where untyped JSON arrives: the fabric's campaign spec)."""
+        negative = [
+            f"{name} must not be negative"
+            for name in ("digest_probes", "trace_on_crash")
+            if isinstance(getattr(self, name), int) and getattr(self, name) < 0
+        ]
+        if negative:
+            raise ConfigurationError("; ".join(negative))
 
 
 @dataclass
@@ -821,8 +832,8 @@ def _replay_journal(
     telemetry: CampaignTelemetry | None,
     quarantined: list[QuarantineRecord] | None,
     quarantined_slots: set[tuple[Component, int]],
-) -> int:
-    """Prefill effect slots from a journal; returns replayed count.
+) -> None:
+    """Prefill effect slots from a journal.
 
     Each slot looks its global index ``indices[c][slot]`` up in the
     journal; journaled indices the window does not list are other
@@ -856,7 +867,6 @@ def _replay_journal(
                 replayed_quarantines.append(quarantine)
     if telemetry is not None:
         telemetry.replay(replayed_records, replayed_quarantines)
-    return len(replayed_records)
 
 
 def run_injection_plan(
@@ -897,10 +907,10 @@ def run_injection_plan(
     is read (:func:`~repro.injection.journal.read_journal`).
 
     ``injector`` (``jobs == 1`` only) reuses a caller-owned
-    :class:`ImageInjector` instead of building a fresh one - the lease
-    seam that lets a fabric worker amortize machine construction across
-    many small leased windows.  Every injection restores complete machine
-    state before running, so reuse is result-neutral.
+    :class:`ImageInjector` instead of building a fresh one - the seam
+    that lets a serial campaign and a fabric worker amortize machine
+    construction across many small windows.  Every injection restores
+    complete machine state before running, so reuse is result-neutral.
 
     Resilience knobs:
 
@@ -946,7 +956,7 @@ def run_injection_plan(
 
     quarantined_slots: set[tuple[Component, int]] = set()
     if journal is not None:
-        replayed = _replay_journal(
+        _replay_journal(
             journal,
             plan,
             indices,
@@ -955,11 +965,6 @@ def run_injection_plan(
             quarantined,
             quarantined_slots,
         )
-        if replayed or quarantined_slots:
-            progress(
-                f"{image.name}: resumed {replayed} injection(s) "
-                f"(+{len(quarantined_slots)} quarantined) from journal"
-            )
 
     tasks = [
         (component_index, fault_index, fault)
@@ -1109,11 +1114,11 @@ def _run_serial(
     retries on a fresh injector and then quarantine, and the journal sees
     every completion - so even a serial campaign resumes after SIGKILL.
 
-    A caller-provided ``injector`` is reused across calls (the fabric
-    worker's lease loop); after an in-simulator exception a fresh one
-    replaces it for the retry, since its state may be poisoned.  Every
-    injector built here is closed here; a caller-provided one stays the
-    caller's to close.
+    A caller-provided ``injector`` is reused across calls (a serial
+    campaign's windows, the fabric worker's lease loop); after an
+    in-simulator exception a fresh one replaces it for the rest of the
+    window, since its state may be poisoned.  Every injector built here
+    is closed here; a caller-provided one stays the caller's to close.
     """
     owned = injector is None
     if owned:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis.comparison import (
     ComparisonRow,
-    compare_class,
     compare_combined,
     overview_aggregate,
     signed_ratio,
@@ -72,7 +71,7 @@ class TestCompareClass:
     def test_rows_cover_all_workloads(self):
         beam = {"A": beam_result("A", sdc=2), "B": beam_result("B", sdc=4)}
         fits = {"A": injection("A", sdc=1.0), "B": injection("B", sdc=100.0)}
-        rows = compare_class(beam, fits, FaultEffect.SDC)
+        rows = compare_combined(beam, fits, (FaultEffect.SDC,))
         assert [row.workload for row in rows] == ["A", "B"]
         assert rows[0].beam_higher
         assert not rows[1].beam_higher

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -20,6 +21,7 @@ from repro.injection.adaptive import (
 from repro.injection.campaign import CampaignConfig, InjectionCampaign
 from repro.injection.classify import FaultEffect
 from repro.injection.components import Component
+from repro.injection.journal import read_journal
 from repro.injection.sampling import (
     readjusted_margin,
     sample_size,
@@ -331,31 +333,79 @@ class TestAdaptiveLive:
         assert any("not reached" in message for message in messages)
 
 
-class TestAdaptivePartialCacheHit:
-    def test_cached_strata_keep_their_diagnostics(self, tmp_path):
-        """Extending a cached result to more components reports every
-        stratum: the cached ones exactly as a full cache hit would."""
-        config = _adaptive_config(min_faults=5, max_faults=15, batch_size=5)
-        workload = get_workload("CRC32")
-        AdaptiveCampaign(config, cache_dir=tmp_path).run_workload(
-            workload, components=(Component.REGFILE,)
-        )
-        campaign = AdaptiveCampaign(config, cache_dir=tmp_path)
-        result = campaign.run_workload(
-            workload, components=(Component.REGFILE, Component.L1D)
-        )
-        diagnostics = campaign.diagnostics["CRC32"]
-        assert set(result.components) == {Component.REGFILE, Component.L1D}
-        assert set(diagnostics.strata) == {Component.REGFILE, Component.L1D}
-        assert diagnostics.rounds >= 1  # L1D ran live
+class TestOneInjectorPerSerialCampaign:
+    """A serial campaign runs every window on one injector machine."""
 
-        hit = AdaptiveCampaign(config, cache_dir=tmp_path)
-        hit.run_workload(workload, components=(Component.REGFILE,))
-        assert hit.diagnostics["CRC32"].rounds == 0
-        assert (
-            diagnostics.strata[Component.REGFILE]
-            == hit.diagnostics["CRC32"].strata[Component.REGFILE]
+    def test_serial_run_builds_one_injector_and_matches_a_farm(
+        self, tmp_path, monkeypatch
+    ):
+        built: list[str] = []
+        init = parallel.ImageInjector.__init__
+
+        def spy(injector, image):
+            built.append(image.name)
+            init(injector, image)
+
+        monkeypatch.setattr(parallel.ImageInjector, "__init__", spy)
+        config = _adaptive_config(min_faults=5, max_faults=15, batch_size=5)
+        workload = get_workload("StringSearch")
+        serial = AdaptiveCampaign(
+            config, cache_dir=tmp_path / "serial", journal_dir=tmp_path / "js"
         )
+        result = serial.run_workload(workload, components=COMPONENTS)
+        assert serial.diagnostics["StringSearch"].rounds > 1
+        assert built == ["StringSearch"]
+
+        farm = AdaptiveCampaign(
+            dataclasses.replace(config, jobs=2),
+            cache_dir=tmp_path / "farm",
+            journal_dir=tmp_path / "jf",
+        )
+        assert farm.run_workload(
+            workload, components=COMPONENTS
+        ).to_dict() == result.to_dict()
+
+        def faults(journal_dir):
+            _meta, records, quarantines = read_journal(
+                next(journal_dir.glob("*.jsonl"))
+            )
+            assert quarantines == []
+            return {
+                (record.component, record.index): (
+                    record.bit_index, record.cycle, record.effect
+                )
+                for record in records
+            }
+
+        assert faults(tmp_path / "js") == faults(tmp_path / "jf")
+
+    def test_resume_is_reported_once_with_the_journal_totals(self, tmp_path):
+        config = _adaptive_config(min_faults=5, max_faults=15, batch_size=5)
+        workload = get_workload("StringSearch")
+        journal_dir = tmp_path / "journal"
+        first = AdaptiveCampaign(
+            config, cache_dir=tmp_path / "cache1", journal_dir=journal_dir
+        )
+        uninterrupted = first.run_workload(workload, components=COMPONENTS)
+        journal_path = next(journal_dir.glob("*.jsonl"))
+        lines = journal_path.read_text().splitlines(keepends=True)
+        keep = len(lines) - 4
+        journal_path.write_text("".join(lines[: keep + 1]))
+
+        messages: list[str] = []
+        resumed = AdaptiveCampaign(
+            dataclasses.replace(config, batch_size=2),
+            cache_dir=tmp_path / "cache2",
+            journal_dir=journal_dir,
+            resume=True,
+            progress=messages.append,
+        ).run_workload(workload, components=COMPONENTS)
+        assert _tallies(resumed) == _tallies(uninterrupted)
+        resumes = [message for message in messages if "resum" in message]
+        assert resumes == [
+            f"StringSearch: resuming from journal with {keep} "
+            "injection(s) (+0 quarantined)"
+        ]
 
 
 @pytest.mark.slow

@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import InjectionError
 from repro.injection import campaign as campaign_module
+from repro.injection import parallel
 from repro.injection.adaptive import AdaptiveCampaign
 from repro.injection.campaign import (
     CampaignConfig,
@@ -186,8 +187,9 @@ class TestCorruptCache:
 
 
 class TestStaleGoldenCache:
-    """A partial cache hit recorded against another golden run is not
-    extended: every requested component is re-run against the new one."""
+    """A cached result that lacks a requested component is a miss: every
+    requested component is re-run and the file is overwritten whole,
+    whichever golden run the partial file was recorded against."""
 
     @pytest.mark.parametrize(
         "campaign_class, config",
@@ -205,42 +207,71 @@ class TestStaleGoldenCache:
     )
     def test_stale_partial_cache_is_rerun(self, campaign_class, config, tmp_path):
         workload = get_workload("StringSearch")
-        golden = run_golden(workload, SCALED_A9_CONFIG)
+        components = (Component.REGFILE, Component.L1D)
+        fresh = campaign_class(config, cache_dir=tmp_path / "fresh")
+        expected = fresh.run_workload(workload, components=components).to_dict()
+        golden_cycles = expected["golden_cycles"]
         bogus = 999
-        stale = WorkloadResult(
-            workload_name=workload.name,
-            golden_cycles=golden.cycles + 1,
-            components={
-                Component.REGFILE: ComponentResult(
-                    component=Component.REGFILE,
-                    injections=bogus,
-                    population_bits=component_bits(
-                        SCALED_A9_CONFIG, Component.REGFILE
-                    ),
-                    counts={FaultEffect.SDC: bogus},
-                )
-            },
-        )
-        cache_file = tmp_path / (config.cache_key(workload) + ".json")
-        cache_file.write_text(json.dumps(stale.to_dict()))
-        messages: list[str] = []
-        campaign = campaign_class(
-            config, cache_dir=tmp_path, progress=messages.append
-        )
-        result = campaign.run_workload(
-            workload, components=(Component.REGFILE, Component.L1D)
-        )
-        assert result.golden_cycles == golden.cycles
-        assert set(result.components) == {Component.REGFILE, Component.L1D}
-        for tally in result.components.values():
-            assert 0 < tally.injections < bogus
-        assert (
-            f"cache: {cache_file.name} was recorded against "
-            f"{golden.cycles + 1} golden cycles, now {golden.cycles}; "
-            "re-running"
-        ) in messages
-        stored = WorkloadResult.from_dict(json.loads(cache_file.read_text()))
-        assert stored.to_dict() == result.to_dict()
+        for recorded_cycles in (golden_cycles, golden_cycles + 1):
+            partial = WorkloadResult(
+                workload_name=workload.name,
+                golden_cycles=recorded_cycles,
+                components={
+                    Component.REGFILE: ComponentResult(
+                        component=Component.REGFILE,
+                        injections=bogus,
+                        population_bits=component_bits(
+                            SCALED_A9_CONFIG, Component.REGFILE
+                        ),
+                        counts={FaultEffect.SDC: bogus},
+                    )
+                },
+            )
+            cache_dir = tmp_path / f"partial-{recorded_cycles}"
+            cache_file = cache_dir / (config.cache_key(workload) + ".json")
+            cache_dir.mkdir()
+            cache_file.write_text(json.dumps(partial.to_dict()))
+            messages: list[str] = []
+            campaign = campaign_class(
+                config, cache_dir=cache_dir, progress=messages.append
+            )
+            result = campaign.run_workload(workload, components=components)
+            assert result.to_dict() == expected
+            assert not any("cache" in message for message in messages)
+            assert json.loads(cache_file.read_text()) == expected
+
+
+class TestSerialInjector:
+    """A serial campaign runs on one injector it builds and closes; an
+    in-simulator exception moves the rest of the window to a fresh one."""
+
+    def test_exception_finishes_the_window_on_a_fresh_injector(
+        self, tmp_path, monkeypatch
+    ):
+        workload = get_workload("StringSearch")
+        config = CampaignConfig(faults_per_component=3, seed=5)
+        expected = InjectionCampaign(
+            config, cache_dir=tmp_path / "clean"
+        ).run_workload(workload).to_dict()
+
+        used: list = []
+        real = parallel.ImageInjector.run_fault_ex
+
+        def flaky(injector, fault):
+            used.append(injector)
+            if len(used) == 1:
+                raise RuntimeError("boom")
+            return real(injector, fault)
+
+        monkeypatch.setattr(parallel.ImageInjector, "run_fault_ex", flaky)
+        result = InjectionCampaign(
+            config, cache_dir=tmp_path / "flaky"
+        ).run_workload(workload)
+        assert result.to_dict() == expected
+        first, retry, *rest = used
+        assert retry is not first
+        assert all(injector is retry for injector in rest)
+        assert first.translator is None and retry.translator is None  # closed
 
 
 class TestPrepareImage:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.microarch.system import System
 
 
 class TestParser:
@@ -328,3 +329,70 @@ class TestInjectResilienceFlags:
         assert "replayed" in out
         # Nothing new was simulated: the journal is byte-identical.
         assert journals[0].read_text() == before
+
+
+class TestInvalidValues:
+    """Invalid values exit 2 with one error line before any machine is
+    built, so nothing runs and nothing is cached."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["inject", "CRC32", "-n", "0"],
+             "faults_per_component must be positive"),
+            (["inject", "CRC32", "--digest-probes", "-3"],
+             "digest_probes must not be negative"),
+            (["inject", "CRC32", "-j", "-2"], "jobs must not be negative"),
+            (["inject", "CRC32", "--target-margin", "0.1", "--min-faults", "0"],
+             "need 0 < min_faults <= max_faults (got 0/1000)"),
+            (["beam", "CRC32", "--hours", "-5"], "beam_hours must be positive"),
+        ],
+        ids=["faults", "digest-probes", "jobs", "min-faults", "beam-hours"],
+    )
+    def test_exits_2_before_any_system_is_built(
+        self, argv, message, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        built = []
+        init = System.__init__
+
+        def spy(system, *args, **kwargs):
+            built.append(system)
+            init(system, *args, **kwargs)
+
+        monkeypatch.setattr(System, "__init__", spy)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert built == []
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestInjectProfile:
+    def test_adaptive_profile_prints_the_same_rows(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``--profile`` works with ``--target-margin``: it adds the
+        profile and changes no reported row."""
+        flags = [
+            "inject", "CRC32", "--target-margin", "0.3",
+            "--min-faults", "5", "--max-faults", "10", "--batch-size", "6",
+        ]
+
+        def rows(text: str) -> list[str]:
+            return [
+                line for line in text.splitlines()
+                if " AVF " in line or "predicted FIT" in line
+            ]
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "plain"))
+        assert main(flags) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "profiled"))
+        assert main(flags + ["--profile"]) == 0
+        profiled = capsys.readouterr().out
+        assert len(rows(plain)) == 7
+        assert rows(profiled) == rows(plain)
+        assert "execution profile:" in profiled
+        assert "execution profile:" not in plain
+        # A profile run bypasses the result cache in both directions.
+        assert not (tmp_path / "profiled").exists()
