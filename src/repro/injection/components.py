@@ -25,7 +25,8 @@ class Component(enum.Enum):
 
 
 def component_target(system: System, component: Component):
-    """The live structure (exposes ``data_bits`` / ``flip_bit``)."""
+    """The live structure (exposes ``data_bits``, ``observable``,
+    ``line_base_paddr`` and ``flip_bit``)."""
     return {
         Component.L2: system.l2,
         Component.L1D: system.l1d,

@@ -33,9 +33,10 @@ class StrikeSite:
     ``mode`` is the core's privilege mode at the flip (``"user"`` or
     ``"kernel"``); ``region`` names the memory region the struck cache
     line held (``None`` for an invalid line or a non-cache component);
-    ``live`` is whether the first struck cell could be observed at all (a
-    valid cache line, a live field of a valid TLB entry, an architectural
-    register).
+    ``live`` is whether any struck cell of the cluster could be observed
+    at all (a valid cache line, a live field of a valid TLB entry, an
+    architectural register).  With early exit armed, a run ends
+    ``dead-cell`` exactly when its site is not live.
     """
 
     mode: str

@@ -44,9 +44,13 @@ dominated by Masked outcomes, so the injector prunes provably-dead runs
 instead of simulating them to program exit - with a machine-checkable
 equivalence guarantee (effects are bit-identical with pruning on or off):
 
-- **dead-cell short-circuit**: a flip landing entirely in *invalid* cache
-  lines can never be observed (the only way back to valid overwrites the
-  whole line), so it is classified Masked at flip time;
+- **dead-cell short-circuit**: every target answers whether a bit is
+  observable now (``observable``, equal to what its ``flip_bit`` would
+  return): a cache bit in a valid line, a tag/frame/permission bit of a
+  valid TLB entry, a bit of an architectural register.  A flip whose
+  cluster holds no observable bit - only invalid cache lines, invalid TLB
+  entries or TLB attribute bits, or write-only rename slots - can never
+  be observed, so it is classified Masked at flip time;
 - **golden-state digest convergence**: the image carries blake2b digests
   of the golden run's complete mutable state at a probe grid of cycles
   (:mod:`repro.microarch.digest`); an injected run registers probe events
@@ -70,7 +74,6 @@ from repro.errors import ConfigurationError, InjectionError
 from repro.injection.classify import FaultEffect, classify_run
 from repro.injection.components import Component, component_target
 from repro.injection.fault import Fault, StrikeSite
-from repro.microarch.cache import Cache
 from repro.microarch.digest import arch_digest, system_digest
 from repro.injection.journal import (
     InjectionJournal,
@@ -201,7 +204,7 @@ class MachineImage:
 
 
 #: ``InjectionResult.ended_by`` values: simulated to completion, converged
-#: onto a golden digest, or flipped only unobservable invalid cache lines.
+#: onto a golden digest, or struck only unobservable cells.
 ENDED_FULL = "full"
 ENDED_DIGEST = "digest"
 ENDED_DEAD_CELL = "dead-cell"
@@ -270,6 +273,10 @@ class ImageInjector:
 
     def __init__(self, image: MachineImage):
         self.image = image
+        self._boot()
+
+    def _boot(self) -> None:
+        image = self.image
         engine = image.engine
         beam = image.check_program is not None
         self.system = System(
@@ -314,6 +321,18 @@ class ImageInjector:
         self.system.core.translator = None
         self.translator = None
 
+    def renew(self) -> None:
+        """Close this injector's machine and boot a fresh one in its place.
+
+        After an in-simulator exception the machine's state may be
+        poisoned beyond what a restore rewrites.  Renewing in place closes
+        the machine that raised, once, and every holder of the injector
+        (a serial campaign, a fabric worker's campaign context, a farm
+        worker) runs the rest of its work on the fresh machine.
+        """
+        self.close()
+        self._boot()
+
     def run_fault_ex(
         self, fault: Fault, strike: Callable[[str | None], None] | None = None
     ) -> InjectionResult:
@@ -322,15 +341,18 @@ class ImageInjector:
 
         This is the one per-injection entry point: the farm, the fabric
         worker and the beam's strikes all run through it.  At the flip
-        it records the :class:`~repro.injection.fault.StrikeSite` (one
-        region lookup for a valid cache line).  ``strike(region)`` then
-        runs with the site's region before any bit flips; an exception it
+        it looks up the struck line's region (valid cache lines only) and
+        runs ``strike(region)`` before any bit flips; an exception it
         raises ends the run and propagates (the beam's board model
-        resolves background-OS line hits that way).
+        resolves background-OS line hits that way).  It then records the
+        :class:`~repro.injection.fault.StrikeSite`, live when any bit of
+        the cluster is observable.
 
         With ``early_exit`` armed, two sound pruning mechanisms can
         classify a run Masked without simulating it to completion (see
-        the module docstring); both raise :class:`EarlyMasked`, caught
+        the module docstring): the dead-cell rule - no bit of the cluster
+        is observable, so nothing flips and the run ends at the flip - and
+        digest convergence.  Both raise :class:`EarlyMasked`, caught
         here.  Probe events are registered only for cycles *strictly
         after* the injection cycle - up to the flip the run is the golden
         prefix by construction, so an earlier probe would trivially match
@@ -358,30 +380,25 @@ class ImageInjector:
 
         def flip():
             nonlocal site
-            mode = system.core.mode.name.lower()
-            region = None
-            is_cache = isinstance(target, Cache)
-            if is_cache and target.line_at(fault.bit_index).valid:
-                region = image.machine.layout.region_of(
-                    target.line_base_paddr(fault.bit_index)
-                )
+            paddr = target.line_base_paddr(fault.bit_index)
+            region = (
+                None if paddr is None else image.machine.layout.region_of(paddr)
+            )
             if strike is not None:
                 strike(region)
-            if early and is_cache and target.cluster_dead(fault.bit_index, cluster):
-                site = StrikeSite(mode, region, False)
-                if lifetime is not None:
-                    lifetime.event(EV_FLIP, fault.component.name)
-                raise EarlyMasked(ENDED_DEAD_CELL)
             bits = [
                 (fault.bit_index + offset) % population
                 for offset in range(cluster)
             ]
-            live = target.flip_bit(bits[0])
-            for bit in bits[1:]:
-                target.flip_bit(bit)
-            site = StrikeSite(mode, region, bool(live))
+            live = any(target.observable(bit) for bit in bits)
+            site = StrikeSite(system.core.mode.name.lower(), region, live)
             if lifetime is not None:
                 lifetime.event(EV_FLIP, fault.component.name)
+            if early and not live:
+                raise EarlyMasked(ENDED_DEAD_CELL)
+            for bit in bits:
+                target.flip_bit(bit)
+            if lifetime is not None:
                 uninstall.append(
                     install_taint(system, fault.component, bits, lifetime)
                 )
@@ -509,6 +526,7 @@ def _worker_main(image: MachineImage, task_conn, result_conn, worker_id: int):
                 "error", worker_id, component_index, fault_index,
                 f"{type(exc).__name__}: {exc}", time.perf_counter() - start,
             )
+            injector.renew()  # state may be poisoned
         else:
             message = (
                 "ok", worker_id, component_index, fault_index,
@@ -1111,14 +1129,15 @@ def _run_serial(
 
     A crash here takes the campaign down with it (there is no worker to
     die in our place), but in-simulator exceptions still get bounded
-    retries on a fresh injector and then quarantine, and the journal sees
+    retries on a renewed machine and then quarantine, and the journal sees
     every completion - so even a serial campaign resumes after SIGKILL.
 
     A caller-provided ``injector`` is reused across calls (a serial
     campaign's windows, the fabric worker's lease loop); after an
-    in-simulator exception a fresh one replaces it for the rest of the
-    window, since its state may be poisoned.  Every injector built here
-    is closed here; a caller-provided one stays the caller's to close.
+    in-simulator exception it is renewed in place
+    (:meth:`ImageInjector.renew`), so the fresh machine serves the
+    caller's later windows too.  An injector built here is closed here;
+    a caller-provided one stays the caller's to close.
     """
     owned = injector is None
     if owned:
@@ -1132,10 +1151,7 @@ def _run_serial(
                 result = injector.run_fault_ex(attempt.fault)
             except Exception as exc:  # noqa: BLE001 - bounded retry, then report
                 attempt.attempts += 1
-                if owned:
-                    injector.close()
-                injector = ImageInjector(image)  # state may be poisoned
-                owned = True
+                injector.renew()  # state may be poisoned
                 reason = f"raised {type(exc).__name__}: {exc}"
                 if attempt.attempts <= max_retries:
                     retry(attempt, reason)

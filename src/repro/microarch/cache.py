@@ -323,30 +323,21 @@ class Cache:
         set_index, way, _byte, _bit = self.locate_bit(bit_index)
         return self.sets[set_index][way]
 
-    def cluster_dead(self, bit_index: int, cluster_size: int) -> bool:
-        """True when a multi-bit cluster lands entirely in invalid lines.
+    def observable(self, bit_index: int) -> bool:
+        """Whether a flip of this bit could ever be observed: its line is valid.
 
         A flip in an invalid line is unobservable: the line's data is only
         consumed while ``valid`` (reads, write-backs, ``peek``), and the
         only transition back to valid - a miss fill or ``prefill`` -
-        overwrites the whole payload.  A cluster is therefore provably
-        Masked only if *every* one of its bits lands in an invalid line;
-        one bit in a valid line keeps the whole injection live (the
-        cluster-straddle regression test pins this).
+        overwrites the whole payload.  Equals :meth:`flip_bit`'s return.
         """
-        population = self.data_bits
-        return all(
-            not self.line_at((bit_index + offset) % population).valid
-            for offset in range(cluster_size)
-        )
+        return self.line_at(bit_index).valid
 
-    def line_base_paddr(self, bit_index: int) -> int:
-        """Physical base address of the line currently holding this bit.
-
-        Only meaningful when the line is valid.
-        """
+    def line_base_paddr(self, bit_index: int) -> int | None:
+        """Physical base address of the line currently holding this bit,
+        or ``None`` when the line is invalid (it holds no memory copy)."""
         line = self.line_at(bit_index)
-        return line.tag << self._offset_bits
+        return line.tag << self._offset_bits if line.valid else None
 
     def flip_bit(self, bit_index: int) -> bool:
         """Flip one bit of the data array.

@@ -92,19 +92,36 @@ class PhysRegFile:
     def data_bits(self) -> int:
         return self.n_int * INT_REG_BITS + self.n_fp * FP_REG_BITS
 
-    def flip_bit(self, bit_index: int) -> bool:
-        """Flip one bit; returns True when it hit an architectural register."""
+    def _locate(self, bit_index: int) -> tuple[bool, int, int]:
+        """Map a flat bit index to (integer bank?, register, bit)."""
         if not 0 <= bit_index < self.data_bits:
             raise InjectionError(f"regfile bit index {bit_index} out of range")
         int_bits = self.n_int * INT_REG_BITS
         if bit_index < int_bits:
-            reg = bit_index // INT_REG_BITS
-            bit = bit_index % INT_REG_BITS
+            return True, bit_index // INT_REG_BITS, bit_index % INT_REG_BITS
+        fp_index = bit_index - int_bits
+        return False, fp_index // FP_REG_BITS, fp_index % FP_REG_BITS
+
+    def observable(self, bit_index: int) -> bool:
+        """Whether a flip of this bit could ever be observed: it belongs
+        to an architectural register.
+
+        Rename slots are write-only: :meth:`write_int`/:meth:`write_fp`
+        (and the translator's inlined copies of them) store to them, and
+        nothing reads them.  Equals :meth:`flip_bit`'s return.
+        """
+        return self._locate(bit_index)[1] < ARCH_REGS
+
+    def line_base_paddr(self, bit_index: int) -> None:
+        """Registers hold values, not copies of memory lines."""
+        return None
+
+    def flip_bit(self, bit_index: int) -> bool:
+        """Flip one bit; returns True when it hit an architectural register."""
+        is_int, reg, bit = self._locate(bit_index)
+        if is_int:
             self.int_regs[reg] = (self.int_regs[reg] ^ (1 << bit)) & _INT_MASK
             return reg < ARCH_REGS
-        fp_index = bit_index - int_bits
-        reg = fp_index // FP_REG_BITS
-        bit = fp_index % FP_REG_BITS
         packed = bytearray(struct.pack("<d", self.fp_regs[reg]))
         packed[bit // 8] ^= 1 << (bit % 8)
         self.fp_regs[reg] = struct.unpack("<d", bytes(packed))[0]

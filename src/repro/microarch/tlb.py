@@ -193,6 +193,30 @@ class TLB:
     def data_bits(self) -> int:
         return self.geometry.data_bits
 
+    def _locate(self, bit_index: int) -> tuple[TLBEntry, int]:
+        """Map a flat bit index to (entry, bit within the entry)."""
+        if not 0 <= bit_index < self.data_bits:
+            raise InjectionError(f"{self.name}: bit index {bit_index} out of range")
+        entry_bits = self.geometry.entry_bits
+        return self.entries[bit_index // entry_bits], bit_index % entry_bits
+
+    def observable(self, bit_index: int) -> bool:
+        """Whether a flip of this bit could ever be observed: a tag,
+        frame or permission bit of a valid entry.
+
+        Invalid entries are never consumed (every lookup, the core's and
+        the translator's fast paths and the kernel-page check all gate on
+        ``valid``), and :meth:`fill` overwrites every field it revalidates;
+        attribute bits are not stored at all.  Equals :meth:`flip_bit`'s
+        return.
+        """
+        entry, bit = self._locate(bit_index)
+        return entry.valid and bit < PERM_FIELD.stop
+
+    def line_base_paddr(self, bit_index: int) -> None:
+        """Entries hold translations, not copies of memory lines."""
+        return None
+
     def flip_bit(self, bit_index: int) -> bool:
         """Flip one bit of one entry.
 
@@ -201,11 +225,7 @@ class TLB:
         observed; ``False`` when it lands in an invalid entry or in the
         unused attribute bits.
         """
-        if not 0 <= bit_index < self.data_bits:
-            raise InjectionError(f"{self.name}: bit index {bit_index} out of range")
-        entry_bits = self.geometry.entry_bits
-        entry = self.entries[bit_index // entry_bits]
-        bit = bit_index % entry_bits
+        entry, bit = self._locate(bit_index)
 
         if bit in VPN_FIELD:
             old_vpn = entry.vpn

@@ -379,6 +379,59 @@ class TestOneInjectorPerSerialCampaign:
 
         assert faults(tmp_path / "js") == faults(tmp_path / "jf")
 
+    def test_a_renewed_machine_serves_every_later_round(
+        self, tmp_path, monkeypatch
+    ):
+        """The first fault raises once: the injector renews its machine,
+        closes the one that raised, and rounds 2-5 run on the fresh one
+        with the tallies of an unfaulted run."""
+        config = _adaptive_config(
+            target_margin=0.01, min_faults=5, max_faults=15, batch_size=5
+        )
+        workload = get_workload("StringSearch")
+        clean = AdaptiveCampaign(config, cache_dir=tmp_path / "clean")
+        expected = _tallies(clean.run_workload(workload, components=COMPONENTS))
+        assert clean.diagnostics["StringSearch"].rounds == 5
+
+        rounds: list[int] = []
+        machines: list = []
+        closed: list = []
+        real_run, real_close = (
+            parallel.ImageInjector.run_fault_ex,
+            parallel.ImageInjector.close,
+        )
+        real_plan = campaign_module.run_injection_plan
+
+        def plan_spy(*args, **kwargs):
+            rounds.append(len(rounds) + 1)
+            return real_plan(*args, **kwargs)
+
+        def run_spy(injector, fault):
+            machines.append((rounds[-1], injector.system))
+            if len(machines) == 1:
+                raise RuntimeError("boom")
+            return real_run(injector, fault)
+
+        def close_spy(injector):
+            closed.append(injector.system)
+            real_close(injector)
+
+        monkeypatch.setattr(campaign_module, "run_injection_plan", plan_spy)
+        monkeypatch.setattr(parallel.ImageInjector, "run_fault_ex", run_spy)
+        monkeypatch.setattr(parallel.ImageInjector, "close", close_spy)
+        faulted = AdaptiveCampaign(config, cache_dir=tmp_path / "faulted")
+        result = faulted.run_workload(workload, components=COMPONENTS)
+        assert _tallies(result) == expected
+        assert rounds == [1, 2, 3, 4, 5]
+
+        (first_round, poisoned), *rest = machines
+        fresh = rest[0][1]
+        assert first_round == 1 and fresh is not poisoned
+        assert {round_ for round_, _ in rest} == {1, 2, 3, 4, 5}
+        assert all(machine is fresh for _, machine in rest)
+        # The machine that raised is closed once, the fresh one at the end.
+        assert closed == [poisoned, fresh]
+
     def test_resume_is_reported_once_with_the_journal_totals(self, tmp_path):
         config = _adaptive_config(min_faults=5, max_faults=15, batch_size=5)
         workload = get_workload("StringSearch")

@@ -243,7 +243,8 @@ class TestStaleGoldenCache:
 
 class TestSerialInjector:
     """A serial campaign runs on one injector it builds and closes; an
-    in-simulator exception moves the rest of the window to a fresh one."""
+    in-simulator exception renews its machine, and the rest of the window
+    runs on the fresh one."""
 
     def test_exception_finishes_the_window_on_a_fresh_injector(
         self, tmp_path, monkeypatch
@@ -255,10 +256,12 @@ class TestSerialInjector:
         ).run_workload(workload).to_dict()
 
         used: list = []
+        injectors: set = set()
         real = parallel.ImageInjector.run_fault_ex
 
         def flaky(injector, fault):
-            used.append(injector)
+            used.append(injector.system)
+            injectors.add(injector)
             if len(used) == 1:
                 raise RuntimeError("boom")
             return real(injector, fault)
@@ -268,10 +271,13 @@ class TestSerialInjector:
             config, cache_dir=tmp_path / "flaky"
         ).run_workload(workload)
         assert result.to_dict() == expected
+        assert len(injectors) == 1  # the campaign's one injector, renewed
         first, retry, *rest = used
         assert retry is not first
-        assert all(injector is retry for injector in rest)
-        assert first.translator is None and retry.translator is None  # closed
+        assert all(system is retry for system in rest)
+        # Both machines were closed (translator detached).
+        assert first.core.translator is None
+        assert retry.core.translator is None
 
 
 class TestPrepareImage:

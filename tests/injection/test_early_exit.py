@@ -11,6 +11,9 @@ journal, and the rendered report.
 
 from __future__ import annotations
 
+import random
+import struct
+
 import pytest
 
 from repro.injection.campaign import (
@@ -42,7 +45,10 @@ from repro.injection.telemetry import CampaignTelemetry
 from repro.analysis.report import telemetry_table
 from repro.kernel.layout import DEFAULT_LAYOUT
 from repro.microarch.config import SCALED_A9_CONFIG
+from repro.microarch.digest import arch_digest
+from repro.microarch.regfile import ARCH_REGS
 from repro.microarch.system import System
+from repro.microarch.translate import translated
 from repro.workloads import get_workload
 from tests.injection.records import outcome
 
@@ -86,12 +92,13 @@ class TestPerFaultEquivalence:
         _workload, golden, _snapshots, _digests = prepared
         pruned_image, full_image = _image_pair(prepared, cluster_size)
         pruned, full = ImageInjector(pruned_image), ImageInjector(full_image)
+        dead_cell = set()
         for component in Component:
             faults = generate_faults(
                 component,
                 component_bits(MACHINE, component),
                 golden.cycles,
-                count=3,
+                count=5,
                 seed=17 + cluster_size,
             )
             for fault in faults:
@@ -104,6 +111,16 @@ class TestPerFaultEquivalence:
                     f"pruned={result.effect} (via {result.ended_by}) "
                     f"full={reference.effect}"
                 )
+                # The dead-cell rule fires exactly on unobservable sites.
+                assert result.site == reference.site
+                assert (result.ended_by == ENDED_DEAD_CELL) is (
+                    not result.site.live
+                )
+                if result.ended_by == ENDED_DEAD_CELL:
+                    dead_cell.add(component)
+        # Rename slots, invalid TLB entries and TLB attribute bits are
+        # common enough that every plan of these components meets them.
+        assert {Component.REGFILE, Component.DTLB, Component.ITLB} <= dead_cell
 
     def test_early_terminations_are_masked_and_account_savings(self, prepared):
         _workload, golden, _snapshots, _digests = prepared
@@ -154,8 +171,8 @@ class TestClusterStraddle:
             None,
         )
         assert bit_index is not None, "no invalid/valid line pair found"
-        assert cache.cluster_dead(bit_index, 1)
-        assert not cache.cluster_dead(bit_index, 2)
+        assert not cache.observable(bit_index)
+        assert cache.observable(bit_index + 1)
 
         fault = Fault(Component.L2, bit_index, snapshot.cycle)
         pruned_image, full_image = _image_pair(prepared, 2)
@@ -188,6 +205,52 @@ class TestClusterStraddle:
         assert result.effect is FaultEffect.MASKED
         reference = ImageInjector(full_image).run_fault_ex(fault)
         assert reference.effect is FaultEffect.MASKED
+
+
+class TestDeadStateSoundness:
+    """The dead state the rule prunes is dead: scrambling all of it at a
+    mid-run checkpoint leaves the run to exit bit-identical to golden."""
+
+    @staticmethod
+    def _scramble(system, rng) -> int:
+        """Randomize every rename slot and every field of every invalid
+        TLB entry; returns how many invalid TLB entries there were."""
+        rf = system.rf
+        for reg in range(ARCH_REGS, rf.n_int):
+            rf.int_regs[reg] = rng.getrandbits(32)
+        for reg in range(ARCH_REGS, rf.n_fp):
+            rf.fp_regs[reg] = struct.unpack(
+                "<d", rng.getrandbits(64).to_bytes(8, "little")
+            )[0]
+        invalid = 0
+        for tlb in (system.itlb, system.dtlb):
+            for entry in tlb.entries:
+                if not entry.valid:
+                    entry.vpn = rng.getrandbits(20)
+                    entry.ppn = rng.getrandbits(20)
+                    entry.perms = rng.getrandbits(5)
+                    invalid += 1
+        return invalid
+
+    @pytest.mark.parametrize("name", ["StringSearch", "FFT"])
+    @pytest.mark.parametrize("translate", [True, False])
+    def test_scrambled_dead_state_runs_to_the_golden_exit(self, name, translate):
+        workload = get_workload(name)
+        golden = run_golden(workload, MACHINE)
+        reference = System(workload.program(MACHINE.layout), config=MACHINE)
+        reference.run(max_cycles=200_000_000)
+        snapshots, _, _, _, _ = record_golden_observables(
+            workload, MACHINE, golden, snapshot_count=4, digest_count=0
+        )
+        system = System(workload.program(MACHINE.layout), config=MACHINE)
+        snapshots[len(snapshots) // 2].restore(system)
+        assert self._scramble(system, random.Random(name)) > 0
+        with translated(system, translate):
+            result = system.run(max_cycles=200_000_000)
+        assert result.cycles == golden.cycles
+        assert result.output == golden.output
+        assert result.exited_cleanly
+        assert arch_digest(system) == arch_digest(reference)
 
 
 class TestCampaignIntegration:

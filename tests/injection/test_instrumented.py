@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import random
 
 import pytest
 
@@ -12,11 +14,20 @@ from repro.injection.campaign import (
     run_single_injection,
 )
 from repro.injection.classify import FaultEffect
-from repro.injection.components import Component, component_bits
+from repro.injection.components import (
+    Component,
+    component_bits,
+    component_target,
+)
 from repro.injection.fault import Fault, StrikeSite, generate_faults
 from repro.injection.journal import InjectionRecord
-from repro.injection.parallel import EngineOptions, ImageInjector
+from repro.injection.parallel import (
+    ENDED_DEAD_CELL,
+    EngineOptions,
+    ImageInjector,
+)
 from repro.microarch.config import SCALED_A9_CONFIG
+from repro.microarch.system import System
 from repro.workloads import get_workload
 
 #: The reference engine: interpreter, full-sweep restores, no pruning.
@@ -125,6 +136,90 @@ class TestEngineIndependence:
         site = injector.run_fault_ex(fault).site
         assert site.region is None
         assert site.live  # register 0 is architectural
+
+
+def _mid_run(prepared):
+    """A machine restored to the middle golden checkpoint, and that
+    checkpoint's cycle (a fault there flips exactly this state)."""
+    image = prepared[1]
+    snapshot = image.snapshots[len(image.snapshots) // 2]
+    system = System(image.program, config=image.machine)
+    snapshot.restore(system)
+    return system, snapshot.cycle
+
+
+def _straddle(target, population):
+    """The first bit that is dead while the next one is live, if any."""
+    return next(
+        (
+            bit
+            for bit in range(population - 1)
+            if not target.observable(bit) and target.observable(bit + 1)
+        ),
+        None,
+    )
+
+
+class TestLiveSite:
+    """``StrikeSite.live`` and the dead-cell rule read one predicate."""
+
+    def test_predicate_equals_flip_bit_on_a_mid_run_machine(self, prepared):
+        system, _cycle = _mid_run(prepared)
+        rng = random.Random(11)
+        seen = set()
+        for component in Component:
+            target = component_target(system, component)
+            for _ in range(200):
+                bit = rng.randrange(target.data_bits)
+                observable = target.observable(bit)
+                assert target.flip_bit(bit) is observable, (component, bit)
+                seen.add(observable)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("cluster_size", [1, 2, 4])
+    def test_live_when_any_bit_of_the_cluster_is(
+        self, prepared, golden, cluster_size
+    ):
+        """Every component, including clusters that straddle from a dead
+        cell into a live one; with early exit on, a run ends dead-cell
+        exactly when its site is not live."""
+        probe, cycle = _mid_run(prepared)
+        image = dataclasses.replace(
+            prepared[1],
+            cluster_size=cluster_size,
+            engine=EngineOptions(lifetime_events=False),
+        )
+        injector = ImageInjector(image)
+        straddled = set()
+        try:
+            for component in Component:
+                target = component_target(probe, component)
+                population = target.data_bits
+                bits = [
+                    fault.bit_index
+                    for fault in generate_faults(
+                        component, population, golden.cycles, count=4, seed=3
+                    )
+                ]
+                straddle = _straddle(target, population)
+                if straddle is not None:
+                    bits.append(straddle)
+                    straddled.add(component)
+                for bit in bits:
+                    expected = any(
+                        target.observable((bit + offset) % population)
+                        for offset in range(cluster_size)
+                    )
+                    result = injector.run_fault_ex(Fault(component, bit, cycle))
+                    assert result.site.live is expected, (component, bit)
+                    assert (result.ended_by == ENDED_DEAD_CELL) is (
+                        not expected
+                    ), (component, bit)
+        finally:
+            injector.close()
+        assert {
+            Component.L2, Component.REGFILE, Component.DTLB, Component.ITLB
+        } <= straddled
 
 
 class TestJournalSite:

@@ -434,7 +434,9 @@ class TestPinnedJournalBytes:
     The fixture is a serial CRC32 plan, 4 faults per component at seed 1,
     with lifetime events on and fault 1 of REGFILE forced into
     quarantine.  Regenerate it only for a deliberate format change, which
-    also bumps ``JOURNAL_VERSION``.
+    also bumps ``JOURNAL_VERSION``, or for an engine change that moves how
+    runs end; that may change a line's ``ended``, ``events`` and
+    ``saved``, never its ``effect``, ``site``, ``bit`` or ``cycle``.
     """
 
     FIXTURE = Path(__file__).parent / "data" / "crc32_journal.jsonl"

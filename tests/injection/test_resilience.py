@@ -296,6 +296,36 @@ class TestWorkerDeath:
             if index != 2:
                 assert effects[Component.REGFILE][index] == effect
 
+    @requires_fork
+    def test_worker_renews_a_machine_that_raised(
+        self, image, plan, reference, tmp_path, monkeypatch
+    ):
+        """A worker whose machine raised serves its later faults (the
+        retry included) on a fresh machine, never on the one that
+        raised."""
+        target = plan[Component.REGFILE][2]
+        log = tmp_path / "machines.log"
+        raised = tmp_path / "raised-once"
+        real = ImageInjector.run_fault_ex
+
+        def spy(self, fault):
+            boom = fault == target and not raised.exists()
+            with log.open("a") as out:
+                out.write(f"{os.getpid()} {id(self.system)} {int(boom)}\n")
+            if boom:
+                raised.touch()
+                raise RuntimeError("boom")
+            return real(self, fault)
+
+        monkeypatch.setattr(ImageInjector, "run_fault_ex", spy)
+        effects = run_injection_plan(image, plan, jobs=2, quarantined=[])
+        assert effects == reference
+        calls = [line.split() for line in log.read_text().splitlines()]
+        position = next(i for i, call in enumerate(calls) if call[2] == "1")
+        pid, poisoned, _ = calls[position]
+        later = [call[1] for call in calls[position + 1 :] if call[0] == pid]
+        assert later and poisoned not in later
+
     def test_without_accumulator_death_raises(
         self, image, plan, monkeypatch
     ):

@@ -153,11 +153,19 @@ class TestInjection:
         data, _ = cache.read(0, 4)
         assert data == b"\x12\x34\x56\x78"
 
+    @staticmethod
+    def _cluster_dead(cache, bit_index, cluster_size):
+        population = cache.data_bits
+        return not any(
+            cache.observable((bit_index + offset) % population)
+            for offset in range(cluster_size)
+        )
+
     def test_cluster_dead_all_invalid(self, cache):
         """A cold cache is all invalid lines: every cluster is dead."""
-        assert cache.cluster_dead(0, 1)
-        assert cache.cluster_dead(0, 4)
-        assert cache.cluster_dead(cache.data_bits - 1, 2)  # wraps
+        assert self._cluster_dead(cache, 0, 1)
+        assert self._cluster_dead(cache, 0, 4)
+        assert self._cluster_dead(cache, cache.data_bits - 1, 2)  # wraps
 
     def test_cluster_dead_false_on_valid_line(self, cache):
         cache.read(0x100, 4)
@@ -165,7 +173,8 @@ class TestInjection:
             index for index in range(cache.data_bits)
             if cache.line_at(index).valid
         )
-        assert not cache.cluster_dead(bit, 1)
+        assert cache.observable(bit)
+        assert not self._cluster_dead(cache, bit, 1)
 
     def test_cluster_straddling_valid_line_is_live(self, cache):
         """A cluster is dead only if EVERY bit lands in an invalid line.
@@ -177,11 +186,11 @@ class TestInjection:
         """
         line_bits = GEOMETRY.line_size * 8
         cache.sets[0][1].valid = True  # line index 1 in flat bit order
-        assert cache.cluster_dead(line_bits - 1, 1)  # alone: dead
-        assert not cache.cluster_dead(line_bits - 1, 2)  # straddles: live
-        assert not cache.cluster_dead(line_bits - 2, 4)
+        assert self._cluster_dead(cache, line_bits - 1, 1)  # alone: dead
+        assert not self._cluster_dead(cache, line_bits - 1, 2)  # straddles
+        assert not self._cluster_dead(cache, line_bits - 2, 4)
         cache.sets[0][1].valid = False
-        assert cache.cluster_dead(line_bits - 1, 2)
+        assert self._cluster_dead(cache, line_bits - 1, 2)
 
     def test_line_base_paddr(self, cache):
         cache.read(0x740, 4)
@@ -190,6 +199,7 @@ class TestInjection:
             if line.valid:
                 assert cache.line_base_paddr(bit_index) == 0x740 & ~31
                 break
+        assert cache.line_base_paddr(cache.data_bits - 1) is None
 
 
 class TestHierarchy:
