@@ -22,8 +22,9 @@ whole design:
 A terminal row keeps the :class:`~repro.injection.journal.InjectionRecord`
 or :class:`~repro.injection.journal.QuarantineRecord` it was finished
 with as its ``payload``: the record's ``to_line()`` as JSON, the same
-line the campaign journal appends.  The schema's ``effect``/``ended``/
-``wall`` columns stay empty; nothing reads them.
+line the campaign journal appends; a quarantined row also keeps its
+``reason``.  No other column repeats the record (schema v2 dropped the
+``effect``/``ended``/``wall`` columns, which nothing wrote or read).
 
 The store is deliberately passive - no HTTP, no campaign logic - so the
 coordinator owns all policy and tests can drive the store directly.
@@ -83,6 +84,14 @@ MIGRATIONS: tuple[str, ...] = (
     );
     CREATE INDEX faults_by_status
         ON faults (workload, machine, cluster, seed, component, status, idx);
+    """,
+    # v2: a terminal row's record lives in ``payload``; the effect,
+    # termination and wall-clock columns were never written or read.
+    # (DROP COLUMN needs sqlite >= 3.35.)
+    """
+    ALTER TABLE faults DROP COLUMN effect;
+    ALTER TABLE faults DROP COLUMN ended;
+    ALTER TABLE faults DROP COLUMN wall;
     """,
 )
 

@@ -195,7 +195,6 @@ class FabricWorker:
             journal=buffer,
             indices={component: range(start, stop)},
             injector=context.injector,
-            quarantined=[],
             tracer=tracer,
             span_parent=trace_context[1] if trace_context else None,
         )

@@ -784,7 +784,6 @@ class InjectionCampaign:
                     telemetry=self.telemetry,
                     timeout=config.injection_timeout,
                     max_retries=config.max_retries,
-                    quarantined=[],
                     injector=injector,
                     tracer=self.tracer,
                     span_parent=span.span_id if span is not None else None,

@@ -23,8 +23,10 @@ The farm treats the harness itself as fault-tolerant (FAIL*/DAVOS style):
   supervisor; the in-flight fault is re-dispatched to a fresh worker
   instead of hanging the campaign or silently dropping the experiment;
 - **per-injection wall-clock timeouts** kill a stuck worker and retry;
-- faults that *repeatedly* kill or stall workers are **quarantined**:
-  reported to the caller (and the journal), never silently counted;
+- a fault whose attempts keep failing - the simulator raises, or its
+  worker dies or stalls - is **quarantined** after ``max_retries``
+  retries, never silently counted: its slot comes back ``None``, and it
+  reaches the journal, the telemetry and a progress line;
 - with an :class:`~repro.injection.journal.InjectionJournal`, every
   completed injection is durably appended, and a killed campaign resumes
   by replaying the journal and dispatching only the missing fault indices;
@@ -34,7 +36,7 @@ The farm treats the harness itself as fault-tolerant (FAIL*/DAVOS style):
 
 Determinism guarantee: the fault lists are generated up front from the
 campaign seed, every injection is a pure function of (image, fault), and
-results are collected into slots indexed by (component, fault index).  The
+results are collected into one slot table, a row per plan fault.  The
 returned effects - and therefore the campaign tallies - are identical for
 any worker count, any scheduling order, and any interrupt/resume split
 (enforced by the equivalence and resilience test suites).
@@ -68,6 +70,7 @@ import time
 from multiprocessing.connection import wait as _wait_ready
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from repro.errors import ConfigurationError, InjectionError
@@ -470,6 +473,46 @@ class ImageInjector:
         return probe
 
 
+# -- failure policy ---------------------------------------------------------
+
+
+@dataclass
+class _Attempt:
+    """One pending slot of a plan's slot table plus its retry history."""
+
+    slot: int
+    fault: Fault
+    attempts: int = 0
+
+
+def _raised(exc: Exception) -> str:
+    """The failure reason of an in-simulator exception, in both executors."""
+    return f"raised {type(exc).__name__}: {exc}"
+
+
+def _retry_or_quarantine(
+    attempt: _Attempt,
+    reason: str,
+    *,
+    pending: deque[_Attempt],
+    max_retries: int,
+    retry: Callable[[_Attempt, str], None],
+    quarantine: Callable[[_Attempt, str], None],
+) -> None:
+    """The one failure policy of the serial and the farm executor.
+
+    Counts the failed attempt; while ``attempts <= max_retries`` the
+    attempt goes back to the front of ``pending`` (it runs next, before
+    any fault not yet tried), otherwise its fault is quarantined.
+    """
+    attempt.attempts += 1
+    if attempt.attempts <= max_retries:
+        retry(attempt, reason)
+        pending.appendleft(attempt)
+    else:
+        quarantine(attempt, reason)
+
+
 # -- worker farm ------------------------------------------------------------
 
 
@@ -517,35 +560,24 @@ def _worker_main(image: MachineImage, task_conn, result_conn, worker_id: int):
             return  # supervisor closed (or lost) its end of the pipe
         if task is None:
             return
-        component_index, fault_index, fault = task
+        slot, fault = task
         start = time.perf_counter()
         try:
             result = injector.run_fault_ex(fault)
         except Exception as exc:  # noqa: BLE001 - reported, then retried
             message = (
-                "error", worker_id, component_index, fault_index,
-                f"{type(exc).__name__}: {exc}", time.perf_counter() - start,
+                "error", worker_id, slot, _raised(exc),
+                time.perf_counter() - start,
             )
             injector.renew()  # state may be poisoned
         else:
             message = (
-                "ok", worker_id, component_index, fault_index,
-                result, time.perf_counter() - start,
+                "ok", worker_id, slot, result, time.perf_counter() - start
             )
         try:
             result_conn.send(message)
         except (BrokenPipeError, OSError):
             return  # supervisor is gone; nobody is listening
-
-
-@dataclass
-class _Attempt:
-    """One schedulable (component, fault) slot plus its retry history."""
-
-    component_index: int
-    fault_index: int
-    fault: Fault
-    attempts: int = 0
 
 
 class _WorkerHandle:
@@ -571,9 +603,7 @@ class _WorkerHandle:
     def dispatch(self, attempt: _Attempt) -> None:
         self.current = attempt
         self.started_at = time.monotonic()
-        self.task_conn.send(
-            (attempt.component_index, attempt.fault_index, attempt.fault)
-        )
+        self.task_conn.send((attempt.slot, attempt.fault))
 
     def kill(self) -> None:
         # Closing the pipe ends belongs to the kill path itself: every
@@ -616,23 +646,28 @@ class _FarmSupervisor:
         image: MachineImage,
         jobs: int,
         timeout: float | None,
-        max_retries: int,
-        on_result: Callable[[int, int, InjectionResult, float], None],
-        on_quarantine: Callable[[_Attempt, str], bool],
-        on_retry: Callable[[_Attempt, str], None],
+        pending: deque[_Attempt],
+        on_result: Callable[[int, InjectionResult, float], None],
+        on_failure: Callable[[_Attempt, str], None],
+        telemetry: CampaignTelemetry | None,
     ):
         self.image = image
         self.jobs = jobs
         self.timeout = timeout
-        self.max_retries = max_retries
+        self.pending = pending
         self.on_result = on_result
-        self.on_quarantine = on_quarantine
-        self.on_retry = on_retry
+        self.on_failure = on_failure
+        self.telemetry = telemetry
         self.ctx = _pool_context()
         self.workers: dict[int, _WorkerHandle] = {}
         self.next_worker_id = 0
-        self.pending: deque[_Attempt] = deque()
-        self.outstanding = 0
+
+    @property
+    def outstanding(self) -> int:
+        """Attempts neither recorded nor quarantined: queued or in flight."""
+        return len(self.pending) + sum(
+            handle.current is not None for handle in self.workers.values()
+        )
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -658,37 +693,23 @@ class _FarmSupervisor:
     # -- event handling ------------------------------------------------------
 
     def _handle_message(self, message) -> None:
-        kind, worker_id, component_index, fault_index, payload, wall = message
+        kind, worker_id, slot, payload, wall = message
         handle = self.workers.get(worker_id)
         attempt = handle.current if handle is not None else None
         if handle is not None:
             handle.current = None
-        if attempt is None or (
-            attempt.component_index != component_index
-            or attempt.fault_index != fault_index
-        ):  # pragma: no cover - supervisor invariant
+        if attempt is None or attempt.slot != slot:  # pragma: no cover
             raise InjectionError(
                 f"worker {worker_id} reported a result for a task it was "
-                f"not assigned (component {component_index}, "
-                f"fault {fault_index})"
+                f"not assigned (slot {slot})"
             )
         if kind == "ok":
-            self.outstanding -= 1
-            self.on_result(component_index, fault_index, payload, wall)
+            self.on_result(slot, payload, wall)
         else:
-            self._retry_or_quarantine(attempt, f"raised {payload}")
+            self.on_failure(attempt, payload)
 
-    def _retry_or_quarantine(self, attempt: _Attempt, reason: str) -> None:
-        attempt.attempts += 1
-        if attempt.attempts <= self.max_retries:
-            self.on_retry(attempt, reason)
-            self.pending.appendleft(attempt)
-            return
-        self.outstanding -= 1
-        self.on_quarantine(attempt, reason)
-
-    def _reap(self, worker_id: int, reason: str, record_death) -> None:
-        """Remove a dead/stuck worker; retry its fault; refill the farm."""
+    def _reap(self, worker_id: int, reason: str) -> None:
+        """Remove a dead/stuck worker; fail its attempt; refill the farm."""
         handle = self.workers.pop(worker_id)
         attempt = handle.current
         handle.kill()
@@ -700,12 +721,11 @@ class _FarmSupervisor:
                 f"injection worker {worker_id} died while idle "
                 f"({reason}); aborting campaign"
             )
-        record_death()
-        self._retry_or_quarantine(attempt, reason)
+        self.on_failure(attempt, reason)
         if self.outstanding > len(self.workers):
             self._spawn()
 
-    def _check_workers(self, record_death, record_timeout) -> None:
+    def _check_workers(self) -> None:
         now = time.monotonic()
         for worker_id, handle in list(self.workers.items()):
             if not handle.process.is_alive():
@@ -717,23 +737,22 @@ class _FarmSupervisor:
                     continue  # drained message already reaped/cleared it
                 handle = self.workers[worker_id]
                 if not handle.process.is_alive():
-                    exitcode = handle.process.exitcode
-                    record = record_death if handle.current else (lambda: None)
+                    if handle.current is not None and self.telemetry:
+                        self.telemetry.record_worker_death()
                     self._reap(
                         worker_id,
-                        f"worker died (exit code {exitcode})",
-                        record,
+                        f"worker died (exit code {handle.process.exitcode})",
                     )
             elif (
                 self.timeout is not None
                 and handle.current is not None
                 and now - handle.started_at > self.timeout
             ):
-                record_timeout()
+                if self.telemetry is not None:
+                    self.telemetry.record_timeout()
                 self._reap(
                     worker_id,
                     f"timed out after {self.timeout:.1f}s wall-clock",
-                    lambda: None,
                 )
 
     def _receive(self, timeout: float) -> bool:
@@ -770,14 +789,7 @@ class _FarmSupervisor:
 
     # -- main loop -----------------------------------------------------------
 
-    def run(
-        self,
-        attempts: Sequence[_Attempt],
-        record_death: Callable[[], None],
-        record_timeout: Callable[[], None],
-    ) -> None:
-        self.pending = deque(attempts)
-        self.outstanding = len(self.pending)
+    def run(self) -> None:
         for _ in range(min(self.jobs, max(1, self.outstanding))):
             self._spawn()
         try:
@@ -793,31 +805,32 @@ class _FarmSupervisor:
                             # reap it and re-dispatch this attempt.
                             pass
                 if not self._receive(_POLL_SECONDS):
-                    self._check_workers(record_death, record_timeout)
+                    self._check_workers()
         finally:
             self._shutdown()
 
 
 # -- plan execution ---------------------------------------------------------
 
+#: One row of a plan's slot table: component, stream index, fault.
+_Slot = tuple[Component, int, Fault]
+
 
 def _validate_effects(
     image_name: str,
-    plan: Mapping[Component, Sequence[Fault]],
-    effects: Mapping[Component, Sequence[FaultEffect | None]],
-    quarantined_slots: set[tuple[Component, int]],
+    slots: Sequence[_Slot],
+    ends: Sequence[FaultEffect | QuarantineRecord | None],
 ) -> None:
-    """Reject any unfilled effect slot that is not explicitly quarantined.
+    """Reject any slot the plan finished with neither an effect nor a
+    quarantine.
 
     This is the backstop that keeps a ``None`` from ever reaching the
-    campaign tallies (where it used to be counted as a phantom effect
-    class and then silently dropped on serialization).
+    campaign tallies as anything but an explicit quarantine.
     """
     missing = [
         f"{component.name}[{index}]"
-        for component in plan
-        for index, effect in enumerate(effects[component])
-        if effect is None and (component, index) not in quarantined_slots
+        for (component, index, _fault), end in zip(slots, ends)
+        if end is None
     ]
     if missing:
         raise InjectionError(
@@ -827,16 +840,13 @@ def _validate_effects(
 
 
 def _check_replayed(
-    component: Component,
-    index: int,
-    record: InjectionRecord | QuarantineRecord,
-    fault: Fault,
+    record: InjectionRecord | QuarantineRecord, fault: Fault
 ) -> None:
     """Reject a journal line whose bit or cycle is not the plan's fault."""
     if record.bit_index != fault.bit_index or record.cycle != fault.cycle:
         raise InjectionError(
-            f"journal record for {component.name}[{index}] does not "
-            f"match the regenerated fault (journal bit "
+            f"journal record for {record.component.name}[{record.index}] "
+            f"does not match the regenerated fault (journal bit "
             f"{record.bit_index} cycle {record.cycle}, plan bit "
             f"{fault.bit_index} cycle {fault.cycle})"
         )
@@ -844,45 +854,35 @@ def _check_replayed(
 
 def _replay_journal(
     journal: InjectionJournal,
-    plan: Mapping[Component, Sequence[Fault]],
-    indices: Mapping[Component, Sequence[int]],
-    effects: dict[Component, list],
+    slots: Sequence[_Slot],
+    ends: list,
     telemetry: CampaignTelemetry | None,
-    quarantined: list[QuarantineRecord] | None,
-    quarantined_slots: set[tuple[Component, int]],
 ) -> None:
-    """Prefill effect slots from a journal.
+    """End every slot the journal already holds.
 
-    Each slot looks its global index ``indices[c][slot]`` up in the
-    journal; journaled indices the window does not list are other
-    windows' work and stay untouched.  Every replayed injection and
-    quarantine record is cross-checked against the regenerated fault (bit
-    and cycle must match) so a journal from a drifted seed or simulator
-    version cannot silently corrupt the tallies.
+    Each slot looks its stream index up in the journal; journaled indices
+    no slot names are other windows' work and stay untouched.  Every
+    replayed injection and quarantine record is cross-checked against the
+    regenerated fault (bit and cycle must match) so a journal from a
+    drifted seed or simulator version cannot silently corrupt the
+    tallies.  An index journaled both as an injection and as a quarantine
+    ends with the injection's effect; both records reach the telemetry.
     """
+    components = {component for component, _index, _fault in slots}
+    completed = {c: journal.completed(c) for c in components}
+    held = {c: journal.quarantined(c) for c in components}
     replayed_records: list[InjectionRecord] = []
     replayed_quarantines: list[QuarantineRecord] = []
-    for component, faults in plan.items():
-        completed = journal.completed(component)
-        held = journal.quarantined(component)
-        for slot, index in enumerate(indices[component]):
-            record = completed.get(index)
-            if record is not None:
-                _check_replayed(component, index, record, faults[slot])
-                effects[component][slot] = record.effect
-                replayed_records.append(record)
-            quarantine = held.get(index)
-            if quarantine is not None:
-                if quarantined is None:
-                    raise InjectionError(
-                        f"journal contains a quarantined fault "
-                        f"({component.name}[{index}]: {quarantine.reason}) "
-                        f"but the caller provided no quarantine accumulator"
-                    )
-                _check_replayed(component, index, quarantine, faults[slot])
-                quarantined.append(quarantine)
-                quarantined_slots.add((component, slot))
-                replayed_quarantines.append(quarantine)
+    for slot, (component, index, fault) in enumerate(slots):
+        record = completed[component].get(index)
+        quarantine = held[component].get(index)
+        if record is not None:
+            _check_replayed(record, fault)
+            replayed_records.append(record)
+        if quarantine is not None:
+            _check_replayed(quarantine, fault)
+            replayed_quarantines.append(quarantine)
+        ends[slot] = record.effect if record is not None else quarantine
     if telemetry is not None:
         telemetry.replay(replayed_records, replayed_quarantines)
 
@@ -896,19 +896,18 @@ def run_injection_plan(
     telemetry: CampaignTelemetry | None = None,
     timeout: float | None = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
-    quarantined: list[QuarantineRecord] | None = None,
     indices: Mapping[Component, Sequence[int]] | None = None,
     injector: ImageInjector | None = None,
     tracer=None,
     span_parent: str | None = None,
-) -> dict[Component, list[FaultEffect]]:
+) -> dict[Component, list[FaultEffect | None]]:
     """Execute every fault in ``plan``; returns effects in fault order.
 
     ``plan`` maps each component to its (seed-deterministic) fault list.
     With ``jobs == 1`` everything runs in-process; otherwise injections fan
     out over a supervised worker farm.  Either way the result is the same:
     effects keyed by component, listed in fault order, independent of
-    scheduling.
+    scheduling.  A quarantined fault's slot is ``None``.
 
     Every plan is a window of the fault stream: ``indices`` names the
     global stream index of every plan slot, so ``plan[c][i]`` is fault
@@ -930,26 +929,21 @@ def run_injection_plan(
     construction across many small windows.  Every injection restores
     complete machine state before running, so reuse is result-neutral.
 
-    Resilience knobs:
+    With a ``journal``, injections and quarantines already recorded there
+    are replayed (after validating they match the plan), only the other
+    faults run, and every new completion is durably appended, which makes
+    the plan resumable after a SIGKILL.
 
-    - ``journal``: completed injections already recorded there are
-      replayed (after validating they match the plan) and only missing
-      fault indices are dispatched; every new completion is durably
-      appended, making the plan resumable after a SIGKILL;
-    - ``timeout``: per-injection wall-clock limit; a worker holding an
-      injection longer is killed and the fault retried (workers only -
-      the in-process path cannot preempt itself);
-    - ``max_retries``: bound on re-dispatches after a worker death,
-      timeout, or in-worker exception;
-    - ``quarantined``: accumulator for the
-      :class:`~repro.injection.journal.QuarantineRecord` of each fault
-      that exhausted its retries.  Their slots stay unfilled (callers
-      must exclude them from tallies); without an accumulator, exhausting
-      retries raises :class:`InjectionError` instead - a quarantine is
-      never silent.
-
-    Completeness is validated before returning: any effect slot that is
-    neither filled nor quarantined raises :class:`InjectionError`.
+    One failure policy holds for both executors.  An attempt fails when
+    the simulator raises (the serial run then renews its machine), or -
+    on the farm only - when its worker dies or holds it longer than
+    ``timeout`` wall-clock seconds.  A failed attempt is retried, ahead
+    of every untried fault, until it has failed ``max_retries + 1``
+    times; then its fault is quarantined: it reaches the journal as a
+    :class:`~repro.injection.journal.QuarantineRecord`, the telemetry and
+    a progress line, and its slot in the returned lists is ``None``.
+    Completeness is validated before returning: a slot with neither an
+    effect nor a quarantine raises :class:`InjectionError`.
 
     ``tracer`` (a :class:`repro.observability.tracing.Tracer`, default
     off) records one ``window`` span per component covering that
@@ -960,43 +954,28 @@ def run_injection_plan(
     ``benchmarks/test_observability_overhead.py``.
     """
     progress = progress or (lambda message: None)
-    components = list(plan)
-    effects: dict[Component, list] = {
-        component: [None] * len(plan[component]) for component in components
-    }
     if indices is None:
         indices = {
-            component: range(len(plan[component])) for component in components
+            component: range(len(faults)) for component, faults in plan.items()
         }
-    if telemetry is not None:
-        for component in components:
-            telemetry.register_plan(component, len(plan[component]))
-
-    quarantined_slots: set[tuple[Component, int]] = set()
-    if journal is not None:
-        _replay_journal(
-            journal,
-            plan,
-            indices,
-            effects,
-            telemetry,
-            quarantined,
-            quarantined_slots,
-        )
-
-    tasks = [
-        (component_index, fault_index, fault)
-        for component_index, component in enumerate(components)
-        for fault_index, fault in enumerate(plan[component])
-        if effects[component][fault_index] is None
-        and (component, fault_index) not in quarantined_slots
+    # The slot table, in dispatch order (component by component, then
+    # fault order); ``ends[slot]`` stays None until the slot's fault has
+    # an effect or a quarantine record.
+    slots: list[_Slot] = [
+        (component, indices[component][position], fault)
+        for component, faults in plan.items()
+        for position, fault in enumerate(faults)
     ]
-    done = {
-        component: sum(effect is not None for effect in effects[component])
-        + sum(1 for slot in quarantined_slots if slot[0] is component)
-        for component in components
-    }
-    totals = {component: len(plan[component]) for component in components}
+    ends: list[FaultEffect | QuarantineRecord | None] = [None] * len(slots)
+    totals = {component: len(plan[component]) for component in plan}
+    if telemetry is not None:
+        for component, total in totals.items():
+            telemetry.register_plan(component, total)
+    if journal is not None:
+        _replay_journal(journal, slots, ends, telemetry)
+    done = dict.fromkeys(plan, 0)
+    for (component, _index, _fault), end in zip(slots, ends):
+        done[component] += end is not None
 
     window_spans = []
     if tracer is not None:
@@ -1010,7 +989,7 @@ def run_injection_plan(
                     "count": totals[component],
                 },
             )
-            for component in components
+            for component in plan
         ]
 
     def status(component: Component) -> str:
@@ -1022,20 +1001,11 @@ def run_injection_plan(
             line += f" | {telemetry.progress_line()}"
         return line
 
-    def record(
-        component_index: int,
-        fault_index: int,
-        result: InjectionResult,
-        wall_time: float = 0.0,
-    ) -> None:
-        component = components[component_index]
-        effects[component][fault_index] = result.effect
+    def record(slot: int, result: InjectionResult, wall_time: float) -> None:
+        component, index, fault = slots[slot]
+        ends[slot] = result.effect
         outcome = InjectionRecord.from_result(
-            component,
-            indices[component][fault_index],
-            plan[component][fault_index],
-            result,
-            wall_time,
+            component, index, fault, result, wall_time
         )
         if journal is not None:
             journal.record(outcome)
@@ -1046,18 +1016,9 @@ def run_injection_plan(
             progress(status(component))
 
     def quarantine(attempt: _Attempt, reason: str) -> None:
-        component = components[attempt.component_index]
-        index = indices[component][attempt.fault_index]
-        if quarantined is None:
-            raise InjectionError(
-                f"{image.name}/{component.name}[{index}] "
-                f"failed after {attempt.attempts} attempt(s): {reason}"
-            )
-        outcome = QuarantineRecord.from_fault(
-            component, index, attempt.fault, reason
-        )
-        quarantined.append(outcome)
-        quarantined_slots.add((component, attempt.fault_index))
+        component, index, fault = slots[attempt.slot]
+        outcome = QuarantineRecord.from_fault(component, index, fault, reason)
+        ends[attempt.slot] = outcome
         if journal is not None:
             journal.record_quarantine(outcome)
         if telemetry is not None:
@@ -1069,68 +1030,62 @@ def run_injection_plan(
         )
 
     def retry(attempt: _Attempt, reason: str) -> None:
-        component = components[attempt.component_index]
+        component, index, _fault = slots[attempt.slot]
         if telemetry is not None:
             telemetry.record_retry()
         progress(
-            f"{image.name}/{component.name}: retrying fault "
-            f"{indices[component][attempt.fault_index]} "
+            f"{image.name}/{component.name}: retrying fault {index} "
             f"(attempt {attempt.attempts + 1}: {reason})"
         )
 
-    if tasks:
-        jobs = min(resolve_jobs(jobs), max(1, len(tasks)))
+    pending = deque(
+        _Attempt(slot, slots[slot][2])
+        for slot, end in enumerate(ends)
+        if end is None
+    )
+    fail = partial(
+        _retry_or_quarantine,
+        pending=pending,
+        max_retries=max_retries,
+        retry=retry,
+        quarantine=quarantine,
+    )
+    if pending:
+        jobs = min(resolve_jobs(jobs), len(pending))
         if jobs == 1:
-            _run_serial(
-                image, tasks, max_retries, record, quarantine, retry,
-                injector=injector,
-            )
+            _run_serial(image, pending, record, fail, injector=injector)
         else:
-            supervisor = _FarmSupervisor(
-                image,
-                jobs,
-                timeout,
-                max_retries,
-                on_result=record,
-                on_quarantine=quarantine,
-                on_retry=retry,
-            )
-            supervisor.run(
-                [_Attempt(ci, fi, fault) for ci, fi, fault in tasks],
-                record_death=(
-                    telemetry.record_worker_death
-                    if telemetry is not None
-                    else lambda: None
-                ),
-                record_timeout=(
-                    telemetry.record_timeout
-                    if telemetry is not None
-                    else lambda: None
-                ),
-            )
+            _FarmSupervisor(
+                image, jobs, timeout, pending, record, fail, telemetry
+            ).run()
 
-    _validate_effects(image.name, plan, effects, quarantined_slots)
+    _validate_effects(image.name, slots, ends)
     if tracer is not None:
-        for span, component in zip(window_spans, components):
+        for span, component in zip(window_spans, plan):
             tracer.end_span(span, completed=done[component])
+    effects: dict[Component, list[FaultEffect | None]] = {
+        component: [] for component in plan
+    }
+    for (component, _index, _fault), end in zip(slots, ends):
+        effects[component].append(
+            None if isinstance(end, QuarantineRecord) else end
+        )
     return effects
 
 
 def _run_serial(
     image: MachineImage,
-    tasks: Sequence[tuple[int, int, Fault]],
-    max_retries: int,
-    record: Callable[[int, int, InjectionResult, float], None],
-    quarantine: Callable[[_Attempt, str], None],
-    retry: Callable[[_Attempt, str], None],
+    pending: deque[_Attempt],
+    record: Callable[[int, InjectionResult, float], None],
+    fail: Callable[[_Attempt, str], None],
     injector: ImageInjector | None = None,
 ) -> None:
-    """In-process execution with the same retry/quarantine semantics.
+    """In-process execution under the same failure policy as the farm.
 
     A crash here takes the campaign down with it (there is no worker to
-    die in our place), but in-simulator exceptions still get bounded
-    retries on a renewed machine and then quarantine, and the journal sees
-    every completion - so even a serial campaign resumes after SIGKILL.
+    die in our place), but an in-simulator exception renews the machine
+    and fails the attempt - retry, then quarantine - and the journal sees
+    every completion, so even a serial campaign resumes after SIGKILL.
 
     A caller-provided ``injector`` is reused across calls (a serial
     campaign's windows, the fabric worker's lease loop); after an
@@ -1142,7 +1097,6 @@ def _run_serial(
     owned = injector is None
     if owned:
         injector = ImageInjector(image)
-    pending = deque(_Attempt(ci, fi, fault) for ci, fi, fault in tasks)
     try:
         while pending:
             attempt = pending.popleft()
@@ -1150,21 +1104,10 @@ def _run_serial(
             try:
                 result = injector.run_fault_ex(attempt.fault)
             except Exception as exc:  # noqa: BLE001 - bounded retry, then report
-                attempt.attempts += 1
                 injector.renew()  # state may be poisoned
-                reason = f"raised {type(exc).__name__}: {exc}"
-                if attempt.attempts <= max_retries:
-                    retry(attempt, reason)
-                    pending.appendleft(attempt)
-                else:
-                    quarantine(attempt, reason)
+                fail(attempt, _raised(exc))
             else:
-                record(
-                    attempt.component_index,
-                    attempt.fault_index,
-                    result,
-                    time.perf_counter() - start,
-                )
+                record(attempt.slot, result, time.perf_counter() - start)
     finally:
         if owned:
             injector.close()

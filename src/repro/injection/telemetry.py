@@ -110,7 +110,7 @@ class CampaignTelemetry:
         self.completed += 1
         if record.events:
             self.events_observed += 1
-            self._aggregate_events(component, effect, record.events)
+            self._aggregate_events(record)
         if record.ended_by == "digest":
             self.ended_digest += 1
         elif record.ended_by == "dead-cell":
@@ -166,12 +166,13 @@ class CampaignTelemetry:
         for status in strata:
             self.adaptive_strata[status["component"]] = status
 
-    def _aggregate_events(self, component: Component, effect, events) -> None:
+    def _aggregate_events(self, record: InjectionRecord) -> None:
+        component, events = record.component, record.events
         flip = first_event(events, EV_FLIP)
         if flip is None:
             return
-        if effect is FaultEffect.MASKED:
-            mechanism = masking_mechanism(events)
+        if record.effect is FaultEffect.MASKED:
+            mechanism = masking_mechanism(events, record.site)
             tally = self.masked_mechanisms.setdefault(component, {})
             tally[mechanism] = tally.get(mechanism, 0) + 1
         read = first_event(events, EV_READ)

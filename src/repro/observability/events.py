@@ -123,14 +123,24 @@ def first_event(events, kind: str):
     return None
 
 
-def masking_mechanism(events) -> str:
-    """Classify *why* a Masked fault masked, from its event sequence.
+def masking_mechanism(events, site=None) -> str:
+    """Classify *why* a Masked fault masked, from its strike site and its
+    event sequence.
 
+    - the struck ``site`` (a :class:`~repro.injection.fault.StrikeSite`)
+      is not live: no bit of the cluster was observable, so the fault is
+      "never-read" whatever the engine recorded after the flip (with
+      early exit on it records nothing; with it off, a refill of the dead
+      cell can record a ``write-over``);
     - the taint was read at some point -> the machine consumed the wrong
       value yet converged back to golden state ("read-but-converged");
     - never read but overwritten/refilled -> "overwrite-before-read";
     - otherwise the cell simply never mattered -> "never-read".
+
+    Without a ``site`` (journals that predate it) only the events count.
     """
+    if site is not None and not site.live:
+        return MECH_NEVER_READ
     kinds = {event.kind for event in _normalised(events)}
     if EV_READ in kinds:
         return MECH_READ_CONVERGED

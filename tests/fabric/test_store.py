@@ -273,6 +273,36 @@ class TestDurability:
         with pytest.raises(FabricError, match="schema"):
             FaultStore(path)
 
+    def test_v1_store_migrates_and_keeps_its_rows(self, tmp_path, monkeypatch):
+        """A store written at schema v1 opens at v2 without the dropped
+        columns, and its terminal rows read back unchanged."""
+        from repro.fabric import store as store_module
+
+        migrations = store_module.MIGRATIONS
+        path = tmp_path / "faults.sqlite"
+        monkeypatch.setattr(store_module, "MIGRATIONS", migrations[:1])
+        old = FaultStore(path)
+        assert old.schema_version == 1
+        old.register(BASE, "L1D", make_faults(3))
+        old.complete(BASE, record_for(0, "SDC"), worker="w")
+        old.quarantine(
+            BASE, QuarantineRecord(Component.L1D, 2, 26, 102, "boom"), "w"
+        )
+        before = old.records(BASE, "L1D", 3)
+        old.close()
+        monkeypatch.undo()
+
+        store = FaultStore(path)
+        assert store.schema_version == len(migrations) == 2
+        columns = {
+            row[1] for row in store._conn.execute("PRAGMA table_info(faults)")
+        }
+        assert not columns & {"effect", "ended", "wall"}
+        assert "reason" in columns
+        assert [status for _i, status, _p, _r in before] == [DONE, QUARANTINED]
+        assert store.records(BASE, "L1D", 3) == before
+        store.close()
+
     def test_schema_version_matches_the_migration_count(self):
         from repro.fabric.store import MIGRATIONS
 

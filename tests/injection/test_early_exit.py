@@ -280,6 +280,26 @@ class TestCampaignIntegration:
                 == off.components[component].counts
             ), f"tallies diverge for {component.name}"
 
+    @pytest.mark.parametrize("name", ["StringSearch", "CRC32"])
+    def test_propagation_summary_identical_with_and_without_early_exit(
+        self, name, tmp_path
+    ):
+        """The masking mechanism reads the strike site, so a dead-cell
+        flip is never-read whether early exit stops it at the flip or
+        the run goes on and refills the dead cell (a ``write-over``)."""
+        propagation = {}
+        for early_exit in (True, False):
+            telemetry = CampaignTelemetry()
+            InjectionCampaign(
+                CampaignConfig(
+                    faults_per_component=6, seed=1, early_exit=early_exit
+                ),
+                cache_dir=tmp_path / f"cache-{early_exit}",
+                telemetry=telemetry,
+            ).run_workload(get_workload(name), use_cache=False)
+            propagation[early_exit] = telemetry.summary()["propagation"]
+        assert propagation[True] == propagation[False]
+
     def test_early_exit_not_in_cache_key(self):
         base = CampaignConfig(faults_per_component=4, seed=7)
         pruned = CampaignConfig(

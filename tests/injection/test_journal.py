@@ -469,9 +469,7 @@ class TestPinnedJournalBytes:
         )
         path = tmp_path / "crc32.jsonl"
         with InjectionJournal.create(path, meta) as journal:
-            run_injection_plan(
-                image, plan, journal=journal, quarantined=[], max_retries=0
-            )
+            run_injection_plan(image, plan, journal=journal, max_retries=0)
         assert meta.version == JOURNAL_VERSION == 1
         assert self._without_wall(path.read_text()) == self._without_wall(
             self.FIXTURE.read_text()

@@ -287,15 +287,15 @@ class TestJournalReplay:
                 "worker died",
             )
         )
-        quarantined: list = []
+        telemetry = CampaignTelemetry()
         with journal, pytest.raises(InjectionError, match="does not match"):
             run_injection_plan(
                 image,
                 {Component.REGFILE: faults},
                 journal=journal,
-                quarantined=quarantined,
+                telemetry=telemetry,
             )
-        assert quarantined == []
+        assert telemetry.quarantined == 0
 
 
 class TestAccelerationEquivalence:

@@ -25,7 +25,13 @@ from repro.injection.campaign import (
 from repro.injection.classify import FaultEffect
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import generate_faults
-from repro.injection.journal import InjectionJournal, JournalMeta, read_journal
+from repro.injection.journal import (
+    InjectionJournal,
+    JournalMeta,
+    QuarantineRecord,
+    RecordBuffer,
+    read_journal,
+)
 from repro.injection.parallel import (
     EngineOptions,
     ImageInjector,
@@ -105,28 +111,41 @@ def make_meta(golden):
     )
 
 
+def slot_table(plan):
+    """``run_injection_plan``'s slot table of a head-of-stream plan."""
+    return [
+        (component, index, fault)
+        for component, faults in plan.items()
+        for index, fault in enumerate(faults)
+    ]
+
+
 class TestCompletenessValidation:
     """An unfilled effect slot must raise, never reach the tallies."""
 
     def test_unfilled_slot_raises(self, plan):
-        effects = {
-            component: [FaultEffect.MASKED] * len(faults)
-            for component, faults in plan.items()
-        }
-        effects[Component.REGFILE][3] = None
+        slots = slot_table(plan)
+        ends = [FaultEffect.MASKED] * len(slots)
+        fault = plan[Component.REGFILE][3]
+        ends[slots.index((Component.REGFILE, 3, fault))] = None
         with pytest.raises(InjectionError, match=r"REGFILE\[3\]"):
-            _validate_effects("X", plan, effects, set())
+            _validate_effects("X", slots, ends)
 
     def test_quarantined_slot_is_excused(self, plan):
-        effects = {
-            component: [FaultEffect.MASKED] * len(faults)
-            for component, faults in plan.items()
-        }
-        effects[Component.REGFILE][3] = None
-        _validate_effects("X", plan, effects, {(Component.REGFILE, 3)})
+        slots = slot_table(plan)
+        ends = [FaultEffect.MASKED] * len(slots)
+        fault = plan[Component.REGFILE][3]
+        ends[slots.index((Component.REGFILE, 3, fault))] = (
+            QuarantineRecord.from_fault(Component.REGFILE, 3, fault, "boom")
+        )
+        _validate_effects("X", slots, ends)
 
     def test_complete_plan_passes(self, plan, reference):
-        _validate_effects("X", plan, reference, set())
+        _validate_effects(
+            "X",
+            slot_table(plan),
+            [effect for effects in reference.values() for effect in effects],
+        )
 
 
 class TestJournalResume:
@@ -259,9 +278,7 @@ class TestWorkerDeath:
         target = plan[Component.REGFILE][2]
         self._arm_killer(monkeypatch, target, sentinel=tmp_path / "died-once")
         telemetry = CampaignTelemetry()
-        effects = run_injection_plan(
-            image, plan, jobs=2, telemetry=telemetry, quarantined=[]
-        )
+        effects = run_injection_plan(image, plan, jobs=2, telemetry=telemetry)
         assert effects == reference
         assert telemetry.worker_deaths == 1
         assert telemetry.retries == 1
@@ -273,17 +290,17 @@ class TestWorkerDeath:
         target = plan[Component.REGFILE][2]
         self._arm_killer(monkeypatch, target)
         telemetry = CampaignTelemetry()
-        quarantined = []
+        buffer = RecordBuffer()
         effects = run_injection_plan(
             image,
             plan,
             jobs=2,
             max_retries=1,
+            journal=buffer,
             telemetry=telemetry,
-            quarantined=quarantined,
         )
-        assert len(quarantined) == 1
-        entry = quarantined[0]
+        assert len(buffer.quarantines) == 1
+        entry = buffer.quarantines[0]
         assert entry.component is Component.REGFILE
         assert entry.index == 2
         assert "died" in entry.reason
@@ -318,21 +335,13 @@ class TestWorkerDeath:
             return real(self, fault)
 
         monkeypatch.setattr(ImageInjector, "run_fault_ex", spy)
-        effects = run_injection_plan(image, plan, jobs=2, quarantined=[])
+        effects = run_injection_plan(image, plan, jobs=2)
         assert effects == reference
         calls = [line.split() for line in log.read_text().splitlines()]
         position = next(i for i, call in enumerate(calls) if call[2] == "1")
         pid, poisoned, _ = calls[position]
         later = [call[1] for call in calls[position + 1 :] if call[0] == pid]
         assert later and poisoned not in later
-
-    def test_without_accumulator_death_raises(
-        self, image, plan, monkeypatch
-    ):
-        target = plan[Component.REGFILE][2]
-        self._arm_killer(monkeypatch, target)
-        with pytest.raises(InjectionError, match=r"REGFILE\[2\]"):
-            run_injection_plan(image, plan, jobs=2, max_retries=0)
 
     def test_timeout_kills_stuck_worker(
         self, image, plan, monkeypatch
@@ -347,7 +356,7 @@ class TestWorkerDeath:
 
         monkeypatch.setattr(ImageInjector, "run_fault_ex", stall)
         telemetry = CampaignTelemetry()
-        quarantined = []
+        buffer = RecordBuffer()
         start = time.monotonic()
         run_injection_plan(
             image,
@@ -355,13 +364,13 @@ class TestWorkerDeath:
             jobs=2,
             timeout=1.0,
             max_retries=0,
+            journal=buffer,
             telemetry=telemetry,
-            quarantined=quarantined,
         )
         assert time.monotonic() - start < 30
         assert telemetry.timeouts == 1
-        assert len(quarantined) == 1
-        assert "timed out" in quarantined[0].reason
+        assert len(buffer.quarantines) == 1
+        assert "timed out" in buffer.quarantines[0].reason
 
     def test_quarantine_survives_resume(
         self, image, plan, golden, tmp_path, monkeypatch
@@ -372,26 +381,18 @@ class TestWorkerDeath:
         self._arm_killer(monkeypatch, target)
         path = tmp_path / "campaign.jsonl"
         journal = InjectionJournal.create(path, make_meta(golden))
-        run_injection_plan(
-            image, plan, jobs=2, max_retries=0, journal=journal, quarantined=[]
-        )
+        run_injection_plan(image, plan, jobs=2, max_retries=0, journal=journal)
         journal.close()
         monkeypatch.undo()
 
-        replayed_quarantines = []
         journal = InjectionJournal.resume(path, make_meta(golden))
         telemetry = CampaignTelemetry()
         effects = run_injection_plan(
-            image,
-            plan,
-            jobs=2,
-            journal=journal,
-            telemetry=telemetry,
-            quarantined=replayed_quarantines,
+            image, plan, jobs=2, journal=journal, telemetry=telemetry
         )
         journal.close()
-        assert len(replayed_quarantines) == 1
-        assert replayed_quarantines[0].index == 2
+        assert [entry.index for entry in journal.quarantines] == [2]
+        assert telemetry.quarantined_by == {Component.REGFILE: 1}
         assert telemetry.live_completed == 0
         assert effects[Component.REGFILE][2] is None
 
@@ -427,31 +428,75 @@ class TestQuarantineReporting:
     ):
         self._arm_raiser(monkeypatch, window[Component.REGFILE][1])
         messages = []
-        quarantined = []
+        buffer = RecordBuffer()
         run_injection_plan(
             image,
             window,
             max_retries=1,
             progress=messages.append,
-            quarantined=quarantined,
+            journal=buffer,
             indices={Component.REGFILE: range(10, 12)},
         )
-        assert [entry.index for entry in quarantined] == [11]
+        assert [entry.index for entry in buffer.quarantines] == [11]
         assert any("retrying fault 11 " in line for line in messages)
         assert any("quarantined fault 11 " in line for line in messages)
         assert not any("fault 1 " in line for line in messages), messages
 
-    def test_windowed_error_names_the_stream_index(
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=requires_fork)])
+    def test_one_failure_policy_for_both_executors(
+        self, image, plan, reference, jobs, monkeypatch
+    ):
+        """A fault that raises on every attempt is retried ``max_retries``
+        times and then quarantined, identically in-process and on the
+        farm."""
+        target = plan[Component.REGFILE][2]
+        self._arm_raiser(monkeypatch, target)
+        buffer = RecordBuffer()
+        telemetry = CampaignTelemetry()
+        effects = run_injection_plan(
+            image,
+            plan,
+            jobs=jobs,
+            max_retries=2,
+            journal=buffer,
+            telemetry=telemetry,
+        )
+        assert effects[Component.REGFILE][2] is None
+        assert [
+            (entry.component, entry.index, entry.bit_index, entry.cycle,
+             entry.reason)
+            for entry in buffer.quarantines
+        ] == [
+            (Component.REGFILE, 2, target.bit_index, target.cycle,
+             "raised RuntimeError: boom")
+        ]
+        assert telemetry.retries == 2
+        assert telemetry.quarantined == 1
+        for component, effects_of in reference.items():
+            for index, effect in enumerate(effects_of):
+                if (component, index) != (Component.REGFILE, 2):
+                    assert effects[component][index] == effect
+
+    def test_quarantine_without_journal_or_telemetry_is_reported(
         self, image, window, monkeypatch
     ):
+        """With neither a journal nor telemetry, a quarantine still comes
+        back as a ``None`` slot and a progress line - never silently."""
         self._arm_raiser(monkeypatch, window[Component.REGFILE][1])
-        with pytest.raises(InjectionError, match=r"REGFILE\[11\]"):
-            run_injection_plan(
-                image,
-                window,
-                max_retries=0,
-                indices={Component.REGFILE: range(10, 12)},
-            )
+        messages = []
+        effects = run_injection_plan(
+            image,
+            window,
+            max_retries=0,
+            progress=messages.append,
+            indices={Component.REGFILE: range(10, 12)},
+        )
+        assert effects[Component.REGFILE][1] is None
+        assert effects[Component.REGFILE][0] is not None
+        assert any(
+            "quarantined fault 11 (raised RuntimeError: boom)" in line
+            for line in messages
+        ), messages
 
     def test_campaign_reports_a_quarantine_once(
         self, workload, golden, monkeypatch, tmp_path

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.injection.fault import StrikeSite
 from repro.observability.events import (
     EV_CONVERGE,
     EV_FLIP,
@@ -101,3 +102,10 @@ class TestMaskingMechanism:
     def test_untouched_cell_is_never_read(self):
         events = [(EV_FLIP, 1, "L2"), (EV_OUTCOME, 10, "MASKED")]
         assert masking_mechanism(events) == MECH_NEVER_READ
+
+    def test_dead_site_is_never_read_whatever_the_events(self):
+        events = [(EV_FLIP, 1, "REGFILE"), (EV_WRITE_OVER, 4, "regfile")]
+        dead = StrikeSite("user", None, False)
+        live = StrikeSite("user", None, True)
+        assert masking_mechanism(events, dead) == MECH_NEVER_READ
+        assert masking_mechanism(events, live) == MECH_OVERWRITE

@@ -132,7 +132,7 @@ class TestObservabilityFlags:
             assert record.events, "lifetime events are on by default"
             if record.effect is FaultEffect.MASKED:
                 tally = expected.setdefault(record.component.name, {})
-                mechanism = masking_mechanism(record.events)
+                mechanism = masking_mechanism(record.events, record.site)
                 tally[mechanism] = tally.get(mechanism, 0) + 1
         got = {
             name: entry["masked_mechanisms"]
