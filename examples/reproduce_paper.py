@@ -5,8 +5,12 @@ Runs (or loads from the .repro_cache) the full fault-injection and beam
 campaigns over the 13-benchmark suite, then prints Tables I-IV, Figures
 3-10, the Section IV-D counter validation, and the Section VI FIT_raw
 measurement.  Campaign scale is controlled by REPRO_FAULTS and
-REPRO_BEAM_HOURS; with the shipped cache this completes in seconds, and a
-cold run at default scale takes ~30-45 minutes on one core.
+REPRO_BEAM_HOURS; with the shipped cache this completes in seconds.  A
+cold run at default scale (100 faults per component, 300 beam hours, an
+empty REPRO_CACHE_DIR) took about 3 minutes 10 seconds with REPRO_JOBS=1
+on a shared 2-core x86 host (Intel Xeon): 132 s for the injection
+campaigns behind Table IV, 44 s for the beam campaigns behind Figure 3,
+and under 15 s for everything else.
 """
 
 import time

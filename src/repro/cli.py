@@ -48,16 +48,16 @@ Commands
     ``--trace-spans PATH`` arms structured tracing and flushes the span
     JSONL there; ``--metrics-port N`` serves a live Prometheus
     ``/metrics`` exposition of the local campaign's telemetry.
-``serve [--store PATH] [--journal-dir DIR] [--port N]``
+``serve [--store PATH] [--port N]``
     Run a fabric coordinator: accepts campaign submissions, shards their
     deterministic fault streams into index-window leases over HTTP/JSON,
-    dedups faults against the shared sqlite fault store, and journals
-    completed injections exactly as a local run would.  Kill it and
-    restart it freely - campaigns resume from the store with zero
-    re-executed faults.  Exposes ``GET /metrics`` (Prometheus text) and
-    ``POST /heartbeat``; ``--log-json`` swaps stderr prints for one
-    structured JSON line per request, ``--trace-spans`` writes a span
-    JSONL per campaign next to its journal.
+    dedups faults against the shared sqlite fault store, and commits
+    every completed injection's record to that store - the fabric's one
+    durable record.  Kill it and restart it freely - campaigns resume
+    from the store with zero re-executed faults.  Exposes ``GET
+    /metrics`` (Prometheus text) and ``POST /heartbeat``; ``--log-json``
+    swaps stderr prints for one structured JSON line per request,
+    ``--trace-spans`` writes a span JSONL per campaign next to the store.
 ``work <coordinator-url> [--name NAME]``
     Run a fabric worker: lease fault-index windows from the coordinator,
     rebuild the campaign's machine image locally, inject through the
@@ -68,10 +68,11 @@ Commands
     Live fabric dashboard: polls ``/status`` + ``/metrics`` and redraws
     per-campaign progress bars, per-worker throughput, and stale-worker
     warnings in place (no curses).
-``stats <journal-file-or-dir> [--metrics PATH]``
+``stats <journal-file-or-dir-or-store> [--metrics PATH]``
     Rebuild campaign telemetry from one journal (or every ``*.jsonl``
-    journal under a directory) and print the telemetry and
-    fault-propagation tables - no simulation, pure replay.
+    journal under a directory, or every campaign in a fabric fault
+    store) and print the telemetry and fault-propagation tables - no
+    simulation, pure replay.
 ``beam <benchmark> [--hours H]``
     Simulated beam campaign for one benchmark; prints FIT rates with
     confidence intervals.
@@ -165,8 +166,8 @@ def _cmd_inject(args) -> int:
         print("error: --resume requires --journal DIR", file=sys.stderr)
         return 2
     if args.fabric and (args.journal or args.resume):
-        print("error: --fabric campaigns are journaled by the coordinator; "
-              "drop --journal/--resume", file=sys.stderr)
+        print("error: --fabric campaigns are recorded in the coordinator's "
+              "fault store; drop --journal/--resume", file=sys.stderr)
         return 2
     if args.fabric and args.target_margin is not None:
         print("error: adaptive campaigns (--target-margin) are not "
@@ -371,7 +372,6 @@ def _cmd_serve(args) -> int:
     try:
         serve_forever(
             args.store,
-            args.journal_dir,
             host=args.host,
             port=args.port,
             lease_ttl=args.lease_ttl,
@@ -421,15 +421,30 @@ def _cmd_top(args) -> int:
         return 0
 
 
+def _stored_campaigns(path):
+    """``(campaign id, spec, injections, quarantines)`` per campaign of a
+    fabric fault store: the rows its coordinator replays at activation."""
+    from repro.fabric.protocol import CampaignSpec
+    from repro.fabric.store import FaultStore, stored_records
+
+    store = FaultStore(path)
+    try:
+        for campaign_id, payload in store.campaigns().items():
+            spec = CampaignSpec.from_payload(payload)
+            yield (campaign_id, spec, *stored_records(store, spec))
+    finally:
+        store.close()
+
+
 def _cmd_stats(args) -> int:
     from pathlib import Path
 
+    from repro.fabric.protocol import FabricError
     from repro.injection.journal import read_journal
 
     root = Path(args.journal)
     if root.is_dir():
-        # Span logs (<campaign>.trace.jsonl) live beside fabric journals
-        # but are not injection journals - skip them.
+        # Span logs (<campaign>.trace.jsonl) are not injection journals.
         paths = sorted(
             path for path in root.glob("*.jsonl")
             if not path.name.endswith(".trace.jsonl")
@@ -442,17 +457,28 @@ def _cmd_stats(args) -> int:
     else:
         print(f"error: {root} does not exist", file=sys.stderr)
         return 2
+    # A fault store is told by its header, not its name (``f.db``).
+    with paths[0].open("rb") as head:
+        is_store = head.read(16) == b"SQLite format 3\0"
+    campaigns = (
+        _stored_campaigns(root) if is_store
+        else ((path.name, *read_journal(path)) for path in paths)
+    )
 
     telemetry = CampaignTelemetry()
-    for path in paths:
-        meta, records, quarantines = read_journal(path)
-        print(f"{path.name}: {meta.workload} on {meta.machine}, "
-              f"{len(records)} injection(s), {len(quarantines)} quarantined")
-        seen_components = {record.component for record in records}
-        seen_components |= {record.component for record in quarantines}
-        for component in sorted(seen_components, key=lambda c: c.name):
-            telemetry.register_plan(component, meta.faults_per_component)
-        telemetry.replay(records, quarantines)
+    try:
+        for label, meta, records, quarantines in campaigns:
+            print(f"{label}: {meta.workload} on {meta.machine}, "
+                  f"{len(records)} injection(s), "
+                  f"{len(quarantines)} quarantined")
+            seen_components = {record.component for record in records}
+            seen_components |= {record.component for record in quarantines}
+            for component in sorted(seen_components, key=lambda c: c.name):
+                telemetry.register_plan(component, meta.faults_per_component)
+            telemetry.replay(records, quarantines)
+    except FabricError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     summary = telemetry.summary()
     print(telemetry_table(summary))
     propagation = propagation_table(summary)
@@ -631,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="submit the campaign to a fabric coordinator "
                         "(repro serve) instead of injecting locally; the "
                         "result is bit-identical to a local run and "
-                        "journaling happens on the coordinator "
+                        "the records land in the coordinator's fault store "
                         "(incompatible with --journal/--resume/"
                         "--target-margin)")
     inject.add_argument("--target-margin", type=float, default=None,
@@ -681,10 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sqlite fault store shared by every campaign "
                        "on this coordinator "
                        "(default .repro_fabric/faults.sqlite)")
-    serve.add_argument("--journal-dir", default=".repro_fabric/journals",
-                       metavar="DIR",
-                       help="directory of per-campaign JSONL journals "
-                       "(default .repro_fabric/journals)")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1; use 0.0.0.0 "
                        "for cross-host workers)")
@@ -705,8 +727,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "correctness; default 30)")
     serve.add_argument("--trace-spans", action="store_true",
                        help="arm structured tracing: write one span JSONL "
-                       "per campaign (<campaign>.trace.jsonl next to its "
-                       "journal) covering submit, lease, worker window "
+                       "per campaign (<campaign>.trace.jsonl next to the "
+                       "store) covering submit, lease, worker window "
                        "and report spans")
     serve.add_argument("--log-json", action="store_true",
                        help="emit one structured JSON line per "
@@ -758,10 +780,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser(
         "stats",
-        help="rebuild campaign telemetry from an injection journal",
+        help="rebuild campaign telemetry from an injection journal or a "
+        "fabric fault store",
     )
     stats.add_argument("journal",
-                       help="journal file, or directory of *.jsonl journals")
+                       help="journal file, directory of *.jsonl journals, "
+                       "or fabric fault store")
     stats.add_argument("--metrics", metavar="PATH", default=None,
                        help="export the telemetry summary as "
                        "machine-readable JSON (repro-metrics schema)")

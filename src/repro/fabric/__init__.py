@@ -7,15 +7,16 @@ This package breaks the farm out of a single process:
 
 - a **coordinator** (:mod:`repro.fabric.coordinator`) accepts campaign
   submissions, shards each campaign's deterministic fault stream into
-  index-window *leases* over a simple HTTP/JSON work queue, journals
-  completed injections exactly as a local run would, and assembles the
-  final :class:`~repro.injection.campaign.WorkloadResult`;
+  index-window *leases* over a simple HTTP/JSON work queue, commits
+  every completed injection's record to the fault store, and assembles
+  the final :class:`~repro.injection.campaign.WorkloadResult`;
 - a **fault store** (:mod:`repro.fabric.store`) - one sqlite database
   keyed by fault identity ``(workload, program digest, component,
-  cluster, index, seed)`` - provides dedup (a fault completed by any
-  prior or concurrent campaign is never re-executed), resume (the store
-  survives a coordinator SIGKILL), and a shared pool many campaigns can
-  draw from;
+  cluster, index, seed)`` and the fabric's one durable record -
+  provides dedup (a fault completed by any prior or concurrent campaign
+  is never re-executed), resume (the store survives a coordinator
+  SIGKILL), a shared pool many campaigns can draw from, and the rows
+  ``repro stats <store>`` replays;
 - **workers** (:mod:`repro.fabric.worker`) on any host rebuild the same
   machine image from the campaign spec, lease index windows, run them
   through the existing :class:`~repro.injection.parallel.ImageInjector`

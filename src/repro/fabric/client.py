@@ -11,9 +11,9 @@ The wait is deliberately tolerant of coordinator downtime: submission is
 idempotent (campaign ids are content-derived, the store dedups), so the
 client simply resubmits after every unreachable spell and keeps polling.
 A campaign therefore survives a coordinator SIGKILL *while the client
-waits* - the restarted coordinator reloads the campaign from the store,
-reconciles its journal, and the poll loop picks up where it left off
-(the CI smoke test exercises exactly this).
+waits* - the restarted coordinator reloads the campaign and its
+completed records from the store, and the poll loop picks up where it
+left off (the CI smoke test exercises exactly this).
 """
 
 from __future__ import annotations

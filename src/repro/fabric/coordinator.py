@@ -1,27 +1,24 @@
 """Fabric coordinator: the campaign-owning side of the work queue.
 
-The coordinator is the only process that touches the fault store and the
-journals.  It accepts campaign submissions, regenerates each campaign's
-deterministic fault lists (a :class:`CampaignSpec` plus
-:func:`~repro.injection.campaign.build_fault_plan` is all it takes - no
-simulation happens here), registers them in the store, and hands out
-contiguous index-window leases to whichever workers ask.  Completed
-records flow back as journal lines; each is parsed once into an
-:class:`~repro.injection.journal.InjectionRecord` (or
+The coordinator is the only process that touches the fault store, the
+fabric's one durable record.  It accepts campaign submissions,
+regenerates each campaign's deterministic fault lists (a
+:class:`CampaignSpec` plus :func:`~repro.injection.campaign.build_fault_plan`
+is all it takes - no simulation happens here), registers them in the
+store, and hands out contiguous index-window leases to whichever workers
+ask.  Completed records flow back as journal lines; each is parsed once
+into an :class:`~repro.injection.journal.InjectionRecord` (or
 :class:`~repro.injection.journal.QuarantineRecord`), and that one object
-is committed to the store first, then appended to the campaign's journal
-and tallied by its telemetry - the same JSONL journal, with the same
-:class:`~repro.injection.journal.JournalMeta` fingerprint, that a local
-``jobs=1`` run would write.
+is committed to the store, then tallied by the campaign's telemetry.
+``repro stats <store>`` reads the same rows back.
 
 Crash story (the DAVOS posture: the harness itself is fault-tolerant):
 
-- every accepted report is committed to sqlite *before* it is journaled
-  or acknowledged, so a SIGKILL between any two statements loses at most
+- every accepted report is committed to sqlite *before* it is
+  acknowledged, so a SIGKILL between any two statements loses at most
   unacknowledged work, which the worker simply reports again;
 - on startup the coordinator reloads every campaign persisted in the
-  store and reconciles store against journal in both directions - a
-  record present in either survives into both;
+  store and rebuilds its telemetry from the terminal rows in its scope;
 - a restarted coordinator therefore resumes mid-campaign with zero
   re-executed faults (the CI smoke test SIGKILLs one mid-run to pin
   this).
@@ -37,16 +34,16 @@ Observability (all off the hot path):
   event-time counters for submits, leases, reports and heartbeats, and
   collect-time samples for store counts and worker health;
 - each campaign owns a :class:`~repro.injection.telemetry.CampaignTelemetry`
-  that replays its journal at activation and records every accepted
-  report; :func:`~repro.observability.metrics.telemetry_collector`
+  that replays the campaign's store rows at activation and records every
+  accepted report; :func:`~repro.observability.metrics.telemetry_collector`
   exports it exactly as a local ``--metrics-port`` run does, so the
-  campaign counts are the journal's across restarts;
+  campaign counts are the store's across restarts;
 - ``POST /heartbeat`` lets idle workers stay visible; a worker silent
   for ``worker_ttl`` seconds is flagged *stale* in ``/status`` (leases
   already self-heal via the store's TTL - staleness is a monitoring
   signal, not a correctness mechanism);
-- with ``trace=True`` each campaign gets a ``<id>.trace.jsonl`` span log
-  next to its journal: a ``submit`` root span, a ``lease`` span per
+- with a ``trace_dir`` each campaign gets a ``<id>.trace.jsonl`` span
+  log there: a ``submit`` root span, a ``lease`` span per
   window handed out, worker-shipped ``window`` spans and a ``report``
   span per lease report, all one trace (see
   :mod:`repro.observability.tracing`).
@@ -66,7 +63,7 @@ from repro.fabric.protocol import (
     FabricError,
     identity_base,
 )
-from repro.fabric.store import DONE, FaultStore, QUARANTINED
+from repro.fabric.store import DONE, FaultStore, QUARANTINED, stored_records
 from repro.injection.campaign import (
     CampaignConfig,
     ComponentResult,
@@ -75,11 +72,7 @@ from repro.injection.campaign import (
 )
 from repro.injection.components import Component, component_bits
 from repro.injection.fault import Fault
-from repro.injection.journal import (
-    InjectionJournal,
-    InjectionRecord,
-    QuarantineRecord,
-)
+from repro.injection.journal import InjectionRecord, QuarantineRecord
 from repro.injection.telemetry import CampaignTelemetry
 from repro.observability.metrics import MetricsRegistry, telemetry_collector
 from repro.observability.tracing import (
@@ -98,28 +91,26 @@ DEFAULT_WORKER_TTL = 30.0
 
 
 class _ActiveCampaign:
-    """One submitted campaign: spec, regenerated plan, journal, scope,
-    and the telemetry its ``/metrics`` samples are read from."""
+    """One submitted campaign: spec, regenerated plan, scope, and the
+    telemetry its ``/metrics`` samples are read from."""
 
     def __init__(
         self,
         spec: CampaignSpec,
         config: CampaignConfig,
         plan: dict[Component, list[Fault]],
-        journal: InjectionJournal,
     ):
         self.spec = spec
         self.config = config
         self.plan = plan
-        self.journal = journal
         self.base = identity_base(spec)
         self.telemetry = CampaignTelemetry()
         #: Store-scope bounds: component name -> this campaign's index cap.
         self.limits = {
             component.name: len(faults) for component, faults in plan.items()
         }
-        #: Tracing scaffolding (populated only when the coordinator runs
-        #: with ``trace=True``): one tracer/trace-log per campaign, with
+        #: Tracing scaffolding (populated only when the coordinator has a
+        #: ``trace_dir``): one tracer/trace-log per campaign, with
         #: the ``submit`` span rooting every lease handed out.
         self.tracer: Tracer | None = None
         self.trace_log: TraceLog | None = None
@@ -127,30 +118,30 @@ class _ActiveCampaign:
 
 
 class Coordinator:
-    """Campaign registry + lease broker + journal writer.
+    """Campaign registry + lease broker over one fault store.
 
     Thread-safe: HTTP handler threads call straight in; one lock
-    serializes campaign state (the store has its own).  ``journal_dir``
-    holds one JSONL journal per campaign, named by campaign id.
+    serializes campaign state (the store has its own).  Tracing is on
+    exactly when ``trace_dir`` is set: it then holds one
+    ``<campaign id>.trace.jsonl`` span log per campaign.
     """
 
     def __init__(
         self,
         store: FaultStore,
-        journal_dir: Path,
+        *,
+        trace_dir: Path | None = None,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         lease_size: int = DEFAULT_LEASE_SIZE,
         progress: Callable[[str], None] | None = None,
         worker_ttl: float = DEFAULT_WORKER_TTL,
-        trace: bool = False,
         events: Callable[..., None] | None = None,
     ):
         self.store = store
-        self.journal_dir = Path(journal_dir)
+        self.trace_dir = trace_dir
         self.lease_ttl = lease_ttl
         self.lease_size = lease_size
         self.worker_ttl = worker_ttl
-        self.trace = trace
         self._progress = progress or (lambda message: None)
         #: Structured-event hook ``(event, **fields)`` - a
         #: :class:`~repro.observability.jsonlog.JsonLogger` under
@@ -220,13 +211,12 @@ class Coordinator:
     ) -> _ActiveCampaign:
         """Build (or return) the in-memory state of one campaign.
 
-        Regenerates the fault plan from the spec, registers every fault
-        row (``INSERT OR IGNORE`` - the dedup), opens the journal, and
-        reconciles journal and store so each contains everything the
-        other does.  Everything already terminal at activation time is
-        fed to the campaign's telemetry as *replayed*, so the exported
-        tallies always equal the journal's and replays never pollute
-        live throughput.
+        Regenerates the fault plan from the spec and registers every
+        fault row (``INSERT OR IGNORE`` - the dedup).  Every row already
+        terminal in the campaign's scope - reported before a restart, or
+        finished by another campaign sharing the identity - is fed to the
+        campaign's telemetry as *replayed*, so the exported tallies always
+        equal the store's and replays never pollute live throughput.
         """
         with self._lock:
             campaign = self._campaigns.get(spec.campaign_id)
@@ -236,22 +226,16 @@ class Coordinator:
             plan = build_fault_plan(
                 config, spec.golden_cycles, spec.component_list()
             )
-            journal = InjectionJournal.open(
-                self.journal_dir / f"{spec.campaign_id}.jsonl",
-                config.journal_meta(
-                    spec.workload, spec.program_digest, spec.golden_cycles
-                ),
-            )
-            campaign = _ActiveCampaign(spec, config, plan, journal)
+            campaign = _ActiveCampaign(spec, config, plan)
             for component, faults in plan.items():
                 self.store.register(campaign.base, component.name, faults)
-            if self.trace:
+            if self.trace_dir is not None:
                 context = unpack_trace(trace_context)
                 campaign.tracer = Tracer(
                     trace_id=context[0] if context else None
                 )
                 campaign.trace_log = TraceLog(
-                    self.journal_dir / f"{spec.campaign_id}.trace.jsonl"
+                    self.trace_dir / f"{spec.campaign_id}.trace.jsonl"
                 )
                 span = campaign.tracer.start_span(
                     "submit",
@@ -262,52 +246,13 @@ class Coordinator:
                     },
                 )
                 campaign.submit_span_id = span.span_id
-            self._reconcile(campaign)
-            campaign.telemetry.replay(journal.records, journal.quarantines)
-            if self.trace:
-                campaign.tracer.end_span(
-                    span, reconciled=len(journal.records)
-                )
+            injections, quarantines = stored_records(self.store, spec)
+            campaign.telemetry.replay(injections, quarantines)
+            if campaign.tracer is not None:
+                campaign.tracer.end_span(span, replayed=len(injections))
                 campaign.trace_log.append(campaign.tracer.drain())
             self._campaigns[spec.campaign_id] = campaign
             return campaign
-
-    def _reconcile(self, campaign: _ActiveCampaign) -> None:
-        """Make journal and store agree after a restart or resubmit.
-
-        Journal -> store: records journaled before a crash (or by a prior
-        local run of the same campaign) mark their rows done.  Store ->
-        journal: rows completed by other campaigns sharing the pool (the
-        dedup) or reported while this journal was unwritable are appended
-        from their stored payload.  Both directions are idempotent.
-        """
-        journal = campaign.journal
-        for record in journal.records:
-            self.store.complete(campaign.base, record, worker="journal")
-        for record in journal.quarantines:
-            self.store.quarantine(campaign.base, record, worker="journal")
-        for component in campaign.plan:
-            journaled = journal.completed(component)
-            quarantined = journal.quarantined(component)
-            for record in self._stored(campaign, component):
-                if isinstance(record, QuarantineRecord):
-                    if record.index not in quarantined:
-                        journal.record_quarantine(record)
-                elif record.index not in journaled:
-                    journal.record(record)
-
-    def _stored(
-        self, campaign: _ActiveCampaign, component: Component
-    ) -> list[InjectionRecord | QuarantineRecord]:
-        """One component's terminal store rows as records, by index."""
-        return [
-            (InjectionRecord if status == DONE else QuarantineRecord).from_line(
-                payload
-            )
-            for _index, status, payload, _reason in self.store.records(
-                campaign.base, component.name, campaign.limits[component.name]
-            )
-        ]
 
     # -- work queue ----------------------------------------------------------
 
@@ -323,11 +268,7 @@ class Coordinator:
         with self._lock:
             for campaign in self._campaigns.values():
                 lease = self.store.lease(
-                    campaign.base,
-                    campaign.limits,
-                    worker,
-                    count,
-                    self.lease_ttl,
+                    campaign.base, campaign.limits, count, self.lease_ttl
                 )
                 if lease is not None:
                     entry["leases"] += 1
@@ -366,11 +307,11 @@ class Coordinator:
         return {"idle": True}
 
     def report(self, payload: dict) -> dict:
-        """Accept one lease's results; journal + tally the novel ones.
+        """Accept one lease's results; store + tally the novel ones.
 
         Every record is committed to the store first (first writer wins);
-        only accepted rows reach the journal and telemetry, so a stale
-        worker double-reporting after a lease expiry changes nothing.
+        only accepted rows reach the telemetry, so a stale worker
+        double-reporting after a lease expiry changes nothing.
         """
         campaign = self._campaign(payload["campaign_id"])
         worker = payload.get("worker", "?")
@@ -381,8 +322,7 @@ class Coordinator:
         with self._lock:
             for line in payload.get("records", ()):
                 record = InjectionRecord.from_line(line)
-                if self.store.complete(campaign.base, record, worker):
-                    campaign.journal.record(record)
+                if self.store.complete(campaign.base, record):
                     campaign.telemetry.record(record)
                     accepted += 1
                     entry["completed"] += 1
@@ -390,8 +330,7 @@ class Coordinator:
                     duplicates += 1
             for line in payload.get("quarantines", ()):
                 record = QuarantineRecord.from_line(line)
-                if self.store.quarantine(campaign.base, record, worker):
-                    campaign.journal.record_quarantine(record)
+                if self.store.quarantine(campaign.base, record):
                     campaign.telemetry.record_quarantine(record)
                     entry["quarantined"] += 1
                 else:
@@ -518,15 +457,12 @@ class Coordinator:
                 golden_cycles=campaign.spec.golden_cycles,
             )
             machine = campaign.config.machine
+            injections, quarantines = stored_records(self.store, campaign.spec)
             for component in campaign.plan:
                 result.components[component] = ComponentResult.from_effects(
                     component,
-                    (
-                        None
-                        if isinstance(record, QuarantineRecord)
-                        else record.effect
-                        for record in self._stored(campaign, component)
-                    ),
+                    [r.effect for r in injections if r.component is component]
+                    + [None for r in quarantines if r.component is component],
                     component_bits(machine, component),
                     campaign.spec.confidence,
                 )
@@ -621,10 +557,9 @@ class Coordinator:
         stale.set(stale_count)
 
     def close(self) -> None:
-        """Close every journal, trace log, and the store."""
+        """Close every trace log, and the store."""
         with self._lock:
             for campaign in self._campaigns.values():
-                campaign.journal.close()
                 if campaign.trace_log is not None:
                     campaign.trace_log.close()
             self.store.close()
@@ -756,7 +691,6 @@ def create_server(
 
 def serve_forever(
     store_path: str | Path,
-    journal_dir: str | Path,
     host: str = "127.0.0.1",
     port: int = 8765,
     lease_ttl: float = DEFAULT_LEASE_TTL,
@@ -768,7 +702,8 @@ def serve_forever(
 ) -> None:
     """Run a coordinator until interrupted (the ``repro serve`` command).
 
-    A store holding a campaign this side cannot parse (written by another
+    With ``trace``, span logs are written next to the store file.  A
+    store holding a campaign this side cannot parse (written by another
     protocol version, or malformed) raises :class:`FabricError` before
     the server binds.
     """
@@ -776,12 +711,11 @@ def serve_forever(
     try:
         coordinator = Coordinator(
             store,
-            Path(journal_dir),
+            trace_dir=Path(store_path).parent if trace else None,
             lease_ttl=lease_ttl,
             lease_size=lease_size,
             progress=progress,
             worker_ttl=worker_ttl,
-            trace=trace,
             events=events,
         )
     except FabricError:
@@ -791,7 +725,7 @@ def serve_forever(
     if progress is not None:
         progress(
             f"fabric: coordinator on http://{host}:{server.server_address[1]} "
-            f"(store {store_path}, journals {journal_dir})"
+            f"(store {store_path})"
         )
     try:
         server.serve_forever()

@@ -17,14 +17,16 @@ whole design:
   test pins this);
 - **resume**: every completion is committed before it is acknowledged,
   so the store survives a coordinator SIGKILL and the restarted
-  coordinator continues from exactly the completed set.
+  coordinator continues from exactly the completed set - the store is
+  the fabric's only durable record (:func:`stored_records` reads a
+  campaign back for its result, its telemetry and ``repro stats``).
 
 A terminal row keeps the :class:`~repro.injection.journal.InjectionRecord`
 or :class:`~repro.injection.journal.QuarantineRecord` it was finished
 with as its ``payload``: the record's ``to_line()`` as JSON, the same
-line the campaign journal appends; a quarantined row also keeps its
-``reason``.  No other column repeats the record (schema v2 dropped the
-``effect``/``ended``/``wall`` columns, which nothing wrote or read).
+line a local journal appends.  No other column repeats the record
+(schema v2 dropped the ``effect``/``ended``/``wall`` columns, v3 the
+``reason`` and ``worker`` columns; nothing read any of them).
 
 The store is deliberately passive - no HTTP, no campaign logic - so the
 coordinator owns all policy and tests can drive the store directly.
@@ -44,7 +46,7 @@ import uuid
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.fabric.protocol import FabricError
+from repro.fabric.protocol import CampaignSpec, FabricError, identity_base
 from repro.injection.fault import Fault
 from repro.injection.journal import InjectionRecord, QuarantineRecord
 
@@ -92,6 +94,12 @@ MIGRATIONS: tuple[str, ...] = (
     ALTER TABLE faults DROP COLUMN effect;
     ALTER TABLE faults DROP COLUMN ended;
     ALTER TABLE faults DROP COLUMN wall;
+    """,
+    # v3: a quarantine's reason is in its payload, and per-worker counts
+    # are the coordinator's; the reason and worker columns went unread.
+    """
+    ALTER TABLE faults DROP COLUMN reason;
+    ALTER TABLE faults DROP COLUMN worker;
     """,
 )
 
@@ -255,7 +263,7 @@ class FaultStore:
         with self._lock:
             cursor = self._conn.execute(
                 "UPDATE faults SET status = 'pending', lease_id = NULL, "
-                "worker = NULL, lease_expires = NULL "
+                "lease_expires = NULL "
                 "WHERE status = 'leased' AND lease_expires < ?",
                 (self._clock(),),
             )
@@ -266,7 +274,6 @@ class FaultStore:
         self,
         base: Mapping,
         limits: Mapping[str, int],
-        worker: str,
         count: int,
         ttl: float,
     ) -> Lease | None:
@@ -305,10 +312,10 @@ class FaultStore:
                 )
                 self._conn.execute(
                     f"UPDATE faults SET status = 'leased', lease_id = ?, "
-                    f"worker = ?, lease_expires = ? "
+                    f"lease_expires = ? "
                     f"WHERE {_KEY} AND component = ? "
                     f"AND idx >= ? AND idx < ?",
-                    (lease.lease_id, worker, lease.expires)
+                    (lease.lease_id, lease.expires)
                     + key
                     + (component, start, stop),
                 )
@@ -327,33 +334,29 @@ class FaultStore:
 
     # -- completion ----------------------------------------------------------
 
-    def complete(
-        self, base: Mapping, record: InjectionRecord, worker: str
-    ) -> bool:
+    def complete(self, base: Mapping, record: InjectionRecord) -> bool:
         """Durably record one injection's result; first writer wins.
 
         Returns ``False`` when the row was already terminal (a stale
         report after a lease expired and another worker finished first) -
-        the caller must then *not* journal or tally the duplicate.
+        the caller must then *not* tally the duplicate.
         """
-        return self._finish(base, DONE, record, None, worker)
+        return self._finish(base, DONE, record)
 
-    def quarantine(
-        self, base: Mapping, record: QuarantineRecord, worker: str
-    ) -> bool:
+    def quarantine(self, base: Mapping, record: QuarantineRecord) -> bool:
         """Durably retire one fault that exhausted its retries."""
-        return self._finish(base, QUARANTINED, record, record.reason, worker)
+        return self._finish(base, QUARANTINED, record)
 
-    def _finish(self, base, status, record, reason, worker) -> bool:
+    def _finish(self, base, status, record) -> bool:
         """Make one non-terminal row terminal, its payload the record's
         journal line; ``False`` if it already was terminal."""
         with self._lock:
             cursor = self._conn.execute(
-                f"UPDATE faults SET status = ?, reason = ?, payload = ?, "
-                f"worker = ?, lease_id = NULL, lease_expires = NULL "
+                f"UPDATE faults SET status = ?, payload = ?, "
+                f"lease_id = NULL, lease_expires = NULL "
                 f"WHERE {_KEY} AND component = ? AND idx = ? "
                 f"AND status NOT IN ('done', 'quarantined')",
-                (status, reason, json.dumps(record.to_line()), worker)
+                (status, json.dumps(record.to_line()))
                 + _key_values(base)
                 + (record.component.name, record.index),
             )
@@ -379,22 +382,23 @@ class FaultStore:
 
     def records(
         self, base: Mapping, component: str, limit: int
-    ) -> list[tuple[int, str, dict | None, str | None]]:
-        """Terminal rows of one component: (idx, status, payload, reason).
-
-        Ordered by fault index - the order campaign tallies are
-        accumulated in - and restricted to ``idx < limit``.
+    ) -> list[InjectionRecord | QuarantineRecord]:
+        """Terminal rows of one component as the records they were
+        finished with, in fault-index order (the order campaign tallies
+        are accumulated in), restricted to ``idx < limit``.
         """
         with self._lock:
             rows = self._conn.execute(
-                f"SELECT idx, status, payload, reason FROM faults "
+                f"SELECT status, payload FROM faults "
                 f"WHERE {_KEY} AND component = ? AND idx < ? "
                 f"AND status IN ('done', 'quarantined') ORDER BY idx",
                 _key_values(base) + (component, limit),
             ).fetchall()
         return [
-            (index, status, json.loads(payload) if payload else None, reason)
-            for index, status, payload, reason in rows
+            (InjectionRecord if status == DONE else QuarantineRecord).from_line(
+                json.loads(payload)
+            )
+            for status, payload in rows
         ]
 
     def executed_total(self) -> int:
@@ -405,3 +409,27 @@ class FaultStore:
                 "WHERE status IN ('done', 'quarantined')"
             ).fetchone()
             return count
+
+
+def stored_records(
+    store: FaultStore, spec: CampaignSpec
+) -> tuple[list[InjectionRecord], list[QuarantineRecord]]:
+    """One campaign's terminal rows as (injections, quarantines).
+
+    Every row in the campaign's identity base and index limits -
+    including rows another campaign on the same pool finished (the
+    dedup) - in component order, then fault-index order: the order a
+    serial ``jobs=1`` run records them in.
+    """
+    base = identity_base(spec)
+    injections: list[InjectionRecord] = []
+    quarantines: list[QuarantineRecord] = []
+    for component in spec.component_list():
+        for record in store.records(
+            base, component.name, spec.faults_per_component
+        ):
+            if isinstance(record, QuarantineRecord):
+                quarantines.append(record)
+            else:
+                injections.append(record)
+    return injections, quarantines

@@ -14,10 +14,10 @@ disappear, or be duplicated at will.  Its loop:
 3. regenerate the component's fault list, slice the leased window, and
    run it through :func:`~repro.injection.parallel.run_injection_plan`
    with ``indices={component: range(start, stop)}`` - the same explicit
-   global-index window every windowed plan passes, so journal indices
+   global-index window every windowed plan passes, so record indices
    are global - and a :class:`~repro.injection.journal.RecordBuffer` (so
-   records are collected, not written - the coordinator owns the
-   journal);
+   records are collected, not written - the coordinator commits them to
+   its fault store);
 4. ``POST /report`` the records and lease the next window.
 
 The image, fault plan and a long-lived

@@ -222,8 +222,8 @@ class CampaignConfig:
     def journal_meta(
         self, workload: str, digest: str, golden_cycles: int
     ) -> JournalMeta:
-        """The fingerprint a journal of this campaign carries and resumes
-        against (local and fabric journals alike)."""
+        """The fingerprint a local journal of this campaign carries and
+        resumes against."""
         return JournalMeta(
             workload=workload,
             machine=self.machine.name,

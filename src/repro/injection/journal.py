@@ -475,8 +475,8 @@ class RecordBuffer:
     and the replay accessors report nothing already completed - so the
     fabric worker can run a leased index window through the exact
     campaign execution path and ship the resulting records over the wire
-    (the coordinator then journals them durably, exactly as a local run
-    would).
+    (the coordinator then commits them durably to its fault store, each
+    row's payload the line a local journal would append).
     """
 
     def __init__(self):

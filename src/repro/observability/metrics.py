@@ -45,8 +45,8 @@ is three line shapes).  Two feeding styles coexist:
   snapshot volatile state (store counts, worker staleness).  Campaign
   counts always take this path: :func:`telemetry_collector` mirrors one
   :class:`~repro.injection.telemetry.CampaignTelemetry` - a local run's
-  or a coordinator campaign's - so both export the journal's tallies
-  the same way.  :meth:`Counter.peg` raises a counter to an externally
+  or a coordinator campaign's - so both export their record's tallies
+  (the journal's, or the fault store's) the same way.  :meth:`Counter.peg` raises a counter to an externally
   tracked monotonic total without ever lowering it.
 
 :func:`parse_exposition` is the tiny line-format validator the tests and

@@ -4,9 +4,10 @@ The CI-facing acceptance path: a coordinator subprocess (``repro
 serve``), worker subprocesses (``repro work``), and a client subprocess
 (``repro inject --fabric``) run a small CRC32 campaign.  Mid-run the
 coordinator is SIGKILLed - the real signal, not an in-process
-approximation - and restarted on the same store; the client polls
-through the outage and the campaign finishes with zero duplicated
-injections (proved by summing the executed counts every worker prints).
+approximation - and restarted on the same store, the coordinator's only
+durable record; the client polls through the outage and the campaign
+finishes with zero duplicated injections (proved by summing the executed
+counts every worker prints, and by ``repro stats`` of the store).
 Finally the fabric AVF breakdown is compared line-for-line against a
 local serial run.
 
@@ -69,7 +70,6 @@ def serve(tmp_path: Path, port: int) -> subprocess.Popen:
     process = repro(
         "serve",
         "--store", str(tmp_path / "faults.sqlite"),
-        "--journal-dir", str(tmp_path / "journals"),
         "--port", str(port),
         "--lease-size", "2",
         "--lease-ttl", "30",
@@ -193,7 +193,7 @@ def test_fabric_smoke_with_coordinator_sigkill(tmp_path):
 
         # Final scrape: the exposition still parses, reports completion,
         # and its per-campaign totals equal the full fault count (the
-        # restarted coordinator replayed phase 1 from the journal).
+        # restarted coordinator replayed phase 1 from the store).
         final_samples = validated_metrics(url)
         final_injections = sum(
             value
@@ -206,6 +206,18 @@ def test_fabric_smoke_with_coordinator_sigkill(tmp_path):
             for (name, _labels), value in final_samples.items()
             if name == "repro_campaign_complete"
         }
+
+        # The store alone holds the whole campaign: every fault once,
+        # none quarantined, across the kill.
+        stats_path = tmp_path / "store-stats.json"
+        finish(
+            repro("stats", str(tmp_path / "faults.sqlite"),
+                  "--metrics", str(stats_path)),
+            timeout=120,
+        )
+        stored = json.loads(stats_path.read_text())["values"]
+        assert stored["completed"] == FAULTS * 6
+        assert stored["quarantined"] == 0
 
         # Ship the final scrape as a repro-metrics/2 envelope - the CI
         # artifact that lands next to the bench job's metrics.json.

@@ -5,10 +5,12 @@ Acceptance scenarios from the fault-farm correctness sweep:
 - a campaign sharded over two workers produces per-fault effects and
   final tallies bit-identical to a serial ``jobs=1`` run;
 - a coordinator that dies mid-campaign (server torn down without any
-  cleanup, new coordinator pointed at the same store/journals) resumes
-  with zero duplicated injections;
+  cleanup, new coordinator pointed at the same store) resumes with zero
+  duplicated injections;
 - a second campaign over a longer prefix of the same fault stream
-  reuses every completed fault from the first (identity dedup).
+  reuses every completed fault from the first (identity dedup);
+- the store is the one record: the coordinator leaves no other file,
+  and ``repro stats <store>`` equals ``repro stats <local journal>``.
 
 Everything runs in-process on threads; the subprocess/SIGKILL flavor
 lives in ``test_cli_smoke.py``.
@@ -21,10 +23,11 @@ import threading
 
 import pytest
 
+from repro.cli import main
 from repro.fabric.client import FabricClient
 from repro.fabric.protocol import CampaignSpec
 from repro.fabric.coordinator import Coordinator, create_server
-from repro.fabric.store import FaultStore
+from repro.fabric.store import FaultStore, stored_records
 from repro.fabric.worker import FabricWorker
 from repro.injection.campaign import (
     CampaignConfig,
@@ -32,12 +35,9 @@ from repro.injection.campaign import (
     prepare_image,
 )
 from repro.injection.components import Component, component_bits
-from repro.injection.journal import (
-    InjectionRecord,
-    RecordBuffer,
-    read_journal,
-)
+from repro.injection.journal import RecordBuffer
 from repro.injection.parallel import run_injection_plan
+from repro.observability.metrics import read_metrics
 from repro.workloads import get_workload
 
 WORKLOAD = "StringSearch"
@@ -83,9 +83,7 @@ class _Fabric:
 
     def start(self):
         self.coordinator = Coordinator(
-            FaultStore(self.tmp_path / "faults.sqlite"),
-            self.tmp_path / "journals",
-            lease_size=2,
+            FaultStore(self.tmp_path / "faults.sqlite"), lease_size=2
         )
         self.server = create_server(self.coordinator)
         self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
@@ -102,16 +100,22 @@ class _Fabric:
         self.kill()
         self.coordinator.close()
 
+    def stored(self):
+        """The one campaign's (injections, quarantines) from the store."""
+        (campaign,) = self.coordinator._campaigns.values()
+        return stored_records(self.coordinator.store, campaign.spec)
+
 
 def run_client_and_workers(
-    fabric, workload, config, worker_count=2, client=None
+    fabric, workload, config, worker_count=2, client=None,
+    components=COMPONENTS,
 ):
     """Drive one campaign to completion; returns (result, workers)."""
     client = client or FabricClient(fabric.url, poll_interval=0.05)
     box = {}
 
     def submit():
-        box["result"] = client.run_workload(workload, config, COMPONENTS)
+        box["result"] = client.run_workload(workload, config, components)
 
     client_thread = threading.Thread(target=submit)
     client_thread.start()
@@ -158,13 +162,9 @@ class TestDistributedEqualsSerial:
         assert result.golden_cycles == serial["golden"].cycles
 
     def test_per_fault_effects_match_serial(self, outcome, serial):
-        """Stronger than tally equality: every journaled fault's effect
+        """Stronger than tally equality: every stored fault's effect
         equals the serial run's effect at the same index."""
-        journals = list(
-            (outcome["fabric"].tmp_path / "journals").glob("*.jsonl")
-        )
-        assert len(journals) == 1
-        _meta, records, quarantines = read_journal(journals[0])
+        records, quarantines = outcome["fabric"].stored()
         assert quarantines == []
         by_fault = {
             (record.component, record.index): record for record in records
@@ -176,44 +176,35 @@ class TestDistributedEqualsSerial:
                 fault = serial["plan"][component][index]
                 assert record.bit_index == fault.bit_index
                 assert record.cycle == fault.cycle
-        assert not by_fault, f"extra journal records: {sorted(by_fault)}"
+        assert not by_fault, f"extra stored records: {sorted(by_fault)}"
 
-    def test_strike_sites_reach_the_coordinator_journal(self, outcome):
+    def test_strike_sites_reach_the_coordinator_store(self, outcome):
         """Workers' strike sites ride the record lines into the
-        coordinator's store and journal, with no protocol change."""
-        journal = next((outcome["fabric"].tmp_path / "journals").glob("*.jsonl"))
-        _meta, records, _quarantines = read_journal(journal)
+        coordinator's store, with no protocol change."""
+        records, _quarantines = outcome["fabric"].stored()
         assert records
         assert all(record.site is not None for record in records)
         assert {record.site.mode for record in records} <= {"user", "kernel"}
 
     def test_every_hop_carries_the_serial_record(self, outcome, serial):
         """A fault's record is the same object's value at every hop: the
-        coordinator journal and the store payload equal the serial run's
-        record in everything but the wall-clock time."""
-
-        def key(record):
-            return (record.component, record.index)
+        store payload equals the serial run's record in everything but
+        the wall-clock time, in the serial run's order."""
 
         def timeless(record):
             return dataclasses.replace(record, wall_time=0.0)
 
-        expected = {key(record): timeless(record) for record in serial["records"]}
+        expected = [timeless(record) for record in serial["records"]]
         assert len(expected) == FAULTS * len(COMPONENTS)
-        assert all(record.events for record in expected.values())
-        fabric = outcome["fabric"]
-        journal = next((fabric.tmp_path / "journals").glob("*.jsonl"))
-        _meta, records, _quarantines = read_journal(journal)
-        assert {key(record): timeless(record) for record in records} == expected
-        (campaign,) = fabric.coordinator._campaigns.values()
-        store = fabric.coordinator.store
-        stored = {}
-        for component in COMPONENTS:
-            rows = store.records(campaign.base, component.name, FAULTS)
-            for _index, _status, payload, _reason in rows:
-                record = InjectionRecord.from_line(payload)
-                stored[key(record)] = timeless(record)
-        assert stored == expected
+        assert all(record.events for record in expected)
+        records, _quarantines = outcome["fabric"].stored()
+        assert [timeless(record) for record in records] == expected
+
+    def test_coordinator_leaves_only_the_store(self, outcome):
+        """No journal, no span log: the store is the one durable record
+        of an untraced coordinator."""
+        tmp_path = outcome["fabric"].tmp_path
+        assert [path.name for path in tmp_path.iterdir()] == ["faults.sqlite"]
 
     def test_no_fault_was_executed_twice(self, outcome):
         executed = sum(worker.executed for worker in outcome["workers"])
@@ -312,3 +303,38 @@ class TestCrossCampaignDedup:
                 short_counts[effect] = short_counts.get(effect, 0) + 1
             assert short_result.components[component].counts == short_counts
         fabric.stop()
+
+
+class TestStatsOfTheStore:
+    def test_store_stats_equal_local_journal_stats(
+        self, tmp_path, monkeypatch
+    ):
+        """``repro stats`` of a fabric store and of a local ``jobs=1``
+        journal of the same CRC32 campaign export the same telemetry."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        config = CampaignConfig(faults_per_component=2)
+        fabric = _Fabric(tmp_path / "farm")
+        run_client_and_workers(
+            fabric, get_workload("CRC32"), config, components=tuple(Component)
+        )
+        fabric.stop()
+        journal_dir = tmp_path / "journal"
+        assert main(
+            ["inject", "CRC32", "-n", "2", "--journal", str(journal_dir)]
+        ) == 0
+
+        exported = {}
+        for name, path in (
+            ("store", tmp_path / "farm" / "faults.sqlite"),
+            ("journal", journal_dir),
+        ):
+            metrics = tmp_path / f"{name}.json"
+            assert main(["stats", str(path), "--metrics", str(metrics)]) == 0
+            exported[name] = read_metrics(metrics)["values"]
+        assert exported["store"]["completed"] == 2 * len(Component)
+        assert exported["store"]["propagation"]
+        for section in (
+            "components", "propagation", "ended_by", "cycles_saved",
+            "completed",
+        ):
+            assert exported["store"][section] == exported["journal"][section]

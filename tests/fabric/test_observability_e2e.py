@@ -5,7 +5,7 @@ The acceptance sweep for the fabric observability layer, all in-process:
 - ``/metrics`` scraped mid-campaign parses and every ``*_total`` counter
   is monotonic across successive scrapes;
 - at completion the exported per-class tallies are *exactly* the
-  journal's tallies - the exposition is a view of the record of truth,
+  store's tallies - the exposition is a view of the record of truth,
   never an approximation;
 - a worker that heartbeats once and then goes silent past the TTL shows
   up stale in ``/status`` (and the gauges), while a freshly-heartbeating
@@ -26,7 +26,7 @@ import pytest
 from repro.fabric.client import FabricClient
 from repro.fabric.coordinator import Coordinator, create_server
 from repro.fabric.protocol import get_text, post_json
-from repro.fabric.store import FaultStore
+from repro.fabric.store import FaultStore, stored_records
 from repro.fabric.worker import FabricWorker
 from repro.injection.campaign import (
     CampaignConfig,
@@ -34,7 +34,6 @@ from repro.injection.campaign import (
     prepare_image,
 )
 from repro.injection.components import Component
-from repro.injection.journal import read_journal
 from repro.injection.parallel import run_injection_plan
 from repro.observability.metrics import parse_exposition
 from repro.observability.tracing import read_spans, span_path
@@ -73,10 +72,9 @@ def outcome(tmp_path_factory, workload, config, serial):
     tmp_path = tmp_path_factory.mktemp("obs_fabric")
     coordinator = Coordinator(
         FaultStore(tmp_path / "faults.sqlite"),
-        tmp_path / "journals",
+        trace_dir=tmp_path,
         lease_size=LEASE_SIZE,
         worker_ttl=WORKER_TTL,
-        trace=True,
     )
     server = create_server(coordinator)
     url = f"http://127.0.0.1:{server.server_address[1]}"
@@ -147,6 +145,17 @@ def _campaign_id(outcome) -> str:
     return campaign_id
 
 
+def _stored(outcome):
+    """The campaign's (injections, quarantines) from the store."""
+    coordinator = outcome["coordinator"]
+    (campaign,) = coordinator._campaigns.values()
+    return stored_records(coordinator.store, campaign.spec)
+
+
+def _trace_file(outcome):
+    return outcome["tmp_path"] / f"{_campaign_id(outcome)}.trace.jsonl"
+
+
 class TestMetricsEndpoint:
     def test_mid_run_scrapes_parse(self, outcome):
         # parse_exposition already validated each scrape; there must have
@@ -167,15 +176,9 @@ class TestMetricsEndpoint:
                 )
                 previous[(name, labels)] = value
 
-    def test_final_effect_tallies_equal_journal(self, outcome):
+    def test_final_effect_tallies_equal_store(self, outcome):
         campaign_id = _campaign_id(outcome)
-        journals = [
-            path
-            for path in (outcome["tmp_path"] / "journals").glob("*.jsonl")
-            if not path.name.endswith(".trace.jsonl")
-        ]
-        assert len(journals) == 1
-        _meta, records, quarantines = read_journal(journals[0])
+        records, quarantines = _stored(outcome)
         assert quarantines == []
         expected: dict[tuple[str, str], int] = {}
         for record in records:
@@ -191,13 +194,15 @@ class TestMetricsEndpoint:
             key: float(count) for key, count in expected.items()
         }
 
-    def test_injections_total_equals_journal_length(self, outcome):
+    def test_injections_total_equals_stored_records(self, outcome):
         campaign_id = _campaign_id(outcome)
         key = (
             "repro_injections_total",
             frozenset({("campaign", campaign_id)}),
         )
-        assert outcome["final"][key] == FAULTS * len(COMPONENTS)
+        records, _quarantines = _stored(outcome)
+        assert outcome["final"][key] == len(records)
+        assert len(records) == FAULTS * len(COMPONENTS)
 
     def test_campaign_gauges_report_completion(self, outcome):
         campaign_id = _campaign_id(outcome)
@@ -252,13 +257,17 @@ class TestWorkerHealth:
 
 
 class TestTraceReconstruction:
+    def test_trace_log_lands_in_the_trace_dir(self, outcome):
+        """A traced coordinator writes its span logs, and nothing else,
+        beside the store."""
+        names = sorted(path.name for path in outcome["tmp_path"].iterdir())
+        assert names == [
+            f"{_campaign_id(outcome)}.trace.jsonl", "faults.sqlite"
+        ]
+
     def test_one_fault_path_is_complete(self, outcome):
         """submit -> lease -> window, plus a sibling report span."""
-        campaign_id = _campaign_id(outcome)
-        trace_file = (
-            outcome["tmp_path"] / "journals" / f"{campaign_id}.trace.jsonl"
-        )
-        spans = read_spans(trace_file)
+        spans = read_spans(_trace_file(outcome))
         assert spans, "trace log is empty"
         assert len({span["trace"] for span in spans}) == 1
 
@@ -284,19 +293,13 @@ class TestTraceReconstruction:
         )
 
     def test_every_span_is_closed_and_stamped(self, outcome):
-        campaign_id = _campaign_id(outcome)
-        spans = read_spans(
-            outcome["tmp_path"] / "journals" / f"{campaign_id}.trace.jsonl"
-        )
+        spans = read_spans(_trace_file(outcome))
         for span in spans:
             assert span["end"] is not None
             assert span["end"] >= span["start"]
 
     def test_window_spans_cover_every_executed_fault(self, outcome):
-        campaign_id = _campaign_id(outcome)
-        spans = read_spans(
-            outcome["tmp_path"] / "journals" / f"{campaign_id}.trace.jsonl"
-        )
+        spans = read_spans(_trace_file(outcome))
         covered = sum(
             span["attributes"].get("completed", 0)
             for span in spans
@@ -309,12 +312,7 @@ class TestDistributedStillEqualsSerial:
     def test_per_fault_effects_match_serial(self, outcome, serial):
         """Tracing and metrics are observation-only: the distributed
         per-fault effects stay bit-identical to a serial run."""
-        journals = [
-            path
-            for path in (outcome["tmp_path"] / "journals").glob("*.jsonl")
-            if not path.name.endswith(".trace.jsonl")
-        ]
-        _meta, records, _quarantines = read_journal(journals[0])
+        records, _quarantines = _stored(outcome)
         by_fault = {
             (record.component, record.index): record.effect
             for record in records

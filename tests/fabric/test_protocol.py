@@ -20,17 +20,13 @@ from repro.fabric.protocol import (
     FabricUnavailable,
     identity_base,
 )
-from repro.fabric.store import FaultStore
+from repro.fabric.store import FaultStore, stored_records
 from repro.fabric.worker import _CampaignContext
 from repro.injection.campaign import CampaignConfig, build_fault_plan
 from repro.injection.classify import FaultEffect
 from repro.injection.components import Component
 from repro.injection.identity import machine_digest, program_digest
-from repro.injection.journal import (
-    InjectionRecord,
-    QuarantineRecord,
-    read_journal,
-)
+from repro.injection.journal import InjectionRecord, QuarantineRecord
 from repro.injection.parallel import EngineOptions
 from repro.microarch.config import (
     CORTEX_A9_CONFIG,
@@ -201,7 +197,7 @@ class TestFaultIdentity:
         """The same name with another program (and so another golden
         duration) must never reuse, or collide with, the old rows."""
         store_path = tmp_path / "faults.sqlite"
-        coordinator = Coordinator(FaultStore(store_path), tmp_path / "journals")
+        coordinator = Coordinator(FaultStore(store_path))
         config = CampaignConfig(faults_per_component=faults, seed=0)
         for workload, golden_cycles in ((CRC32, 274_908), (edited(CRC32), 275_726)):
             spec = CampaignSpec.from_config(workload, config, golden_cycles)
@@ -225,7 +221,6 @@ class TestFaultIdentity:
             old_base,
             InjectionRecord(Component.L1D, 0, fault.bit_index, fault.cycle,
                             FaultEffect.SDC, 0.1),
-            worker="old",
         )
         store.close()
         store = FaultStore(tmp_path / "faults.sqlite")
@@ -238,7 +233,8 @@ class TestFaultIdentity:
 
 class TestCampaignMetrics:
     """A coordinator exports each campaign's counts from its telemetry,
-    which replays the journal at activation - as a local run does."""
+    which replays the campaign's store rows at activation - as a local
+    run replays its journal."""
 
     @staticmethod
     def _sample(coordinator, name: str, campaign_id: str):
@@ -247,7 +243,7 @@ class TestCampaignMetrics:
 
     def test_quarantines_survive_a_restart(self, tmp_path):
         store_path = tmp_path / "faults.sqlite"
-        coordinator = Coordinator(FaultStore(store_path), tmp_path / "journals")
+        coordinator = Coordinator(FaultStore(store_path))
         campaign_id = coordinator.submit(make_spec().to_payload())["campaign_id"]
         fault = coordinator._campaigns[campaign_id].plan[Component.L1D][0]
         quarantine = QuarantineRecord(
@@ -261,12 +257,12 @@ class TestCampaignMetrics:
         assert self._sample(coordinator, "repro_quarantines_total", campaign_id) == 1
         coordinator.close()
 
-        restarted = Coordinator(FaultStore(store_path), tmp_path / "journals")
+        restarted = Coordinator(FaultStore(store_path))
         try:
-            _meta, _records, quarantines = read_journal(
-                tmp_path / "journals" / f"{campaign_id}.jsonl"
+            _records, quarantines = stored_records(
+                restarted.store, restarted._campaigns[campaign_id].spec
             )
-            assert len(quarantines) == 1
+            assert quarantines == [quarantine]
             assert self._sample(
                 restarted, "repro_quarantines_total", campaign_id
             ) == len(quarantines)
@@ -274,7 +270,7 @@ class TestCampaignMetrics:
             restarted.close()
 
     def test_reported_cycles_saved_reach_the_counter(self, tmp_path):
-        coordinator = Coordinator(FaultStore(), tmp_path / "journals")
+        coordinator = Coordinator(FaultStore())
         try:
             campaign_id = coordinator.submit(make_spec().to_payload())[
                 "campaign_id"
@@ -301,6 +297,68 @@ class TestCampaignMetrics:
             coordinator.close()
 
 
+class TestTheStoreIsTheOneRecord:
+    """The coordinator writes nothing but the store (and, when asked,
+    span logs), and ``repro stats`` reads that store."""
+
+    @staticmethod
+    def _campaign_with_one_of_each(store_path):
+        """A stored campaign with one injection and one quarantine."""
+        coordinator = Coordinator(FaultStore(store_path))
+        campaign_id = coordinator.submit(make_spec().to_payload())["campaign_id"]
+        faults = coordinator._campaigns[campaign_id].plan[Component.L1D]
+        coordinator.report({
+            "campaign_id": campaign_id,
+            "worker": "w0",
+            "records": [
+                InjectionRecord(
+                    Component.L1D, 0, faults[0].bit_index, faults[0].cycle,
+                    FaultEffect.SDC, 0.01, ended_by="digest",
+                    cycles_saved=500,
+                ).to_line()
+            ],
+            "quarantines": [
+                QuarantineRecord.from_fault(
+                    Component.L1D, 1, faults[1], "worker died"
+                ).to_line()
+            ],
+        })
+        coordinator.close()
+        return campaign_id
+
+    def test_stats_reads_a_store_by_its_header(self, tmp_path, capsys):
+        # A store is recognised by content, whatever its suffix.
+        store_path = tmp_path / "f.db"
+        campaign_id = self._campaign_with_one_of_each(store_path)
+        metrics_path = tmp_path / "stats.json"
+        assert main(
+            ["stats", str(store_path), "--metrics", str(metrics_path)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert (
+            f"{campaign_id}: CRC32 on {SCALED_A9_CONFIG.name}, "
+            f"1 injection(s), 1 quarantined"
+        ) in out
+        values = json.loads(metrics_path.read_text())["values"]
+        assert values["completed"] == 1
+        assert values["quarantined"] == 1
+        assert values["cycles_saved"] == 500
+        assert values["components"]["L1D"]["SDC"] == 1
+        assert values["ended_by"]["digest"] == 1
+
+    def test_coordinator_leaves_only_the_store(self, tmp_path):
+        self._campaign_with_one_of_each(tmp_path / "faults.sqlite")
+        assert [path.name for path in tmp_path.iterdir()] == ["faults.sqlite"]
+
+    def test_trace_dir_is_keyword_only(self, tmp_path):
+        with pytest.raises(TypeError):
+            Coordinator(FaultStore(), tmp_path)  # type: ignore[misc]
+
+    def test_serve_has_no_journal_dir(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["serve", "--journal-dir", str(tmp_path)])
+
+
 def _post(url: str, body: bytes) -> tuple[int, dict]:
     request = urllib.request.Request(
         url, data=body, headers={"Content-Type": "application/json"}
@@ -317,7 +375,7 @@ class TestBadRequests:
     tracebacks."""
 
     def test_handler_answers_400_to_bad_bodies(self, tmp_path):
-        coordinator = Coordinator(FaultStore(), tmp_path / "journals")
+        coordinator = Coordinator(FaultStore())
         server = create_server(coordinator)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         url = f"http://127.0.0.1:{server.server_address[1]}"
@@ -346,7 +404,7 @@ class TestBadRequests:
 
     def test_submit_answers_400_to_invalid_specs(self, tmp_path):
         store = FaultStore(tmp_path / "faults.sqlite")
-        coordinator = Coordinator(store, tmp_path / "journals")
+        coordinator = Coordinator(store)
         server = create_server(coordinator)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         url = f"http://127.0.0.1:{server.server_address[1]}/submit"
@@ -376,7 +434,7 @@ class TestBadRequests:
         payload["turbo"] = True
         store.save_campaign("abc123", payload)
         with pytest.raises(FabricError, match="stored campaign abc123"):
-            Coordinator(store, tmp_path / "journals")
+            Coordinator(store)
         store.close()
 
     def test_serve_over_a_v1_store_exits_2(self, tmp_path, capsys):
@@ -386,9 +444,6 @@ class TestBadRequests:
         payload["version"] = 1
         store.save_campaign("v1campaign", payload)
         store.close()
-        code = main([
-            "serve", "--store", str(store_path),
-            "--journal-dir", str(tmp_path / "journals"), "--port", "0",
-        ])
+        code = main(["serve", "--store", str(store_path), "--port", "0"])
         assert code == 2
         assert "protocol v1" in capsys.readouterr().err

@@ -8,6 +8,8 @@ two live leases.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,13 +81,9 @@ class TestRegistrationDedup:
         store = make_store()
         faults = make_faults(3)
         store.register(BASE, "L1D", faults)
-        assert store.complete(BASE, record_for(1, "SDC"), worker="w")
+        assert store.complete(BASE, record_for(1, "SDC"))
         store.register(BASE, "L1D", faults)  # a second campaign submits
-        rows = store.records(BASE, "L1D", 3)
-        assert [(index, status) for index, status, _p, _r in rows] == [
-            (1, DONE)
-        ]
-        assert rows[0][2]["effect"] == "SDC"
+        assert store.records(BASE, "L1D", 3) == [record_for(1, "SDC")]
 
     def test_different_identity_does_not_collide(self):
         store = make_store()
@@ -127,7 +125,7 @@ class TestLeases:
     def test_lease_is_a_contiguous_pending_prefix(self):
         store = make_store()
         store.register(BASE, "L1D", make_faults(10))
-        lease = store.lease(BASE, {"L1D": 10}, "w1", count=4, ttl=60)
+        lease = store.lease(BASE, {"L1D": 10}, count=4, ttl=60)
         assert (lease.component, lease.start, lease.stop) == ("L1D", 0, 4)
         counts = store.counts(BASE, {"L1D": 10})
         assert counts[LEASED] == 4 and counts[PENDING] == 6
@@ -135,30 +133,30 @@ class TestLeases:
     def test_second_worker_gets_the_next_window(self):
         store = make_store()
         store.register(BASE, "L1D", make_faults(10))
-        first = store.lease(BASE, {"L1D": 10}, "w1", count=4, ttl=60)
-        second = store.lease(BASE, {"L1D": 10}, "w2", count=4, ttl=60)
+        first = store.lease(BASE, {"L1D": 10}, count=4, ttl=60)
+        second = store.lease(BASE, {"L1D": 10}, count=4, ttl=60)
         assert (first.start, first.stop) == (0, 4)
         assert (second.start, second.stop) == (4, 8)
 
     def test_drained_store_leases_nothing(self):
         store = make_store()
         store.register(BASE, "L1D", make_faults(2))
-        store.lease(BASE, {"L1D": 2}, "w1", count=2, ttl=60)
-        assert store.lease(BASE, {"L1D": 2}, "w2", count=2, ttl=60) is None
+        store.lease(BASE, {"L1D": 2}, count=2, ttl=60)
+        assert store.lease(BASE, {"L1D": 2}, count=2, ttl=60) is None
 
     def test_scope_limit_hides_larger_campaigns_rows(self):
         store = make_store()
         store.register(BASE, "L1D", make_faults(10))
-        lease = store.lease(BASE, {"L1D": 3}, "w1", count=8, ttl=60)
+        lease = store.lease(BASE, {"L1D": 3}, count=8, ttl=60)
         assert (lease.start, lease.stop) == (0, 3)
 
     def test_expired_lease_is_reclaimed_and_reissued(self):
         store = make_store()
         store.register(BASE, "L1D", make_faults(4))
-        store.lease(BASE, {"L1D": 4}, "w1", count=4, ttl=60)
-        assert store.lease(BASE, {"L1D": 4}, "w2", count=4, ttl=60) is None
+        store.lease(BASE, {"L1D": 4}, count=4, ttl=60)
+        assert store.lease(BASE, {"L1D": 4}, count=4, ttl=60) is None
         store.test_clock["now"] = 61.0
-        reissued = store.lease(BASE, {"L1D": 4}, "w2", count=4, ttl=60)
+        reissued = store.lease(BASE, {"L1D": 4}, count=4, ttl=60)
         assert (reissued.start, reissued.stop) == (0, 4)
         assert reissued.lease_id != ""
 
@@ -182,19 +180,13 @@ class TestLeases:
         total = 12
         store = make_store()
         store.register(BASE, "L1D", make_faults(total))
-        issued = 0
         for action, value in steps:
             if action == "lease":
-                lease = store.lease(
-                    BASE,
-                    {"L1D": total},
-                    f"w{issued}",
-                    count=max(1, value % 5),
-                    ttl=10.0,
+                store.lease(
+                    BASE, {"L1D": total}, count=max(1, value % 5), ttl=10.0
                 )
-                issued += 1 if lease else 0
             elif action == "complete":
-                store.complete(BASE, record_for(value), worker="w")
+                store.complete(BASE, record_for(value))
             else:  # expire: advance time past every outstanding TTL
                 store.test_clock["now"] += 11.0
             live = store.live_leases()
@@ -207,10 +199,8 @@ class TestLeases:
                 by_lease.setdefault(lease_id, []).append(index)
             for lease_id, members in by_lease.items():
                 terminal = {
-                    index
-                    for index, status, _p, _r in store.records(
-                        BASE, "L1D", total
-                    )
+                    record.index
+                    for record in store.records(BASE, "L1D", total)
                 }
                 assert not terminal & set(members), (
                     f"terminal row still leased: {lease_id} {members}"
@@ -222,30 +212,27 @@ class TestCompletion:
     def test_first_completion_wins(self):
         store = make_store()
         store.register(BASE, "L1D", make_faults(2))
-        assert store.complete(BASE, record_for(0), worker="a")
+        assert store.complete(BASE, record_for(0))
         # A stale report after a lease expiry changes nothing.
-        assert not store.complete(BASE, record_for(0, "SDC"), worker="b")
-        rows = store.records(BASE, "L1D", 2)
-        assert rows[0][2]["effect"] == "MASKED"
+        assert not store.complete(BASE, record_for(0, "SDC"))
+        assert store.records(BASE, "L1D", 2) == [record_for(0)]
 
     def test_quarantine_is_terminal_too(self):
         store = make_store()
         store.register(BASE, "L1D", make_faults(1))
-        assert store.quarantine(
-            BASE, QuarantineRecord(Component.L1D, 0, 0, 100, "worker died"),
-            worker="a",
-        )
-        assert not store.complete(BASE, record_for(0), worker="b")
-        rows = store.records(BASE, "L1D", 1)
-        assert rows[0][1] == QUARANTINED and rows[0][3] == "worker died"
+        quarantine = QuarantineRecord(Component.L1D, 0, 0, 100, "worker died")
+        assert store.quarantine(BASE, quarantine)
+        assert not store.complete(BASE, record_for(0))
+        assert store.records(BASE, "L1D", 1) == [quarantine]
+        assert store.counts(BASE, {"L1D": 1})[QUARANTINED] == 1
 
     def test_records_come_back_in_index_order(self):
         store = make_store()
         store.register(BASE, "L1D", make_faults(5))
         for index in (3, 0, 4, 1, 2):
-            store.complete(BASE, record_for(index), worker="w")
+            store.complete(BASE, record_for(index))
         rows = store.records(BASE, "L1D", 5)
-        assert [index for index, _s, _p, _r in rows] == [0, 1, 2, 3, 4]
+        assert [record.index for record in rows] == [0, 1, 2, 3, 4]
 
 
 class TestDurability:
@@ -253,15 +240,12 @@ class TestDurability:
         path = tmp_path / "faults.sqlite"
         store = FaultStore(path)
         store.register(BASE, "L1D", make_faults(3))
-        store.complete(BASE, record_for(1), worker="w")
+        store.complete(BASE, record_for(1))
         store.save_campaign("abc123", {"workload": "CRC32"})
         store.close()
         reopened = FaultStore(path)
         assert reopened.campaigns() == {"abc123": {"workload": "CRC32"}}
-        rows = reopened.records(BASE, "L1D", 3)
-        assert [(index, status) for index, status, _p, _r in rows] == [
-            (1, DONE)
-        ]
+        assert reopened.records(BASE, "L1D", 3) == [record_for(1)]
         reopened.close()
 
     def test_newer_schema_is_refused(self, tmp_path):
@@ -273,34 +257,45 @@ class TestDurability:
         with pytest.raises(FabricError, match="schema"):
             FaultStore(path)
 
-    def test_v1_store_migrates_and_keeps_its_rows(self, tmp_path, monkeypatch):
-        """A store written at schema v1 opens at v2 without the dropped
-        columns, and its terminal rows read back unchanged."""
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_store_migrates_and_keeps_its_rows(
+        self, tmp_path, monkeypatch, version
+    ):
+        """A store written at schema v1 or v2 opens at the current
+        version without the dropped columns, and its terminal rows read
+        back as the same records."""
         from repro.fabric import store as store_module
 
         migrations = store_module.MIGRATIONS
         path = tmp_path / "faults.sqlite"
-        monkeypatch.setattr(store_module, "MIGRATIONS", migrations[:1])
+        monkeypatch.setattr(store_module, "MIGRATIONS", migrations[:version])
         old = FaultStore(path)
-        assert old.schema_version == 1
+        assert old.schema_version == version
         old.register(BASE, "L1D", make_faults(3))
-        old.complete(BASE, record_for(0, "SDC"), worker="w")
-        old.quarantine(
-            BASE, QuarantineRecord(Component.L1D, 2, 26, 102, "boom"), "w"
-        )
-        before = old.records(BASE, "L1D", 3)
+        # The old schema's write path, with its since-dropped columns.
+        quarantine = QuarantineRecord(Component.L1D, 2, 26, 102, "boom")
+        for record, status, reason in (
+            (record_for(0, "SDC"), DONE, None),
+            (quarantine, QUARANTINED, "boom"),
+        ):
+            old._conn.execute(
+                "UPDATE faults SET status = ?, payload = ?, reason = ?, "
+                "worker = 'w' WHERE idx = ?",
+                (status, json.dumps(record.to_line()), reason, record.index),
+            )
+        old._conn.commit()
         old.close()
         monkeypatch.undo()
 
         store = FaultStore(path)
-        assert store.schema_version == len(migrations) == 2
+        assert store.schema_version == len(migrations) == 3
         columns = {
             row[1] for row in store._conn.execute("PRAGMA table_info(faults)")
         }
-        assert not columns & {"effect", "ended", "wall"}
-        assert "reason" in columns
-        assert [status for _i, status, _p, _r in before] == [DONE, QUARANTINED]
-        assert store.records(BASE, "L1D", 3) == before
+        assert not columns & {"effect", "ended", "wall", "reason", "worker"}
+        assert store.records(BASE, "L1D", 3) == [
+            record_for(0, "SDC"), quarantine
+        ]
         store.close()
 
     def test_schema_version_matches_the_migration_count(self):
