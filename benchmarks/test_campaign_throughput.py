@@ -118,9 +118,8 @@ def test_lifetime_event_overhead(benchmark):
     Both images disable the basic-block translator so the budget
     isolates the cost of the event collection itself, interpreter vs
     interpreter.  (The translated engine's behavior under armed probes -
-    probe-replaying variants for data-side taint, wrapped variants for
-    regfile taint, forced interpretation for fetch-side taint - is
-    measured separately by
+    probe-replaying variants for data-side taint, interpretation while
+    a regfile or fetch-side probe is armed - is measured separately by
     ``test_lifetime_campaign_translation_speedup``.)
     """
     workload = get_workload("StringSearch")
@@ -195,9 +194,10 @@ def test_lifetime_event_overhead(benchmark):
 
 #: Translated-vs-interpreter floor for a lifetime-event campaign.  Taint
 #: probes used to force full interpretation; probe-replaying variants
-#: (data-side taint) and wrapped variants (regfile taint) keep the
-#: translated speedup with events on.  Conservative: same-box
-#: measurements run well above this (~4x).
+#: (data-side taint) keep the translated speedup with events on, and a
+#: regfile probe interprets only until the flipped register's first
+#: read (flips into unread registers end at the flip).  Conservative:
+#: same-box measurements run well above this (~4x).
 LIFETIME_SPEEDUP_BAR = 3.0
 
 
@@ -207,9 +207,9 @@ def test_lifetime_campaign_translation_speedup(benchmark):
     The same mini-campaign (lifetime events armed, early exit on) runs
     once on the translated engine and once interpreter-only.  Every
     injection arms taint probes for its component: L1D and DTLB faults
-    exercise the probe-replaying translated variants, REGFILE faults the
-    wrapped variants (register accesses routed through the taint
-    wrapper's subscripts).  Effects and the recorded lifetime-event
+    exercise the probe-replaying translated variants; REGFILE faults
+    interpret while the regfile probe is armed and translate again once
+    it uninstalls at the first read.  Effects and the recorded lifetime-event
     streams must be byte-identical - the speedup may never cost
     observation fidelity.
     """

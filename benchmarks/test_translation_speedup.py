@@ -122,8 +122,9 @@ def test_taint_on_translator_equivalence():
     """Taint probes armed: translated == interpreted, mechanisms included.
 
     CRC32 with fault-lifetime events and crash traces on, faults spread
-    across the translator's three taint regimes - REGFILE (wrapped
-    variants), L1D (probe-replaying variants), L1I (fetch-side forced
+    across the translator's taint regimes - REGFILE (interpretation
+    until the regfile probe uninstalls; flips into unread registers end
+    at the flip), L1D (probe-replaying variants), L1I (fetch-side forced
     interpretation).  The diff must be empty on classifications, on the
     journaled lifetime-event streams and crash traces, and on the
     per-component masking-mechanism histogram computed from the events -

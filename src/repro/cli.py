@@ -85,6 +85,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.analysis.avf import avf_breakdown
@@ -820,10 +821,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro stats ... | head``).
+        # Point stdout at devnull so the interpreter's final flush does
+        # not raise again on the way out.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

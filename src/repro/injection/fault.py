@@ -35,8 +35,9 @@ class StrikeSite:
     line held (``None`` for an invalid line or a non-cache component);
     ``live`` is whether any struck cell of the cluster could be observed
     at all (a valid cache line, a live field of a valid TLB entry, an
-    architectural register).  With early exit armed, a run ends
-    ``dead-cell`` exactly when its site is not live.
+    architectural register some instruction of the image reads).  With
+    early exit armed, a run ends ``dead-cell`` exactly when its site is
+    not live; with it off, a not-live run goes unwatched to program exit.
     """
 
     mode: str

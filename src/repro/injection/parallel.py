@@ -49,10 +49,14 @@ equivalence guarantee (effects are bit-identical with pruning on or off):
 - **dead-cell short-circuit**: every target answers whether a bit is
   observable now (``observable``, equal to what its ``flip_bit`` would
   return): a cache bit in a valid line, a tag/frame/permission bit of a
-  valid TLB entry, a bit of an architectural register.  A flip whose
-  cluster holds no observable bit - only invalid cache lines, invalid TLB
-  entries or TLB attribute bits, or write-only rename slots - can never
-  be observed, so it is classified Masked at flip time;
+  valid TLB entry, a bit of an architectural register that some
+  instruction of the image reads.  A flip whose cluster holds no
+  observable bit - only invalid cache lines, invalid TLB entries or TLB
+  attribute bits, write-only rename slots, or registers no instruction
+  reads - can never be observed, so it is classified Masked at flip
+  time.  With early exit off such a flip still runs to program exit,
+  but unwatched (no taint probe, no digest-probe stamps), so its
+  lifetime is the same ``flip``/``outcome`` pair in both modes;
 - **golden-state digest convergence**: the image carries blake2b digests
   of the golden run's complete mutable state at a probe grid of cycles
   (:mod:`repro.microarch.digest`); an injected run registers probe events
@@ -349,7 +353,8 @@ class ImageInjector:
         raises ends the run and propagates (the beam's board model
         resolves background-OS line hits that way).  It then records the
         :class:`~repro.injection.fault.StrikeSite`, live when any bit of
-        the cluster is observable.
+        the cluster is observable.  A not-live flip is never watched: it
+        arms no taint probe and its digest probes stamp nothing.
 
         With ``early_exit`` armed, two sound pruning mechanisms can
         classify a run Masked without simulating it to completion (see
@@ -401,15 +406,18 @@ class ImageInjector:
                 raise EarlyMasked(ENDED_DEAD_CELL)
             for bit in bits:
                 target.flip_bit(bit)
-            if lifetime is not None:
+            if lifetime is not None and live:
                 uninstall.append(
                     install_taint(system, fault.component, bits, lifetime)
                 )
 
+        def watched() -> bool:
+            return site.live
+
         events = [(fault.cycle, flip)]
         for cycle in self._probe_cycles:
             if cycle > fault.cycle:
-                events.append((cycle, self._make_probe(cycle, lifetime)))
+                events.append((cycle, self._make_probe(cycle, lifetime, watched)))
 
         try:
             result = system.run(
@@ -449,7 +457,12 @@ class ImageInjector:
             site=site,
         )
 
-    def _make_probe(self, cycle: int, lifetime: FaultLifetime | None = None):
+    def _make_probe(
+        self,
+        cycle: int,
+        lifetime: FaultLifetime | None,
+        watched: Callable[[], bool],
+    ):
         image = self.image
         golden = image.digests[cycle]
         golden_arch = image.arch_digests.get(cycle)
@@ -457,6 +470,8 @@ class ImageInjector:
         system = self.system
 
         def probe():
+            if not watched():
+                return
             if system_digest(system) == golden:
                 if lifetime is not None:
                     lifetime.event(EV_CONVERGE)

@@ -547,6 +547,91 @@ _HANDLERS = {
     Op.CSRW: _h_csrw,
 }
 
+_INT_ALU_REG = frozenset({
+    Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MOD, Op.AND, Op.ORR, Op.EOR,
+    Op.LSL, Op.LSR, Op.ASR,
+})
+_INT_ALU_IMM = frozenset({
+    Op.ADDI, Op.SUBI, Op.MULI, Op.ANDI, Op.ORRI, Op.EORI,
+    Op.LSLI, Op.LSRI, Op.ASRI, Op.MOV,
+})
+_FP_BINOP = frozenset({Op.FADD, Op.FSUB, Op.FMUL, Op.FDIV})
+_FP_UNOP = frozenset({Op.FSQRT, Op.FMOV, Op.FNEG})
+
+#: Exception entry (:meth:`Core.enter_kernel`) banks the stack pointer:
+#: it reads the user ``r13`` and writes the kernel one.  Any instruction
+#: can fault and any user cycle can take the timer, so every image reads
+#: ``r13``.
+EXCEPTION_ENTRY_READS = frozenset({13})
+
+
+def register_effects(op, rd, rs1, rs2):
+    """One instruction's architectural register accesses:
+    ``(int_reads, int_writes, fp_reads, fp_writes)``.
+
+    Matches the handlers' access sets exactly, implicit operands included
+    (``BL``/``BLR`` write ``r14``, ``HALT`` reads ``r0``, ``ERET`` and the
+    exception entry ``SYSCALL`` takes bank ``r13``).  An operand used twice
+    is one set entry.  NOP, B and conditional branches touch no registers.
+    The translator keeps a region's registers in locals from these sets,
+    and :class:`~repro.microarch.system.System` unions the reads over its
+    text to decide which registers a flip can ever reach.
+    """
+    int_reads: set[int] = set()
+    int_writes: set[int] = set()
+    fp_reads: set[int] = set()
+    fp_writes: set[int] = set()
+    if op in _INT_ALU_REG:
+        int_reads.update((rs1, rs2))
+        int_writes.add(rd)
+    elif op in _INT_ALU_IMM:
+        int_reads.add(rs1)
+        int_writes.add(rd)
+    elif op in (Op.MOVI, Op.MOVHI, Op.CSRR):
+        int_writes.add(rd)
+    elif op is Op.CMP:
+        int_reads.update((rs1, rs2))
+    elif op in (Op.CMPI, Op.BR, Op.CSRW):
+        int_reads.add(rs1)
+    elif op in (Op.LDW, Op.LDB):
+        int_reads.add(rs1)
+        int_writes.add(rd)
+    elif op is Op.FLD:
+        int_reads.add(rs1)
+        fp_writes.add(rd)
+    elif op in (Op.STW, Op.STB):
+        int_reads.update((rs1, rd))
+    elif op is Op.FST:
+        int_reads.add(rs1)
+        fp_reads.add(rd)
+    elif op in _FP_BINOP:
+        fp_reads.update((rs1, rs2))
+        fp_writes.add(rd)
+    elif op in _FP_UNOP:
+        fp_reads.add(rs1)
+        fp_writes.add(rd)
+    elif op is Op.FCMP:
+        fp_reads.update((rs1, rs2))
+    elif op is Op.FCVT:
+        int_reads.add(rs1)
+        fp_writes.add(rd)
+    elif op is Op.FCVTI:
+        fp_reads.add(rs1)
+        int_writes.add(rd)
+    elif op is Op.BL:
+        int_writes.add(14)
+    elif op is Op.BLR:
+        int_reads.add(rs1)
+        int_writes.add(14)
+    elif op is Op.SYSCALL:
+        int_reads.add(13)
+        int_writes.add(13)
+    elif op is Op.ERET:
+        int_writes.add(13)
+    elif op is Op.HALT:
+        int_reads.add(0)
+    return int_reads, int_writes, fp_reads, fp_writes
+
 # Shared decode memoization: word -> (handler, rd, rs1, rs2, imm) or None for
 # illegal words.  Decode is a pure function so the table is safe to share.
 # The hot path is a single dict .get(): a hit returns the tuple directly,

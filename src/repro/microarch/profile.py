@@ -75,7 +75,6 @@ def translator_stats(translator) -> dict:
         "enabled": True,
         "blocks_compiled": translator.compiled,
         "superblocks_compiled": translator.compiled_superblocks,
-        "wrapped_compiled": translator.compiled_wrapped,
         "dispatches": translator.dispatches,
         "block_runs": translator.block_runs,
         "chain_hits": translator.chain_hits,

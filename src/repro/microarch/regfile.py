@@ -33,16 +33,27 @@ class PhysRegFile:
         Array("int_regs", "I", arch_prefix=ARCH_REGS),
         Array("fp_regs", "d", arch_prefix=ARCH_REGS),
         Scalars("_int_history _fp_history", arch=False),
-        constants="n_int n_fp",
+        constants="n_int n_fp int_reads fp_reads",
     )
 
-    def __init__(self, int_phys_regs: int, fp_phys_regs: int):
+    def __init__(
+        self,
+        int_phys_regs: int,
+        fp_phys_regs: int,
+        int_reads=range(ARCH_REGS),
+        fp_reads=range(ARCH_REGS),
+    ):
         if int_phys_regs < ARCH_REGS or fp_phys_regs < ARCH_REGS:
             raise InjectionError(
                 "physical register file smaller than architectural state"
             )
         self.n_int = int_phys_regs
         self.n_fp = fp_phys_regs
+        #: The architectural registers some instruction of the loaded image
+        #: reads (:class:`~repro.microarch.system.System` derives them from
+        #: its text; a bare register file assumes every one is read).
+        self.int_reads = frozenset(int_reads)
+        self.fp_reads = frozenset(fp_reads)
         self.int_regs = [0] * int_phys_regs
         self.fp_regs = [0.0] * fp_phys_regs
         self._int_history = ARCH_REGS
@@ -104,25 +115,30 @@ class PhysRegFile:
 
     def observable(self, bit_index: int) -> bool:
         """Whether a flip of this bit could ever be observed: it belongs
-        to an architectural register.
+        to an architectural register some instruction of the image reads.
 
         Rename slots are write-only: :meth:`write_int`/:meth:`write_fp`
         (and the translator's inlined copies of them) store to them, and
-        nothing reads them.  Equals :meth:`flip_bit`'s return.
+        nothing reads them.  An architectural register outside
+        ``int_reads``/``fp_reads`` is never read either, so its flipped
+        value never reaches anything but a digest.  Equals
+        :meth:`flip_bit`'s return.
         """
-        return self._locate(bit_index)[1] < ARCH_REGS
+        is_int, reg, _bit = self._locate(bit_index)
+        return reg in (self.int_reads if is_int else self.fp_reads)
 
     def line_base_paddr(self, bit_index: int) -> None:
         """Registers hold values, not copies of memory lines."""
         return None
 
     def flip_bit(self, bit_index: int) -> bool:
-        """Flip one bit; returns True when it hit an architectural register."""
+        """Flip one bit; returns :meth:`observable` of it (True when it hit
+        an architectural register the image reads)."""
         is_int, reg, bit = self._locate(bit_index)
         if is_int:
             self.int_regs[reg] = (self.int_regs[reg] ^ (1 << bit)) & _INT_MASK
-            return reg < ARCH_REGS
+            return reg in self.int_reads
         packed = bytearray(struct.pack("<d", self.fp_regs[reg]))
         packed[bit // 8] ^= 1 << (bit % 8)
         self.fp_regs[reg] = struct.unpack("<d", bytes(packed))[0]
-        return reg < ARCH_REGS
+        return reg in self.fp_reads

@@ -27,6 +27,7 @@ from repro.errors import (
     SimulationTermination,
 )
 from repro.isa.assembler import Program
+from repro.isa.encoding import try_decode
 from repro.kernel.layout import (
     CSR_EPC,
     CSR_KSP,
@@ -41,7 +42,12 @@ from repro.kernel.layout import (
 from repro.kernel.source import build_kernel
 from repro.microarch.cache import Cache
 from repro.microarch.config import MachineConfig, SCALED_A9_CONFIG
-from repro.microarch.core import Core, Mode
+from repro.microarch.core import (
+    EXCEPTION_ENTRY_READS,
+    Core,
+    Mode,
+    register_effects,
+)
 from repro.microarch.memory import MainMemory
 from repro.microarch.regfile import PhysRegFile
 from repro.microarch.state import Buffer, Flags, Scalars, State
@@ -65,6 +71,34 @@ def _packed_page_table(layout) -> bytes:
         packed = struct.pack(f"<{len(table)}I", *table)
         _PAGE_TABLE_CACHE[layout] = packed
     return packed
+
+
+def _register_reads(programs) -> tuple[frozenset, frozenset]:
+    """The architectural (int, fp) registers some instruction can read.
+
+    Scans every word of every text segment - words that only happen to
+    decode included, which over-approximates and so stays sound - plus
+    the exception entry's implicit ``r13`` read.  A fault-free run only
+    executes text words, and it stays fault-free for as long as nothing
+    reads the flipped register, so a flip into a register outside these
+    sets can never be observed.
+    """
+    int_reads = set(EXCEPTION_ENTRY_READS)
+    fp_reads: set[int] = set()
+    for program in programs:
+        for segment in program.segments:
+            if segment.name != "text":
+                continue
+            data = segment.data
+            for (word,) in struct.iter_unpack("<I", data[: len(data) & ~3]):
+                inst = try_decode(word)
+                if inst is not None:
+                    reads, _, fp, _ = register_effects(
+                        inst.op, inst.rd, inst.rs1, inst.rs2
+                    )
+                    int_reads |= reads
+                    fp_reads |= fp
+    return frozenset(int_reads), frozenset(fp_reads)
 
 
 #: :class:`PerfCounters` names of declared counters named differently.
@@ -178,7 +212,13 @@ class System:
         self.l1d = Cache("L1D", config.l1d, self.l2)
         self.itlb = TLB("ITLB", config.itlb)
         self.dtlb = TLB("DTLB", config.dtlb)
-        self.rf = PhysRegFile(config.int_phys_regs, config.fp_phys_regs)
+        self.kernel = build_kernel(layout)
+        programs = [self.kernel, user_program]
+        if check_program is not None:
+            programs.append(check_program)
+        self.rf = PhysRegFile(
+            config.int_phys_regs, config.fp_phys_regs, *_register_reads(programs)
+        )
         self._devices = _DeviceState()
 
         device_write, device_read = _device_hooks(self)
@@ -195,11 +235,8 @@ class System:
             device_read=device_read,
         )
 
-        self.kernel = build_kernel(layout)
-        self._load_program(self.kernel)
-        self._load_program(user_program)
-        if check_program is not None:
-            self._load_program(check_program)
+        for program in programs:
+            self._load_program(program)
         if golden_output is not None:
             self.memory.poke(
                 layout.golden_buffer_base + GOLDEN_DATA_OFFSET, golden_output

@@ -37,22 +37,21 @@ A translated block is **bit-exact** with the interpreter by construction:
   bytes) is evicted and re-translated from the bytes now resident, so
   post-flip execution still runs compiled; translating corrupted-but-
   decodable code is exactly as valid as interpreting it.
-- Fetch-side observability (ITLB/L1I taint probes) still forces
-  interpretation.  Data-side probes (DTLB, L1D, L2, memory) no longer
-  do: the inline DTLB/L1D fast paths replay
-  ``on_lookup``/``on_read``/``on_write`` notifications at exactly the
-  interpreter's call sites, flushing the batched cycle counter first so
-  lifetime events carry identical stamps; interpreter fallbacks
-  (misses, walks, write-backs) fire the remaining hooks themselves.
-  Wrapped register lists (a regfile taint probe) compile into *wrapped
-  variants*: the registers-as-locals batching is turned off, every
-  operand read and result write goes through ``rf.int_regs[i]`` /
-  ``rf.fp_regs[i]`` subscripts - the same wrapper calls the interpreter
-  makes, in the same order - with ``core.cycle`` stamped to the
-  pre-instruction value first, so probe events are bit-identical.  The
-  probe self-uninstalls after its first read event; wrapped variants
-  notice the unwrap on loop back-edges and exit so the ordinary fast
-  variants take over.
+- Fetch-side observability (ITLB/L1I taint probes) and the register-file
+  taint probe (its list subclasses replace ``rf.int_regs``/``rf.fp_regs``)
+  force interpretation: blocks read ITLB entries and L1I lines directly
+  and keep registers in Python locals, so neither per-fetch nor
+  per-register probe events could be replayed.  The regfile probe
+  self-uninstalls at the first read of a tainted register, and a flip
+  into a register no instruction reads never arms it (see
+  :meth:`repro.microarch.regfile.PhysRegFile.observable`), so a probed
+  run interprets only until the fault is first used.  Data-side probes
+  (DTLB, L1D, L2, memory) do not force interpretation: the inline
+  DTLB/L1D fast paths replay ``on_lookup``/``on_read``/``on_write``
+  notifications at exactly the interpreter's call sites, flushing the
+  batched cycle counter first so lifetime events carry identical stamps;
+  interpreter fallbacks (misses, walks, write-backs) fire the remaining
+  hooks themselves.
 - Every instruction boundary observes the caller's ``limit`` (the next
   event/digest-probe cycle, the pending timer, the watchdog).  Each
   ladder pass first compares the remaining budget against the region's
@@ -98,7 +97,7 @@ from repro.kernel.layout import (
     PTE_VALID,
     PTE_WRITE,
 )
-from repro.microarch.core import Mode
+from repro.microarch.core import Mode, register_effects
 
 _MASK32 = 0xFFFFFFFF
 
@@ -219,7 +218,6 @@ class BlockTranslator:
         #: Compiled-block count, exposed for tests and benchmarks.
         self.compiled = 0
         self.compiled_superblocks = 0
-        self.compiled_wrapped = 0
         self.dispatches = 0
         self.block_runs = 0
         self.chain_hits = 0
@@ -243,14 +241,19 @@ class BlockTranslator:
         dispatcher chains: it keeps running successor blocks until the
         budget is spent, a guard fails, or the next pc is cold.
         """
-        if core.l1i.probe is not None or core.itlb.probe is not None:
-            # Fetch-side probes force interpretation: entry guards read
-            # ITLB entries and L1I lines directly, and the batched fetch
-            # clocks cannot replay per-fetch probe events.  Checked here
-            # so probed runs do not masquerade as guard failures and
-            # churn the variant compiler.  Data-side probes and wrapped
-            # (regfile-tainted) register lists, by contrast, are handled
-            # by compiling probe-replaying variants.
+        if (
+            core.l1i.probe is not None
+            or core.itlb.probe is not None
+            or type(core.rf.int_regs) is not list
+        ):
+            # Fetch-side probes and probed (regfile-tainted) register
+            # lists force interpretation: entry guards read ITLB entries
+            # and L1I lines directly, the batched fetch clocks cannot
+            # replay per-fetch probe events, and blocks keep registers in
+            # locals the wrapper never sees.  Checked here so probed runs
+            # do not masquerade as guard failures and churn the variant
+            # compiler.  Data-side probes, by contrast, are handled by
+            # compiling probe-replaying variants.
             return False
         mode = core.mode
         blocks = (
@@ -437,8 +440,6 @@ class BlockTranslator:
         )
         if region.has_backward or len(region.sections) > 1:
             self.compiled_superblocks += 1
-        if type(core.rf.int_regs) is not list:
-            self.compiled_wrapped += 1
         return namespace["_factory"](core, consts)
 
 
@@ -595,101 +596,24 @@ def _group_spans(instrs, offset_mask: int):
     return [tuple(group) for group in groups], owner
 
 
-_INT_ALU_REG = frozenset({
-    Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MOD, Op.AND, Op.ORR, Op.EOR,
-    Op.LSL, Op.LSR, Op.ASR,
-})
-_INT_ALU_IMM = frozenset({
-    Op.ADDI, Op.SUBI, Op.MULI, Op.ANDI, Op.ORRI, Op.EORI,
-    Op.LSLI, Op.LSRI, Op.ASRI,
-})
-_FP_BINOP = frozenset({Op.FADD, Op.FSUB, Op.FMUL, Op.FDIV})
-_FP_UNOP = frozenset({Op.FSQRT, Op.FMOV, Op.FNEG})
-
-
-def _instr_effects(op, rd, rs1, rs2):
-    """One instruction's register accesses:
-    ``(int_reads, int_writes, fp_reads, fp_writes)``.
-
-    Matches the handlers' access sets exactly (an operand used twice is
-    one set entry, which is stream-equivalent under the self-removing
-    regfile taint probe - only the *first* access to a tainted slot ever
-    reports).  NOP, B and conditional branches touch no registers.
-    """
-    int_reads: set[int] = set()
-    int_writes: set[int] = set()
-    fp_reads: set[int] = set()
-    fp_writes: set[int] = set()
-    if op in _INT_ALU_REG:
-        int_reads.add(rs1)
-        int_reads.add(rs2)
-        int_writes.add(rd)
-    elif op in _INT_ALU_IMM or op is Op.MOV:
-        int_reads.add(rs1)
-        int_writes.add(rd)
-    elif op in (Op.MOVI, Op.MOVHI):
-        int_writes.add(rd)
-    elif op is Op.CMP:
-        int_reads.add(rs1)
-        int_reads.add(rs2)
-    elif op is Op.CMPI:
-        int_reads.add(rs1)
-    elif op in (Op.LDW, Op.LDB):
-        int_reads.add(rs1)
-        int_writes.add(rd)
-    elif op is Op.FLD:
-        int_reads.add(rs1)
-        fp_writes.add(rd)
-    elif op in (Op.STW, Op.STB):
-        int_reads.add(rs1)
-        int_reads.add(rd)
-    elif op is Op.FST:
-        int_reads.add(rs1)
-        fp_reads.add(rd)
-    elif op in _FP_BINOP:
-        fp_reads.add(rs1)
-        fp_reads.add(rs2)
-        fp_writes.add(rd)
-    elif op in _FP_UNOP:
-        fp_reads.add(rs1)
-        fp_writes.add(rd)
-    elif op is Op.FCMP:
-        fp_reads.add(rs1)
-        fp_reads.add(rs2)
-    elif op is Op.FCVT:
-        int_reads.add(rs1)
-        fp_writes.add(rd)
-    elif op is Op.FCVTI:
-        fp_reads.add(rs1)
-        int_writes.add(rd)
-    elif op is Op.BL:
-        int_writes.add(14)
-    elif op is Op.BR:
-        int_reads.add(rs1)
-    elif op is Op.BLR:
-        int_reads.add(rs1)
-        int_writes.add(14)
-    return int_reads, int_writes, fp_reads, fp_writes
-
-
 def _reg_effects(instrs):
     """Integer/fp registers read and written anywhere in the region.
 
     The generated block keeps these in Python locals: nothing outside the
     block observes the register file mid-block (digest probes, injections
-    and event hooks all run at ``limit`` boundaries, wrapped register
-    lists route to wrapped variants that skip the locals entirely, and
-    interpreter fallbacks take their operands as arguments), so
-    architectural registers only need to be real list slots again at
-    block exits.  Rename-history slots (index >= 16) are written through
-    immediately - they are never instruction operands.
+    and event hooks all run at ``limit`` boundaries, probed register
+    lists are never translated, and interpreter fallbacks take their
+    operands as arguments), so architectural registers only need to be
+    real list slots again at block exits.  Rename-history slots
+    (index >= 16) are written through immediately - they are never
+    instruction operands.
     """
     int_reads: set[int] = set()
     int_writes: set[int] = set()
     fp_reads: set[int] = set()
     fp_writes: set[int] = set()
     for _addr, _word, op, rd, rs1, rs2, _imm in instrs:
-        ir, iw, fr, fw = _instr_effects(op, rd, rs1, rs2)
+        ir, iw, fr, fw = register_effects(op, rd, rs1, rs2)
         int_reads |= ir
         int_writes |= iw
         fp_reads |= fr
@@ -716,7 +640,6 @@ class _Ctx:
         "stores_fast",
         "fp_mem_fast",
         "probes",
-        "wrapped",
         "reads_inline",
         "writes_inline",
         "profile",
@@ -752,17 +675,6 @@ class _Ctx:
         # probe-replaying variant).  With probes armed the block replays
         # every notification inline and stays valid either way.
         self.probes = core.dtlb.probe is not None or core.l1d.probe is not None
-        # Regfile taint state at translate time.  Wrapped register lists
-        # (a :class:`~repro.observability.taint.RegfileTaintProbe` is
-        # armed) compile a *wrapped* variant: registers are not cached in
-        # locals - every access goes through ``rf.int_regs``/``rf.fp_regs``
-        # item operations, always re-fetched (the probe self-uninstalls
-        # mid-run, replacing the lists), with ``core.cycle`` flushed to
-        # the exact pre-instruction value first so the wrapper's events
-        # carry the interpreter's stamps.  That forces per-instruction
-        # cycle accounting, so wrapped variants emit one slow-style pass
-        # (keeping the inline memory hit paths).
-        self.wrapped = type(core.rf.int_regs) is not list
         # Memoized virtual-line -> (TLB entry, L1D line) mappings, one
         # block-call-local dict per access direction (``dr`` for reads,
         # ``dw`` for writes - the permission verdicts differ).  Within one
@@ -885,22 +797,9 @@ def _emit_block(core, pc: int, mode, instrs, region: _Region, profile, stats):
         "    return False",
         "if core.mode is not mode_c:",
         "    return False",
-    )
-    if ctx.wrapped:
-        # A wrapped variant is only valid while the regfile taint probe
-        # is armed: once it uninstalls, the plain-list variants take
-        # over (and vice versa - both kinds coexist in the MRU list).
-        out.emit(
-            "if type(rf.int_regs) is list:",
-            "    return False",
-        )
-    else:
-        out.emit(
-            "int_regs = rf.int_regs",
-            "if type(int_regs) is not list:",
-            "    return False",
-        )
-    out.emit(
+        "int_regs = rf.int_regs",
+        "if type(int_regs) is not list:",
+        "    return False",
         "if itlb.probe is not None or l1i.probe is not None:",
         "    return False",
         f"e = itlb_map.get({vpn})",
@@ -942,9 +841,8 @@ def _emit_block(core, pc: int, mode, instrs, region: _Region, profile, stats):
             f"if g{index} is None or g{index}.data[{first}:{last}] != X{index}:",
             "    return False",
         )
-    if not ctx.wrapped:
-        out.emit("fp_regs = rf.fp_regs")
     out.emit(
+        "fp_regs = rf.fp_regs",
         "cmp = core.cmp",
         "ih = rf._int_history",
         "fh = rf._fp_history",
@@ -961,14 +859,11 @@ def _emit_block(core, pc: int, mode, instrs, region: _Region, profile, stats):
     # Architectural registers the region touches live in locals for the
     # whole block run (see _reg_effects for why nothing can observe the
     # list slots mid-block); every exit below writes the written ones
-    # back.  Wrapped variants skip the locals entirely: each instruction
-    # loads its own operands through the live lists (see _emit_instr), so
-    # the taint probe sees every program access - and nothing else.
-    if not ctx.wrapped:
-        for k in ctx.int_used:
-            out.emit(f"r{k} = int_regs[{k}]")
-        for k in ctx.fp_used:
-            out.emit(f"f{k} = fp_regs[{k}]")
+    # back.
+    for k in ctx.int_used:
+        out.emit(f"r{k} = int_regs[{k}]")
+    for k in ctx.fp_used:
+        out.emit(f"f{k} = fp_regs[{k}]")
     if ctx.use_n:
         out.emit("n = 0")
     if ctx.use_ladder:
@@ -999,16 +894,11 @@ def _emit_block(core, pc: int, mode, instrs, region: _Region, profile, stats):
     out.indent = 3
     out.emit("while True:")
     out.indent = 4
-    if ctx.wrapped:
-        # One slow-style pass: per-instruction limit checks and cycle
-        # flushes (events need exact stamps), inline memory hit paths.
-        _emit_pass(out, ctx, fast=False)
-    else:
-        out.emit(f"if limit - cycle > {worst}:")
-        out.indent = 5
-        _emit_pass(out, ctx, fast=True)
-        out.indent = 4
-        _emit_pass(out, ctx, fast=False)
+    out.emit(f"if limit - cycle > {worst}:")
+    out.indent = 5
+    _emit_pass(out, ctx, fast=True)
+    out.indent = 4
+    _emit_pass(out, ctx, fast=False)
     out.indent = 2
     out.emit("except BaseException:")
     out.indent = 3
@@ -1020,13 +910,10 @@ def _emit_block(core, pc: int, mode, instrs, region: _Region, profile, stats):
     # them further, so the attributes are authoritative.  Register locals
     # ARE current: a faulting instruction raises before its writeback, so
     # its destination local still holds the pre-instruction value.
-    # Wrapped variants have no register locals to flush - every write
-    # already went through the live lists.
-    if not ctx.wrapped:
-        for k in ctx.int_writes:
-            out.emit(f"int_regs[{k}] = r{k}")
-        for k in ctx.fp_writes:
-            out.emit(f"fp_regs[{k}] = f{k}")
+    for k in ctx.int_writes:
+        out.emit(f"int_regs[{k}] = r{k}")
+    for k in ctx.fp_writes:
+        out.emit(f"fp_regs[{k}] = f{k}")
     out.emit(
         "core.cycle = cycle",
         "core.icount = ic0 + fc - 1",
@@ -1051,11 +938,10 @@ def _emit_block(core, pc: int, mode, instrs, region: _Region, profile, stats):
         out.emit("ST['superblock_iterations'] += si")
     out.emit("raise")
     out.indent = 2
-    if not ctx.wrapped:
-        for k in ctx.int_writes:
-            out.emit(f"int_regs[{k}] = r{k}")
-        for k in ctx.fp_writes:
-            out.emit(f"fp_regs[{k}] = f{k}")
+    for k in ctx.int_writes:
+        out.emit(f"int_regs[{k}] = r{k}")
+    for k in ctx.fp_writes:
+        out.emit(f"fp_regs[{k}] = f{k}")
     out.emit(
         "core.cycle = cycle",
         "core.icount = ic0 + total",
@@ -1189,18 +1075,6 @@ def _emit_jump(out, ctx: _Ctx, pos: int, target: int, tidx: int, fast: bool, pad
             f"    cpc = {addr}",
             "    break",
         ]
-    if ctx.wrapped and tidx <= pos:
-        # Backward-edge unwrap check: the taint probe self-uninstalls on
-        # its last event, after which the plain-list fast variants are
-        # strictly better - exit at the iteration boundary (always legal,
-        # same contract as a limit bail) and let the dispatcher switch.
-        lines += [
-            "if type(rf.int_regs) is list:",
-            "    total = n",
-            f"    pcv = {target}",
-            f"    cpc = {addr}",
-            "    break",
-        ]
     if ctx.owner[tidx] != ctx.owner[pos]:
         lines += ["cur.stamp = clk0 + n", f"cur = g{ctx.owner[tidx]}"]
     if ctx.profile and tidx <= pos:
@@ -1258,23 +1132,9 @@ def _write_int(ctx: "_Ctx", rd: int, expr: str, mask: bool) -> list[str]:
     The chained assignment stores the value into the history slot and the
     register local in one statement; history slots (>= 16) are plain list
     writes because they are never instruction operands.
-
-    Wrapped variants mirror ``PhysRegFile.write_int`` access by access:
-    the architectural slot first, then the rename slot, each through a
-    *fresh* ``rf.int_regs`` fetch - the first write may fire the taint
-    probe's last pending event and uninstall it, which replaces the list,
-    exactly as the interpreter's second attribute fetch observes.
     """
     n_int = ctx.n_int
     value = f"({expr}) & 4294967295" if mask else expr
-    if ctx.wrapped:
-        lines = [f"rf.int_regs[{rd}] = r{rd} = {value}"]
-        if n_int > 16:
-            lines += [
-                f"rf.int_regs[ih] = r{rd}",
-                f"ih = ih + 1 if ih < {n_int - 1} else 16",
-            ]
-        return lines
     if n_int <= 16:
         return [f"r{rd} = {value}"]
     return [
@@ -1285,14 +1145,6 @@ def _write_int(ctx: "_Ctx", rd: int, expr: str, mask: bool) -> list[str]:
 
 def _write_fp(ctx: "_Ctx", rd: int, expr: str) -> list[str]:
     n_fp = ctx.n_fp
-    if ctx.wrapped:
-        lines = [f"rf.fp_regs[{rd}] = f{rd} = {expr}"]
-        if n_fp > 16:
-            lines += [
-                f"rf.fp_regs[fh] = f{rd}",
-                f"fh = fh + 1 if fh < {n_fp - 1} else 16",
-            ]
-        return lines
     if n_fp <= 16:
         return [f"f{rd} = {expr}"]
     return [
@@ -1499,27 +1351,6 @@ def _emit_instr(out, ctx: _Ctx, pos: int, tick: bool, fast: bool) -> None:
         ma_expr = f"(r{rs1} + {imm}) & 4294967295"
     e = out.emit
 
-    if ctx.wrapped:
-        # Per-instruction prologue of a wrapped variant: flush the exact
-        # pre-instruction cycle (the interpreter bumps ``core.cycle``
-        # only *after* a handler runs, so any taint event this
-        # instruction fires must carry this value), then load the
-        # operands through the live - possibly wrapped - lists, reads
-        # before writes exactly like the handlers.
-        int_reads, int_writes, fp_reads, fp_writes = _instr_effects(
-            op, rd, rs1, rs2
-        )
-        if op in (Op.DIV, Op.MOD):
-            # The handlers read the dividend only *after* the divisor's
-            # zero check; the emitter below loads rs1 past the raise.
-            int_reads = {rs2}
-        if int_reads or int_writes or fp_reads or fp_writes:
-            e("core.cycle = cycle")
-        for k in sorted(int_reads):
-            e(f"r{k} = rf.int_regs[{k}]")
-        for k in sorted(fp_reads):
-            e(f"f{k} = rf.fp_regs[{k}]")
-
     # -- integer ALU ---------------------------------------------------------
     if op is Op.NOP:
         e(*t(0))
@@ -1549,10 +1380,6 @@ def _emit_instr(out, ctx: _Ctx, pos: int, tick: bool, fast: bool) -> None:
             *flush,
             f"    raise ArithmeticFault({message!r}, pc={addr})",
         )
-        if ctx.wrapped:
-            # The dividend read happens only past the zero check, exactly
-            # like the handler (the prologue deliberately skipped it).
-            e(f"r{rs1} = rf.int_regs[{rs1}]")
         e(*_signed_local("a", f"r{rs1}"))
         if op is Op.DIV:
             e(*_write_int(ctx, rd, "int(a / b)", True))
@@ -1656,12 +1483,10 @@ def _emit_instr(out, ctx: _Ctx, pos: int, tick: bool, fast: bool) -> None:
                 return _write_fp(ctx, rd, value)
             return _write_int(ctx, rd, value, False)
 
-        if (op is Op.FLD and not ctx.fp_mem_fast) or not (fast or ctx.wrapped):
+        if (op is Op.FLD and not ctx.fp_mem_fast) or not fast:
             # Slow pass (the final sliver of a window) or an op with no
             # inline path: straight to the interpreter - the inline scan
-            # would be pure source weight here.  Wrapped variants keep
-            # the inline path: their per-instruction limit checks make
-            # the fast-pass budget machinery unnecessary.
+            # would be pure source weight here.
             e(
                 *_fallback_call(ctx, pos, slow_call, pad=""),
                 *wb("mv"),
@@ -1690,8 +1515,7 @@ def _emit_instr(out, ctx: _Ctx, pos: int, tick: bool, fast: bool) -> None:
         e(*_fallback_call(ctx, pos, call))
         e(f"    cycle += {hit} + cost")
         e(*("    " + line for line in wb("mv")))
-        if fast:
-            e(*_limit_exit(ctx, pos, pad="    "))
+        e(*_limit_exit(ctx, pos, pad="    "))
         e("else:", "    ld += 1", f"    cycle += {hitcost}")
         e(*("    " + line for line in wb("mv")))
         out.indent -= 1
@@ -1728,7 +1552,7 @@ def _emit_instr(out, ctx: _Ctx, pos: int, tick: bool, fast: bool) -> None:
             write = [f"_D.data[pa & {om}] = r{rd} & 255"]
             cwrite = [f"_D.data[ma & {om}] = r{rd} & 255"]
             inline = ctx.stores_fast
-        if not inline or not (fast or ctx.wrapped):
+        if not inline or not fast:
             e(
                 *_fallback_call(ctx, pos, slow_call, pad=""),
                 f"cycle += {hit} + cost",
@@ -1756,8 +1580,7 @@ def _emit_instr(out, ctx: _Ctx, pos: int, tick: bool, fast: bool) -> None:
         e("else:")
         e(*_fallback_call(ctx, pos, call))
         e(f"    cycle += {hit} + cost")
-        if fast:
-            e(*_limit_exit(ctx, pos, pad="    "))
+        e(*_limit_exit(ctx, pos, pad="    "))
         out.indent -= 1
     # -- floating point -------------------------------------------------------
     elif op is Op.FADD:

@@ -14,25 +14,25 @@ The hook seams live in the components themselves (``Cache.probe``,
 ``is not None`` check, so an unprobed machine pays almost nothing.
 
 The basic-block translator (:mod:`repro.microarch.translate`) honours
-the same seams, splitting them by side.  *Fetch-side* probes (L1I,
-ITLB) force interpretation: the dispatcher short-circuits while they
-are armed, because entry guards read ITLB entries and L1I lines
-directly.  *Data-side* probes (DTLB, L1D - and transitively L2/memory,
-whose notifications only fire from interpreter fallbacks) are
-compatible with translation: blocks compiled while they are armed
-replay every ``on_lookup`` / ``on_read`` / ``on_write`` notification
-inline, flushing ``core.cycle`` first so probe events carry the exact
-access cycle, bit-identical to the interpreter's.  Wrapped register
-lists (``type(rf.int_regs) is not list``, the
-:class:`RegfileTaintProbe` mechanism) get *wrapped variants*: blocks
-that skip the registers-as-locals batching and route every operand
-read and result write through the wrapper's ``__getitem__`` /
-``__setitem__`` - same subscripts, same order as the interpreter's
-handlers, with ``core.cycle`` stamped first - so the wrapper's events
-fire identically.  Probe-free blocks refuse via their entry guards
-while probes are armed, the dispatcher compiles a replaying variant in
-their place, and self-removing probes hand execution straight back to
-the ordinary fast variants once they uninstall.
+the same seams, splitting them by kind.  *Fetch-side* probes (L1I,
+ITLB) and wrapped register lists (``type(rf.int_regs) is not list``,
+the :class:`RegfileTaintProbe` mechanism) force interpretation: the
+dispatcher short-circuits while they are armed, because entry guards
+read ITLB entries and L1I lines directly and blocks keep registers in
+locals the wrapper would never see.  The regfile probe uninstalls at
+the first read of a tainted register, and flips into registers no
+instruction of the image reads are dead at the flip and never arm it,
+so a probed run interprets only until its fault is first used.
+*Data-side* probes (DTLB, L1D - and transitively L2/memory, whose
+notifications only fire from interpreter fallbacks) are compatible with
+translation: blocks compiled while they are armed replay every
+``on_lookup`` / ``on_read`` / ``on_write`` notification inline,
+flushing ``core.cycle`` first so probe events carry the exact access
+cycle, bit-identical to the interpreter's.  Probe-free blocks refuse
+via their entry guards while data-side probes are armed, the dispatcher
+compiles a replaying variant in their place, and self-removing probes
+hand execution straight back to the ordinary fast variants once they
+uninstall.
 
 Writeback taint travels *down* the hierarchy through a shared
 ``inflight`` set of tainted physical byte addresses: when a dirty tainted

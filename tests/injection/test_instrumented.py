@@ -27,6 +27,7 @@ from repro.injection.parallel import (
     ImageInjector,
 )
 from repro.microarch.config import SCALED_A9_CONFIG
+from repro.microarch.regfile import ARCH_REGS, FP_REG_BITS, INT_REG_BITS
 from repro.microarch.system import System
 from repro.workloads import get_workload
 
@@ -220,6 +221,52 @@ class TestLiveSite:
         assert {
             Component.L2, Component.REGFILE, Component.DTLB, Component.ITLB
         } <= straddled
+
+
+class TestNotLiveLifetime:
+    """A flip nothing can observe has one lifetime, ``flip`` then
+    ``outcome``, with early exit on (it ends ``dead-cell`` at the flip)
+    and off (it runs to exit unwatched: no taint, no digest stamps).
+    StringSearch reads no FP register, so a flip there is not live."""
+
+    @staticmethod
+    def _fault(prepared, case: str) -> Fault:
+        system, cycle = _mid_run(prepared)
+        rf = system.rf
+        if case == "rename-slot":
+            return Fault(Component.REGFILE, ARCH_REGS * INT_REG_BITS + 5, cycle)
+        if case == "unread-fp":
+            reg = min(set(range(ARCH_REGS)) - rf.fp_reads)
+            bit = rf.n_int * INT_REG_BITS + reg * FP_REG_BITS + 62
+            return Fault(Component.REGFILE, bit, cycle)
+        l1d = system.l1d
+        line_bits = l1d.line_size * 8
+        bit = next(
+            start + 9
+            for start in range(0, l1d.data_bits, line_bits)
+            if not l1d.line_at(start).valid
+        )
+        return Fault(Component.L1D, bit, cycle)
+
+    @pytest.mark.parametrize("early_exit", [True, False])
+    @pytest.mark.parametrize("case", ["rename-slot", "unread-fp", "invalid-l1d-line"])
+    def test_flip_then_outcome(self, prepared, case, early_exit):
+        fault = self._fault(prepared, case)
+        image = dataclasses.replace(
+            prepared[1], engine=EngineOptions(early_exit=early_exit)
+        )
+        injector = ImageInjector(image)
+        try:
+            result = injector.run_fault_ex(fault)
+        finally:
+            injector.close()
+        assert [kind for kind, _cycle, _detail in result.events] == [
+            "flip",
+            "outcome",
+        ]
+        assert result.site.live is False
+        assert result.effect is FaultEffect.MASKED
+        assert (result.ended_by == ENDED_DEAD_CELL) is early_exit
 
 
 class TestJournalSite:

@@ -9,10 +9,12 @@ untouched (the regfile wrapper regression pins the latter).
 from __future__ import annotations
 
 from repro.microarch.cache import Cache
-from repro.microarch.config import CacheGeometry, TLBGeometry
+from repro.microarch.config import SCALED_A9_CONFIG, CacheGeometry, TLBGeometry
 from repro.microarch.memory import MainMemory
 from repro.microarch.regfile import INT_REG_BITS, PhysRegFile
+from repro.microarch.system import System
 from repro.microarch.tlb import PERM_FIELD, PPN_FIELD, TLB
+from repro.microarch.translate import attach_translator
 from repro.observability.events import (
     EV_EVICT,
     EV_READ,
@@ -26,6 +28,7 @@ from repro.observability.taint import (
     RegfileTaintProbe,
     TLBTaintProbe,
 )
+from repro.workloads import get_workload
 
 
 class FakeCore:
@@ -283,3 +286,41 @@ class TestMemoryProbe:
         memory.write_block(0, b"\x00" * 16)
         assert kinds(lifetime) == [EV_READ, EV_WRITE_OVER]
         assert not probe.cells
+
+
+class TestRegfileProbeOnTheTranslator:
+    """Wrapped register lists run on the interpreter alone: the translator
+    runs no block while a regfile taint probe is armed, and takes over
+    again once the probe uninstalls."""
+
+    def test_no_block_runs_while_the_probe_is_armed(self):
+        machine = SCALED_A9_CONFIG
+        system = System(get_workload("CRC32").program(machine.layout), config=machine)
+        translator = attach_translator(system)
+        lifetime = FaultLifetime(system.core)
+        marks = {}
+
+        def arm():
+            # r9 is next read about 14k instructions later.
+            probe = RegfileTaintProbe(lifetime, system.rf)
+            probe.taint_bit(9 * INT_REG_BITS)
+            uninstall = probe.uninstall
+
+            def recording_uninstall():
+                if probe.installed:
+                    marks["uninstall"] = (translator.block_runs, system.core.icount)
+                uninstall()
+
+            probe.uninstall = recording_uninstall
+            probe.install()
+            marks["install"] = (translator.block_runs, system.core.icount)
+
+        result = system.run(max_cycles=10**8, events=[(150_000, arm)])
+        assert result.exited_cleanly
+        assert kinds(lifetime) == [EV_READ]
+        runs_at_install, icount_at_install = marks["install"]
+        runs_at_uninstall, icount_at_uninstall = marks["uninstall"]
+        assert runs_at_install > 0
+        assert icount_at_uninstall - icount_at_install > 1000
+        assert runs_at_uninstall == runs_at_install
+        assert translator.block_runs > runs_at_uninstall

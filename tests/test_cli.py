@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -396,3 +401,34 @@ class TestInjectProfile:
         assert "execution profile:" not in plain
         # A profile run bypasses the result cache in both directions.
         assert not (tmp_path / "profiled").exists()
+
+
+class TestClosedPipe:
+    """A reader that stops early (``repro ... | head -1``) ends the command
+    quietly: exit status 1, nothing on stderr."""
+
+    def test_reader_closing_after_one_line(self):
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("needs a resizable pipe (Linux)")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        read_fd, write_fd = os.pipe()
+        # A one-page pipe holds less than the disassembly (about 8 kB), so
+        # the command is still writing when the reader goes away.
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "disasm", "Rijndael E"],
+            stdout=write_fd,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as reader:
+            first = reader.readline()
+        stderr = process.stderr.read().decode()
+        process.stderr.close()
+        assert process.wait(timeout=60) == 1
+        assert first.strip()
+        assert "Traceback" not in stderr
+        assert stderr == ""
